@@ -6,11 +6,9 @@ signals with certified error envelopes, and a minimally invasive QP filter
 in front of a goal-seeking controller.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .harness import compare, run
 from .scenario import Scenario, load_config
 
 __version__ = "0.1.0"
 
-__all__ = ["Scenario", "compare", "kernel_backend", "load_config", "run",
-           "__version__"]
+__all__ = ["Scenario", "compare", "load_config", "run", "__version__"]

@@ -4,16 +4,15 @@
     s.t.      a_i . u >= beta_i   (constraint rows, at most two)
               lo <= u <= hi
 
-With two variables and at most six inequalities the candidate active sets
-can be enumerated exactly, which keeps every solve closed-form,
-deterministic and allocation-light inside the control loop. Infeasible
-problems never raise: they fall through to a best-effort relaxation that
-maximizes the worst row slack over the box, and the caller logs a
-safety-degradation event.
-
-The heavy lifting lives in rollguard._kernels (compiled when available,
-numpy fallback otherwise); this module owns the problem/solution types,
-the degenerate-row policy, multipliers, and the relaxation path.
+`solve` applies the degenerate-row policy, lists the rows and the four
+box faces once, and hands that list to the one solver,
+`_kernels.solve_active_set`. With two variables and at most six
+inequalities the solver enumerates the candidate active sets exactly, so
+every solve is closed-form and deterministic, and it returns at once when
+u_nom is already feasible. The same list gives the multipliers of the
+active set. Infeasible problems never raise: they fall through to a
+best-effort relaxation that maximizes the worst row slack over the box,
+and the caller logs a safety-degradation event.
 """
 
 from __future__ import annotations
@@ -78,21 +77,14 @@ def _split_rows(rows):
     return keep, forced
 
 
-def _constraint_gradients(rows):
-    grads = [(row.a[0], row.a[1]) for row in rows]
-    grads += [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    labels = [row.label for row in rows] + list(_FACE_LABELS)
-    return grads, labels
-
-
-def _multipliers(u, u_nom, active, grads):
+def _multipliers(u, u_nom, active, cons):
     """Multipliers of the active set from stationarity
     2 (u - u_nom) = sum lambda_j g_j, plus the residual norm."""
     rx = 2.0 * (u[0] - u_nom[0])
     ry = 2.0 * (u[1] - u_nom[1])
     if not active:
         return (), math.hypot(rx, ry)
-    g = [grads[j] for j in active]
+    g = [cons[j][:2] for j in active]
     if len(g) == 1:
         (g0, g1), = g
         denom = g0 * g0 + g1 * g1
@@ -108,47 +100,28 @@ def _multipliers(u, u_nom, active, grads):
     return lam, math.hypot(*res)
 
 
-def _kernel_args(u_nom, rows, lower, upper):
-    a_flat = []
-    b = []
-    for row in rows:
-        a_flat.extend(row.a)
-        b.append(row.beta)
-    return (u_nom[0], u_nom[1], tuple(a_flat), tuple(b), tuple(lower), tuple(upper))
-
-
 def solve(problem: QpProblem) -> QpSolution:
-    """Solve the filter QP; falls back to relax_infeasible when the rows
-    and the box are incompatible."""
+    """Solve the filter QP. When the rows and the box are incompatible, or
+    a degenerate row cannot be met, return the best-effort input instead:
+    the one that maximizes the minimum row slack over the box."""
     rows, forced = _split_rows(problem.rows)
     if forced == 0.0:
+        lo, hi = problem.lower, problem.upper
+        # (g0, g1, rhs) for g . u >= rhs: rows first, then the box faces in
+        # _FACE_LABELS order; the solver's active set indexes this list
+        cons = [(row.a[0], row.a[1], row.beta) for row in rows]
+        cons += [(1.0, 0.0, lo[0]), (-1.0, 0.0, -hi[0]),
+                 (0.0, 1.0, lo[1]), (0.0, -1.0, -hi[1])]
         ux, uy, found, active_idx, obj = _kernels.solve_active_set(
-            *_kernel_args(problem.u_nom, rows, problem.lower, problem.upper))
+            problem.u_nom[0], problem.u_nom[1], cons)
         if found:
-            grads, labels = _constraint_gradients(rows)
-            lam, res = _multipliers((ux, uy), problem.u_nom, active_idx, grads)
+            labels = [row.label for row in rows] + list(_FACE_LABELS)
+            lam, res = _multipliers((ux, uy), problem.u_nom, active_idx, cons)
             return QpSolution(
                 u=(ux, uy), status="optimal",
                 active=tuple(labels[j] for j in active_idx),
                 slack_used=0.0, objective=obj, kkt_residual=res,
                 multipliers=lam)
-    return _relax(problem, rows, forced)
-
-
-def relax_infeasible(problem: QpProblem) -> QpSolution:
-    """Best-effort input when no feasible point exists: maximize the
-    minimum row slack over the box. Consistent with solve on feasible
-    problems (returns the same optimal solution with zero slack)."""
-    rows, forced = _split_rows(problem.rows)
-    if forced == 0.0:
-        args = _kernel_args(problem.u_nom, rows, problem.lower, problem.upper)
-        ux, uy, found, active_idx, obj = _kernels.solve_active_set(*args)
-        if found:
-            grads, labels = _constraint_gradients(rows)
-            lam, res = _multipliers((ux, uy), problem.u_nom, active_idx, grads)
-            return QpSolution((ux, uy), "optimal",
-                              tuple(labels[j] for j in active_idx), 0.0, obj,
-                              res, lam)
     return _relax(problem, rows, forced)
 
 
@@ -206,20 +179,3 @@ def _relax(problem: QpProblem, rows, forced: float) -> QpSolution:
                    <= slack + 1e-9)
     return QpSolution(best, "infeasible_relaxed", active, worst,
                       (best[0] - unx) ** 2 + (best[1] - uny) ** 2, None, ())
-
-
-def grid_oracle(problem: QpProblem, n0: int = 401, refinements: int = 6):
-    """Brute-force reference: exact objective minimum over a regular grid
-    with local refinement, independent of the active-set path.
-
-    Returns (objective, (ux, uy)) or None when no feasible grid point
-    exists."""
-    rows, forced = _split_rows(problem.rows)
-    if forced > 0.0:
-        return None
-    found, obj, ux, uy = _kernels.grid_min(
-        *_kernel_args(problem.u_nom, rows, problem.lower, problem.upper),
-        n0, refinements)
-    if not found:
-        return None
-    return obj, (ux, uy)

