@@ -85,11 +85,28 @@ class DifferentiatorBank:
         return [error_envelope_rate(ch, t) for ch in self.channels]
 
     def envelope(self, t: float, v_inf: float) -> tuple[float, float]:
-        """Aggregated (value, rate) of the smooth maximum over channels."""
-        vals = self.envelope_values(t, v_inf)
-        rates = self.envelope_rates(t)
-        return (smooth_max(vals, self.sharpness),
-                smooth_max_rate(vals, rates, self.sharpness))
+        """Aggregated (value, rate) of the smooth maximum over channels.
+
+        One pass: one exp(-decay*t) per channel and one set of softmax
+        weights, in the operation order of `smooth_max`/`smooth_max_rate`
+        over `error_envelope`/`error_envelope_rate`, which stay its
+        reference definitions (the results are bit-equal).
+        """
+        if t < 0.0:
+            raise DomainError("envelope is defined for t >= 0")
+        vals = []
+        rates = []
+        for ch in self.channels:
+            c = ch.coeffs
+            decay = math.exp(-c.decay_rate * t)
+            vals.append(c.transient_gain * decay * ch.e0_bound + c.noise_gain * v_inf)
+            rates.append(-c.transient_gain * c.decay_rate * decay * ch.e0_bound)
+        s = self.sharpness
+        m = max(vals)
+        ws = [math.exp(s * (v - m)) for v in vals]
+        total = sum(ws)
+        return (m + math.log(total) / s,
+                sum(w * r for w, r in zip(ws, rates)) / total)
 
 
 def hgo_rates(channel: DiffChannel, params: HgoParams, p: float) -> tuple[float, float]:

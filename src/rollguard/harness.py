@@ -5,6 +5,11 @@ zero-order hold -> integrate cycle at the configured control rate, records
 a trace row per control step, and derives a deterministic summary with the
 safety audits (true constraint minima, realized projected disturbance
 against the budget, envelope soundness, QP relaxation events).
+
+Integration advances the augmented state (robot plus both observers) with
+`sysmodel.step_rk4` on one fused right-hand side, `sysmodel.closed_loop_rhs`,
+built once per run; `sysmodel.eval_dynamics` and
+`differentiator.hgo_rates` remain its reference definitions.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from . import qp
 from .barrier import (build_bd_row, build_constraint_row, check_budget_schedule,
                       check_envelope_budget, check_envelope_decay, eval_barrier,
                       eval_h, lipschitz_gain, zmp_lateral)
-from .differentiator import (BackwardDiffWindow, DiffChannel, backward_diff,
-                             error_envelope, hgo_rates)
+from .differentiator import BackwardDiffWindow, backward_diff, error_envelope
 from .errors import DomainError, NonFiniteStateError
 from .scenario import Scenario, parse_variant
-from .sysmodel import (ControlInput, RobotState, eval_dynamics, gravity_at,
+from .sysmodel import (ControlInput, RobotState, closed_loop_rhs, gravity_at,
                        step_rk4, wrap_angle)
 
 TRACE_SCHEMA = "rollguard-trace-1"
@@ -158,7 +162,6 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     alpha = scenario.alpha_fn()
     budget = scenario.budget()
     bank = scenario.make_bank()
-    hgo = bank.hgo
     box = scenario.input_box()
     goal = (scenario.goal_x, scenario.goal_y)
     gains = (scenario.k_v, scenario.k_omega)
@@ -175,21 +178,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     aug = (scenario.start_x, scenario.start_y, scenario.start_theta,
            0.0, 0.0, gs0.p_y, 0.0, gs0.p_z, 0.0)
 
-    scratch_y = DiffChannel()
-    scratch_z = DiffChannel()
-
-    def make_rhs(u: ControlInput):
-        def rhs(tt, yy):
-            state = RobotState(yy[0], yy[1], yy[2], yy[3], yy[4])
-            dx = eval_dynamics(state, u, act, dist.sample(tt))
-            phi = terrain.roll(tt)
-            ny, nz = noise.sample(tt)
-            scratch_y.value_est, scratch_y.rate_est = yy[5], yy[6]
-            scratch_z.value_est, scratch_z.rate_est = yy[7], yy[8]
-            ry = hgo_rates(scratch_y, hgo, g * math.sin(phi) + ny)
-            rz = hgo_rates(scratch_z, hgo, -g * math.cos(phi) + nz)
-            return dx + ry + rz
-        return rhs
+    hold = closed_loop_rhs(act, bank.hgo, terrain, noise, dist)
 
     win_y = BackwardDiffWindow(period)
     win_z = BackwardDiffWindow(period)
@@ -204,11 +193,11 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     aborted = False
     abort_reason = ""
 
-    def truth_h(state: RobotState, t: float) -> tuple[float, float]:
+    def truth_h(v: float, omega: float, t: float) -> tuple[float, float]:
         phi = terrain.roll(t)
         gy, gz = g * math.sin(phi), -g * math.cos(phi)
-        return (eval_h("h1", state.v, state.omega, gy, gz, geom),
-                eval_h("h2", state.v, state.omega, gy, gz, geom))
+        return (eval_h("h1", v, omega, gy, gz, geom),
+                eval_h("h2", v, omega, gy, gz, geom))
 
     for k in range(n_steps):
         t = k * period
@@ -244,7 +233,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
             relaxations += 1
 
         env_value, env_rate = bank.envelope(t, scenario.v_inf)
-        h1t, h2t = truth_h(state, t)
+        h1t, h2t = truth_h(state.v, state.omega, t)
         est = (aug[5], aug[6], aug[7], aug[8])
         rob = tuple(
             eval_barrier(which, state, (est[0], est[2]), geom, act,
@@ -277,15 +266,13 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
             budget=budget.value(t), proj_disturbance=proj,
             qp_status=sol.status, qp_active="+".join(sol.active)))
 
-        rhs = make_rhs(ControlInput(*sol.u))
+        rhs = hold(*sol.u)
         try:
             y = aug
             for i in range(scenario.substeps):
                 y = step_rk4(y, t + i * sub_dt, sub_dt, rhs)
-                y = y[:2] + (wrap_angle(y[2]),) + y[3:]
-                sub_state = RobotState(y[0], y[1], y[2], y[3], y[4])
-                min_inter = min(min_inter,
-                                *truth_h(sub_state, t + (i + 1) * sub_dt))
+                y = (y[0], y[1], wrap_angle(y[2]), *y[3:])
+                min_inter = min(min_inter, *truth_h(y[4], y[3], t + (i + 1) * sub_dt))
             aug = y
         except (NonFiniteStateError, DomainError) as exc:
             # mid-stage overflow surfaces as a domain error from the
@@ -296,7 +283,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
     final_state = RobotState(aug[0], aug[1], aug[2], aug[3], aug[4])
     t_end = len(records) * period
-    h1f, h2f = truth_h(final_state, min(t_end, scenario.horizon))
+    h1f, h2f = truth_h(final_state.v, final_state.omega, min(t_end, scenario.horizon))
     min_h1 = min([r.h_true[0] for r in records] + [h1f])
     min_h2 = min([r.h_true[1] for r in records] + [h2f])
     final_distance = math.hypot(goal[0] - final_state.x, goal[1] - final_state.y)

@@ -106,6 +106,32 @@ class Scenario:
             raise DomainError(f"unknown terrain profile {self.terrain_profile!r}")
         if self.disturbance_kind not in ("none", "sinusoid"):
             raise DomainError(f"unknown disturbance kind {self.disturbance_kind!r}")
+        # the component validators (positive geometry, actuator, observer,
+        # alpha and ramp duration; nonnegative budget, whichever filter
+        # reads it) fire here, not inside a run
+        self.terrain()
+        self.geometry()
+        self.actuator()
+        self.hgo()
+        self.alpha_fn()
+        DisturbanceBudget(self.budget_initial, self.budget_decay, self.budget_floor)
+        if self.u_v_min > self.u_v_max or self.u_omega_min > self.u_omega_max:
+            raise DomainError("input box is empty")
+        if self.gravity <= 0.0:
+            raise DomainError(f"gravity must be positive, got {self.gravity}")
+        if self.v_inf < 0.0:
+            raise DomainError(f"v_inf must be nonnegative, got {self.v_inf}")
+        if self.noise_tau <= 0.0:
+            raise DomainError(f"noise tau must be positive, got {self.noise_tau}")
+        if self.lse_sharpness <= 0.0:
+            raise DomainError(f"differentiator sharpness must be positive, "
+                              f"got {self.lse_sharpness}")
+        if self.pdot_bound < 0.0 or self.pddot_bound < 0.0:
+            raise DomainError("signal derivative bounds must be nonnegative")
+        if self.v_inf == 0.0 and self.pddot_bound > 0.0:
+            raise DomainError("v_inf = 0 requires pddot_bound = 0: without a "
+                              "noise term the envelope cannot absorb the "
+                              "curvature residual")
 
     # --- builders -------------------------------------------------------
 

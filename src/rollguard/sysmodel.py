@@ -9,6 +9,12 @@ State ordering used throughout: (x, y, theta, omega, v)
     omega_dot = -tau_omega * omega + tau_omega * u_omega + d_omega
     v_dot     = -tau_v * v + tau_v * u_v + d_v
 
+A run integrates one fused right-hand side on the augmented 9-state (robot
+plus two high-gain observers), built once per run by `closed_loop_rhs`.
+`eval_dynamics` here and `differentiator.hgo_rates` remain its reference
+definitions: the fused form repeats their float operations in order and is
+bit-equal to them.
+
 All functions here are pure; independent scenarios can run concurrently.
 """
 
@@ -161,12 +167,17 @@ class NoiseModel:
         self.period = 1.0 / rate
         n = int(math.ceil(horizon * rate)) + 2
         rng = np.random.default_rng(seed)
-        self._targets = rng.uniform(-v_inf, v_inf, size=(n, 2))
+        # numpy only draws the targets; the recursion runs on builtin
+        # floats, whose arithmetic rounds exactly like numpy's float64
+        targets = rng.uniform(-v_inf, v_inf, size=(n, 2)).tolist()
         decay = math.exp(-self.period / tau)
-        states = np.empty((n + 1, 2))
-        states[0] = 0.0
-        for k in range(n):
-            states[k + 1] = self._targets[k] + (states[k] - self._targets[k]) * decay
+        sy = sz = 0.0
+        states = [(sy, sz)]
+        for ty, tz in targets:
+            sy = ty + (sy - ty) * decay
+            sz = tz + (sz - tz) * decay
+            states.append((sy, sz))
+        self._targets = targets
         self._states = states
         self._n = n
 
@@ -175,7 +186,7 @@ class NoiseModel:
         w = math.exp(-(t - k * self.period) / self.tau)
         ty, tz = self._targets[k]
         sy, sz = self._states[k]
-        return (float(ty + (sy - ty) * w), float(tz + (sz - tz) * w))
+        return (ty + (sy - ty) * w, tz + (sz - tz) * w)
 
 
 @dataclass(frozen=True)
@@ -248,6 +259,52 @@ def eval_dynamics(state: RobotState, u: ControlInput, params: ActuatorParams,
     )
 
 
+def closed_loop_rhs(act: ActuatorParams, hgo, terrain: TerrainProfile, noise,
+                    dist: DisturbanceModel):
+    """Right-hand side of one run's augmented closed loop, built once per run.
+
+    The augmented state is the flat 9-tuple (x, y, theta, omega, v,
+    est_gy, rate_gy, est_gz, rate_gz): the robot plus one high-gain
+    observer (`hgo`, an `HgoParams`) per measured gravity channel. The
+    result is `hold(u_v, u_omega)`, which returns `rhs(t, y)` for that
+    input held over a control period.
+
+    `rhs` fuses `eval_dynamics` with the disturbance of `dist` and two
+    `differentiator.hgo_rates` calls on the noisy measurements, which stay
+    its reference definitions: every float operation happens in their
+    order, so the result is bit-equal to theirs, and a non-finite dynamics
+    input raises the same DomainError. It builds no `RobotState`,
+    `ControlInput` or `DiffChannel`.
+    """
+    tau_v, tau_omega = act.tau_v, act.tau_omega
+    k1l = hgo.k1 * hgo.ell
+    k2l2 = hgo.k2 * hgo.ell * hgo.ell
+    d_omega, d_v = dist.d_omega, dist.d_v
+    roll, g = terrain.roll, terrain.gravity
+    sample = noise.sample
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+
+    def hold(u_v: float, u_omega: float):
+        def rhs(t, y):
+            x, y_pos, theta, omega, v, est_gy, rate_gy, est_gz, rate_gz = y
+            dist_omega = d_omega(t)
+            dist_v = d_v(t)
+            for val in (x, y_pos, theta, omega, v, u_v, u_omega, dist_omega, dist_v):
+                if not isfinite(val):
+                    raise DomainError("non-finite dynamics input")
+            phi = roll(t)
+            ny, nz = sample(t)
+            innov_y = (g * sin(phi) + ny) - est_gy
+            innov_z = (-g * cos(phi) + nz) - est_gz
+            return (v * cos(theta), v * sin(theta), omega,
+                    -tau_omega * omega + tau_omega * u_omega + dist_omega,
+                    -tau_v * v + tau_v * u_v + dist_v,
+                    rate_gy + k1l * innov_y, k2l2 * innov_y,
+                    rate_gz + k1l * innov_z, k2l2 * innov_z)
+        return rhs
+    return hold
+
+
 def step_rk4(y: Sequence[float], t: float, dt: float,
              rhs: Callable[[float, Sequence[float]], Sequence[float]]) -> tuple[float, ...]:
     """One classical Runge-Kutta step of y' = rhs(t, y).
@@ -260,12 +317,12 @@ def step_rk4(y: Sequence[float], t: float, dt: float,
         raise DomainError("dt must be positive")
     k1 = rhs(t, y)
     h2 = 0.5 * dt
-    k2 = rhs(t + h2, tuple(yi + h2 * ki for yi, ki in zip(y, k1)))
-    k3 = rhs(t + h2, tuple(yi + h2 * ki for yi, ki in zip(y, k2)))
-    k4 = rhs(t + dt, tuple(yi + dt * ki for yi, ki in zip(y, k3)))
+    k2 = rhs(t + h2, [yi + h2 * ki for yi, ki in zip(y, k1)])
+    k3 = rhs(t + h2, [yi + h2 * ki for yi, ki in zip(y, k2)])
+    k4 = rhs(t + dt, [yi + dt * ki for yi, ki in zip(y, k3)])
     sixth = dt / 6.0
-    out = tuple(yi + sixth * (a + 2.0 * (b + c) + d)
-                for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    out = tuple([yi + sixth * (a + 2.0 * (b + c) + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
     for val in out:
         if not math.isfinite(val):
             raise NonFiniteStateError(f"non-finite state after step at t={t}")

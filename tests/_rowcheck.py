@@ -1,41 +1,36 @@
 """Finite-difference oracle for the constraint-row derivative: propagates
 the augmented closed loop (without disturbance, input held) from recorded
 states and compares d/dt of the robustified constraint against the
-analytic drift + input_row . u."""
+analytic drift + input_row . u. The flow is the one `harness.run`
+integrates, `sysmodel.closed_loop_rhs`, on the scenario without
+disturbance."""
 
+import dataclasses
 import math
 
 from rollguard.barrier import eval_barrier
 from rollguard.differentiator import DiffChannel, hgo_rates
-from rollguard.sysmodel import ControlInput, RobotState, eval_dynamics, step_rk4
+from rollguard.sysmodel import RobotState, closed_loop_rhs, step_rk4
 
 
 def row_derivative_gap(scenario, record, which):
     """Returns (finite_difference, analytic) for one trace record, taken at
     the midpoint of the record's hold period so every evaluation stays
     inside one smooth piece of the measurement signal."""
-    terrain = scenario.terrain()
-    noise = scenario.noise_model()
-    geom = scenario.geometry()
-    act = scenario.actuator()
-    bank = scenario.make_bank()
+    calm = dataclasses.replace(scenario, disturbance_kind="none")
+    terrain = calm.terrain()
+    noise = calm.noise_model()
+    geom = calm.geometry()
+    act = calm.actuator()
+    bank = calm.make_bank()
     hgo = bank.hgo
-    g = scenario.gravity
-    u = ControlInput(*record.u_star)
-    period = 1.0 / scenario.control_rate
-
-    def rhs(tt, yy):
-        dx = eval_dynamics(RobotState(*yy[:5]), u, act, (0.0, 0.0))
-        phi = terrain.roll(tt)
-        ny, nz = noise.sample(tt)
-        ry = hgo_rates(DiffChannel(value_est=yy[5], rate_est=yy[6]), hgo,
-                       g * math.sin(phi) + ny)
-        rz = hgo_rates(DiffChannel(value_est=yy[7], rate_est=yy[8]), hgo,
-                       -g * math.cos(phi) + nz)
-        return dx + ry + rz
+    g = calm.gravity
+    u_v, u_omega = record.u_star
+    period = 1.0 / calm.control_rate
+    rhs = closed_loop_rhs(act, hgo, terrain, noise, calm.disturbance())(u_v, u_omega)
 
     def h_rob(tt, yy):
-        env_value, _ = bank.envelope(tt, scenario.v_inf)
+        env_value, _ = bank.envelope(tt, calm.v_inf)
         return eval_barrier(which, RobotState(*yy[:5]), (yy[5], yy[7]),
                             geom, act, env_value=env_value).h_rob
 
@@ -60,8 +55,8 @@ def row_derivative_gap(scenario, record, which):
         hgo_rates(DiffChannel(value_est=y[5], rate_est=y[6]), hgo, meas[0])[0],
         hgo_rates(DiffChannel(value_est=y[7], rate_est=y[8]), hgo, meas[1])[0],
     )
-    env_value, env_rate = bank.envelope(t, scenario.v_inf)
+    env_value, env_rate = bank.envelope(t, calm.v_inf)
     be = eval_barrier(which, RobotState(*y[:5]), est, geom, act, est_rate,
                       env_value, env_rate)
-    analytic = be.drift + be.input_row[0] * u.u_v + be.input_row[1] * u.u_omega
+    analytic = be.drift + be.input_row[0] * u_v + be.input_row[1] * u_omega
     return fd, analytic

@@ -261,6 +261,31 @@ def test_bank_envelope_aggregation():
     assert rate <= 0.0
 
 
+@pytest.mark.parametrize("v_inf", [0.0, 0.01, 0.05])
+def test_bank_envelope_bit_equal_to_reference(v_inf):
+    """The one-pass envelope equals smooth_max/smooth_max_rate over the
+    per-channel error_envelope/error_envelope_rate, bit for bit, from t = 0
+    on, with two channels of different coefficients."""
+    bank = DifferentiatorBank(
+        channels=(DiffChannel(e0_bound=4.51, coeffs=EnvelopeCoeffs(1.9, 45.0, 0.73)),
+                  DiffChannel(e0_bound=0.37, coeffs=EnvelopeCoeffs(3.1, 7.3, 2.9))),
+        hgo=HgoParams(), sharpness=37.0)
+    times = [0.0] + np.random.default_rng(8).exponential(0.3, 300).tolist()
+    for t in times:
+        vals = [error_envelope(ch, t, v_inf) for ch in bank.channels]
+        rates = [error_envelope_rate(ch, t) for ch in bank.channels]
+        want = (smooth_max(vals, bank.sharpness),
+                smooth_max_rate(vals, rates, bank.sharpness))
+        got = bank.envelope(t, v_inf)
+        assert [x.hex() for x in got] == [x.hex() for x in want], t
+
+
+def test_bank_envelope_rejects_negative_time():
+    bank = DifferentiatorBank(channels=(DiffChannel(),), hgo=HgoParams())
+    with pytest.raises(DomainError):
+        bank.envelope(-1e-9, 0.01)
+
+
 def test_bank_requires_channels():
     with pytest.raises(DomainError):
         DifferentiatorBank(channels=(), hgo=HgoParams())

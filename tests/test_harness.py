@@ -266,10 +266,21 @@ class TestConfig:
         {"v_inf": math.nan}, {"horizon": math.inf}, {"goal_x": math.nan},
         {"alpha": -math.inf}, {"horizon": 0.001}, {"horizon": 0.0199},
         {"roll_deg": 95.0}, {"roll_deg": 90.0}, {"roll_deg": -90.0},
+        {"u_v_min": 5.0}, {"u_omega_max": -3.0}, {"gravity": 0.0},
+        {"gravity": -9.81}, {"tau_v": 0.0}, {"tau_omega": -1.0},
+        {"alpha": 0.0}, {"half_width": 0.0}, {"cg_height": -0.4},
+        {"hgo_ell": 0.0}, {"hgo_k1": -2.0}, {"lse_sharpness": 0.0},
+        {"noise_tau": 0.0}, {"v_inf": -0.01}, {"v_inf": 0.0},
+        {"pdot_bound": -1.0}, {"pddot_bound": -1.0}, {"ramp_duration": 0.0},
+        {"budget_floor": -1.0}, {"budget_decay": -1.0},
+        {"budget_initial": -1.0, "filter": "const_margin"},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_bad_scenario_rejected(self, fields):
         with pytest.raises(DomainError):
             Scenario(**fields)
+
+    def test_noise_free_scenario_needs_zero_curvature_bound(self):
+        assert Scenario(v_inf=0.0, pddot_bound=0.0).v_inf == 0.0
 
     def test_one_control_period_is_the_shortest_horizon(self):
         res = harness.run(Scenario(horizon=1.0 / Scenario().control_rate))
@@ -321,9 +332,11 @@ class TestCli:
     @pytest.mark.parametrize("text", ["[noise]\nv_inf = nan\n",
                                       "[run]\nhorizon = inf\n",
                                       "[run]\nhorizon = 0.001\n",
-                                      "[terrain]\nroll_deg = 95\n"],
+                                      "[terrain]\nroll_deg = 95\n",
+                                      "[terrain]\ngravity = 0\n",
+                                      "[controller]\nu_v_min = 5\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
-                                  "roll_95"])
+                                  "roll_95", "gravity_0", "empty_box"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rollguard.differentiator import DiffChannel, HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
+from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ConstantNoise, ControlInput,
-                                NoiseModel, RobotState, constant_roll,
-                                eval_dynamics, gravity_at, smooth_ramp_roll,
-                                step_rk4, wrap_angle)
+                                NoiseModel, RobotState, closed_loop_rhs,
+                                constant_roll, eval_dynamics, gravity_at,
+                                smooth_ramp_roll, step_rk4, wrap_angle)
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -149,7 +151,89 @@ class TestRk4:
             step_rk4((1.0,), 0.0, 0.0, lambda t, yy: (0.0,))
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestClosedLoopRhs:
+    """The fused RHS that a run integrates against its reference
+    definitions, eval_dynamics plus two hgo_rates calls, bit for bit."""
+
+    @staticmethod
+    def _parts(rng):
+        sc = Scenario(tau_v=rng.uniform(0.5, 9.0), tau_omega=rng.uniform(0.5, 9.0),
+                      hgo_k1=rng.uniform(0.5, 4.0), hgo_k2=rng.uniform(0.2, 3.0),
+                      hgo_ell=rng.uniform(5.0, 90.0), v_inf=rng.uniform(0.0, 0.1),
+                      seed=int(rng.integers(1 << 30)))
+        return (sc.actuator(), sc.hgo(), sc.terrain(), sc.noise_model(),
+                sc.disturbance(), sc.horizon)
+
+    @staticmethod
+    def _reference(parts, u, t, y):
+        act, hgo, terrain, noise, dist, _ = parts
+        dx = eval_dynamics(RobotState(*y[:5]), ControlInput(*u), act, dist.sample(t))
+        phi = terrain.roll(t)
+        ny, nz = noise.sample(t)
+        g = terrain.gravity
+        ry = hgo_rates(DiffChannel(value_est=y[5], rate_est=y[6]), hgo,
+                       g * math.sin(phi) + ny)
+        rz = hgo_rates(DiffChannel(value_est=y[7], rate_est=y[8]), hgo,
+                       -g * math.cos(phi) + nz)
+        return dx + ry + rz
+
+    def test_bit_equal_to_reference(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(20):
+            parts = self._parts(rng)
+            hold = closed_loop_rhs(*parts[:5])
+            for _ in range(60):
+                u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+                t = float(rng.uniform(0.0, parts[5]))
+                y = rng.normal(0.0, 5.0, 9).tolist()
+                got = hold(*u)(t, y)
+                assert type(got) is tuple and len(got) == 9
+                assert _bits(got) == _bits(self._reference(parts, u, t, y))
+                checked += 1
+        assert checked >= 1000
+
+    @pytest.mark.parametrize("where", range(7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        parts = self._parts(np.random.default_rng(5))
+        u = [0.5, -0.2]
+        y = [0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0]
+        if where < 5:
+            y[where] = bad
+        else:
+            u[where - 5] = bad
+        with pytest.raises(DomainError, match="non-finite dynamics input") as ref:
+            self._reference(parts, u, 0.3, y)
+        with pytest.raises(DomainError, match="non-finite dynamics input") as got:
+            closed_loop_rhs(*parts[:5])(*u)(0.3, y)
+        assert type(got.value) is type(ref.value)
+
+
 class TestNoiseModel:
+    def test_builtin_floats_equal_numpy_recursion(self):
+        v_inf, rate, horizon, seed, tau = 0.05, 50.0, 2.0, 11, 0.004
+        noise = NoiseModel(v_inf, rate, horizon, seed, tau)
+        # the same recursion on numpy rows, as a reference
+        n = int(math.ceil(horizon * rate)) + 2
+        period = 1.0 / rate
+        targets = np.random.default_rng(seed).uniform(-v_inf, v_inf, size=(n, 2))
+        decay = math.exp(-period / tau)
+        states = np.zeros((n + 1, 2))
+        for k in range(n):
+            states[k + 1] = targets[k] + (states[k] - targets[k]) * decay
+        for t in np.linspace(0.0, horizon, 777).tolist():
+            k = min(max(int(t / period), 0), n - 1)
+            w = math.exp(-(t - k * period) / tau)
+            want = targets[k] + (states[k] - targets[k]) * w
+            got = noise.sample(t)
+            assert [type(x) for x in got] == [float, float]
+            assert _bits(got) == _bits(want)
+
     def test_sup_norm_exact_by_construction(self):
         noise = NoiseModel(v_inf=0.05, rate=50.0, horizon=2.0, seed=7)
         for t in np.linspace(0.0, 2.0, 1000):
