@@ -23,6 +23,10 @@ from .sysmodel import ActuatorParams, RobotState
 
 _SIGNS = {"h1": 1.0, "h2": -1.0}
 
+# |g_z| below this makes the tip point singular; scenarios whose roll puts
+# the normal gravity component inside the band are rejected at load
+TIP_POINT_SINGULAR_BAND = 1e-6
+
 
 def _sign_of(which: str) -> float:
     try:
@@ -78,7 +82,7 @@ def lipschitz_gain(geom: GeometryParams) -> float:
 def zmp_lateral(v: float, omega: float, g_y: float, g_z: float,
                 geom: GeometryParams) -> float:
     """Lateral tip-point coordinate, m."""
-    if abs(g_z) < 1e-6:
+    if abs(g_z) < TIP_POINT_SINGULAR_BAND:
         raise SingularityError("normal gravity component ~ 0; tip point undefined")
     return (v * omega * geom.cg_height - g_y * geom.cg_height) / g_z
 
@@ -186,12 +190,15 @@ class DisturbanceBudget:
         return -self.initial * self.decay * math.exp(-self.decay * t)
 
 
-def build_constraint_row(which: str, mode: str, state: RobotState,
-                         bank: DifferentiatorBank, measurements: tuple[float, float] | None,
-                         t: float, v_inf: float, geom: GeometryParams,
-                         actuator: ActuatorParams, alpha: AlphaLinear,
-                         budget: DisturbanceBudget | None = None) -> ConstraintRow:
-    """Assemble one affine row for the safety QP.
+def constraint_row(which: str, mode: str, state: RobotState,
+                   est: tuple[float, float], est_rate: tuple[float, float],
+                   env_value: float, env_rate: float, budget_value: float,
+                   geom: GeometryParams, actuator: ActuatorParams,
+                   alpha: AlphaLinear) -> ConstraintRow:
+    """Assemble one affine row for the safety QP from values taken once
+    per control step: the value estimates `est` and their rates along the
+    observer flow, the aggregated envelope (value, rate) and the budget
+    value at the step's time.
 
     mode 'envelope': enforce the robustified constraint including the
     envelope rate term,
@@ -199,7 +206,31 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
     mode 'budget': the sufficient linear-rate form evaluated at the raw
     estimates, independent of the envelope,
         drift0 + a . u - alpha.rate * budget(t) >= -alpha(h).
+    Each mode reads only its own inputs.
     """
+    if mode == "envelope":
+        be = eval_barrier(which, state, est, geom, actuator, est_rate,
+                          env_value, env_rate)
+        beta = -alpha(be.h_rob) - be.drift
+    elif mode == "budget":
+        if alpha.rate < 1.0:
+            raise DomainError("budget mode requires alpha rate >= 1")
+        be = eval_barrier(which, state, est, geom, actuator, est_rate)
+        beta = -alpha(be.h) + alpha.rate * budget_value - be.drift
+    else:
+        raise DomainError(f"unknown row mode {mode!r}")
+    return ConstraintRow(a=be.input_row, beta=beta, label=which)
+
+
+def build_constraint_row(which: str, mode: str, state: RobotState,
+                         bank: DifferentiatorBank, measurements: tuple[float, float] | None,
+                         t: float, v_inf: float, geom: GeometryParams,
+                         actuator: ActuatorParams, alpha: AlphaLinear,
+                         budget: DisturbanceBudget | None = None) -> ConstraintRow:
+    """One row of `constraint_row` from the bank's current estimates: the
+    estimate rates come from `hgo_rates` on `measurements`, the envelope
+    from `bank.envelope(t, v_inf)` (envelope mode) and the budget value
+    from `budget.value(t)` (budget mode)."""
     if measurements is None:
         raise StaleMeasurementError("constraint row requires current measurements")
     if len(bank.channels) != 2:
@@ -208,21 +239,15 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
     est_rate = tuple(
         hgo_rates(ch, bank.hgo, p)[0] for ch, p in zip(bank.channels, measurements)
     )
+    env_value = env_rate = budget_value = 0.0
     if mode == "envelope":
         env_value, env_rate = bank.envelope(t, v_inf)
-        be = eval_barrier(which, state, est, geom, actuator, est_rate,
-                          env_value, env_rate)
-        beta = -alpha(be.h_rob) - be.drift
     elif mode == "budget":
         if budget is None:
             raise DomainError("budget mode requires a DisturbanceBudget")
-        if alpha.rate < 1.0:
-            raise DomainError("budget mode requires alpha rate >= 1")
-        be = eval_barrier(which, state, est, geom, actuator, est_rate)
-        beta = -alpha(be.h) + alpha.rate * budget.value(t) - be.drift
-    else:
-        raise DomainError(f"unknown row mode {mode!r}")
-    return ConstraintRow(a=be.input_row, beta=beta, label=which)
+        budget_value = budget.value(t)
+    return constraint_row(which, mode, state, est, est_rate, env_value, env_rate,
+                          budget_value, geom, actuator, alpha)
 
 
 def build_bd_row(which: str, state: RobotState, measurements: tuple[float, float],
@@ -284,15 +309,17 @@ def check_budget_schedule(budget: DisturbanceBudget, alpha: AlphaLinear,
     return _grid_check("budget_schedule", margin, horizon, n)
 
 
-def check_envelope_budget(lip: float, env_value: Callable[[float], float],
-                          env_rate: Callable[[float], float],
+def check_envelope_budget(lip: float,
+                          envelope: Callable[[float], tuple[float, float]],
                           budget: DisturbanceBudget, alpha: AlphaLinear,
                           horizon: float, n: int = 501) -> CheckReport:
-    """Envelope/budget compatibility for the robustified constraint:
+    """Envelope/budget compatibility for the robustified constraint, with
+    `envelope(t)` the aggregated (env_value, env_rate) at t:
         -lip * env_rate(t) + budget(t) <= alpha(lip * env_value(t)).
     """
     def margin(t: float) -> float:
-        return alpha(lip * env_value(t)) + lip * env_rate(t) - budget.value(t)
+        env_value, env_rate = envelope(t)
+        return alpha(lip * env_value) + lip * env_rate - budget.value(t)
 
     return _grid_check("envelope_budget", margin, horizon, n)
 
@@ -302,8 +329,7 @@ def check_envelope_decay(bank: DifferentiatorBank, alpha: AlphaLinear,
     """Premise of the budget-mode row: alpha rate >= 1 and every channel
     envelope decaying at least at that rate, env_rate <= -alpha(env)."""
     def margin(t: float) -> float:
-        vals = bank.envelope_values(t, v_inf)
-        rates = bank.envelope_rates(t)
+        vals, rates = bank.channel_envelopes(t, v_inf)
         return min(-r - alpha(m) for m, r in zip(vals, rates))
 
     report = _grid_check("envelope_decay", margin, horizon, n)

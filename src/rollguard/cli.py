@@ -74,8 +74,7 @@ def _cmd_verify(args) -> int:
     reports = [
         check_budget_schedule(budget, alpha, scenario.horizon),
         check_envelope_budget(lipschitz_gain(geom),
-                              lambda t: bank.envelope(t, scenario.v_inf)[0],
-                              lambda t: bank.envelope(t, scenario.v_inf)[1],
+                              lambda t: bank.envelope(t, scenario.v_inf),
                               budget, alpha, scenario.horizon),
     ]
     grid = [x / 10.0 for x in range(-30, 31)]

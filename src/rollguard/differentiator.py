@@ -78,19 +78,12 @@ class DifferentiatorBank:
         if self.sharpness <= 0.0:
             raise DomainError("sharpness must be positive")
 
-    def envelope_values(self, t: float, v_inf: float) -> list[float]:
-        return [error_envelope(ch, t, v_inf) for ch in self.channels]
+    def channel_envelopes(self, t: float, v_inf: float) -> tuple[list[float], list[float]]:
+        """Per-channel envelope values and rates at t.
 
-    def envelope_rates(self, t: float) -> list[float]:
-        return [error_envelope_rate(ch, t) for ch in self.channels]
-
-    def envelope(self, t: float, v_inf: float) -> tuple[float, float]:
-        """Aggregated (value, rate) of the smooth maximum over channels.
-
-        One pass: one exp(-decay*t) per channel and one set of softmax
-        weights, in the operation order of `smooth_max`/`smooth_max_rate`
-        over `error_envelope`/`error_envelope_rate`, which stay its
-        reference definitions (the results are bit-equal).
+        One exp(-decay*t) per channel, in the operation order of
+        `error_envelope`/`error_envelope_rate`, which stay its reference
+        definitions (the results are bit-equal).
         """
         if t < 0.0:
             raise DomainError("envelope is defined for t >= 0")
@@ -101,12 +94,29 @@ class DifferentiatorBank:
             decay = math.exp(-c.decay_rate * t)
             vals.append(c.transient_gain * decay * ch.e0_bound + c.noise_gain * v_inf)
             rates.append(-c.transient_gain * c.decay_rate * decay * ch.e0_bound)
+        return vals, rates
+
+    def aggregate(self, vals: list[float], rates: list[float]) -> tuple[float, float]:
+        """Smooth maximum of per-channel envelope values and its rate.
+
+        One set of softmax weights, in the operation order of
+        `smooth_max`/`smooth_max_rate`, which stay its reference
+        definitions (the results are bit-equal).
+        """
         s = self.sharpness
         m = max(vals)
         ws = [math.exp(s * (v - m)) for v in vals]
         total = sum(ws)
         return (m + math.log(total) / s,
                 sum(w * r for w, r in zip(ws, rates)) / total)
+
+    def envelope(self, t: float, v_inf: float) -> tuple[float, float]:
+        """Aggregated (value, rate) of the smooth maximum over channels at t.
+
+        A caller that also needs the channel envelopes takes
+        `channel_envelopes` once and passes it to `aggregate`.
+        """
+        return self.aggregate(*self.channel_envelopes(t, v_inf))
 
 
 def hgo_rates(channel: DiffChannel, params: HgoParams, p: float) -> tuple[float, float]:

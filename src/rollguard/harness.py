@@ -10,6 +10,15 @@ Integration advances the augmented state (robot plus both observers) with
 `sysmodel.step_rk4` on one fused right-hand side, `sysmodel.closed_loop_rhs`,
 built once per run; `sysmodel.eval_dynamics` and
 `differentiator.hgo_rates` remain its reference definitions.
+
+Each time-dependent quantity is evaluated once per time point. One
+`sysmodel.exogenous_signals` function per run gives the gravity truth,
+noise and disturbance to the right-hand side, the measurements, the truth
+audits and the intersample truth. Per control step, one per-channel
+envelope pass gives the rows, `h_rob`, the envelope columns and the
+envelope audit; the estimate rates and the budget value are taken once
+for both rows through `barrier.constraint_row`. A `DomainError` anywhere
+in a control step ends the run with an aborted summary.
 """
 
 from __future__ import annotations
@@ -22,13 +31,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import qp
-from .barrier import (build_bd_row, build_constraint_row, check_budget_schedule,
-                      check_envelope_budget, check_envelope_decay, eval_barrier,
-                      eval_h, lipschitz_gain, zmp_lateral)
-from .differentiator import BackwardDiffWindow, backward_diff, error_envelope
+from .barrier import (build_bd_row, check_budget_schedule, check_envelope_budget,
+                      check_envelope_decay, constraint_row, eval_h, lipschitz_gain,
+                      zmp_lateral)
+from .differentiator import BackwardDiffWindow, backward_diff
 from .errors import DomainError, NonFiniteStateError
 from .scenario import Scenario, parse_variant
-from .sysmodel import (ControlInput, RobotState, closed_loop_rhs, gravity_at,
+from .sysmodel import (ControlInput, RobotState, closed_loop_rhs, exogenous_signals,
                        step_rk4, wrap_angle)
 
 TRACE_SCHEMA = "rollguard-trace-1"
@@ -142,9 +151,7 @@ def _scenario_checks(scenario: Scenario, bank) -> dict:
             budget, alpha, scenario.horizon).to_dict()
     if scenario.filter in ("envelope", "envelope_budget"):
         checks["envelope_budget"] = check_envelope_budget(
-            lip,
-            lambda t: bank.envelope(t, scenario.v_inf)[0],
-            lambda t: bank.envelope(t, scenario.v_inf)[1],
+            lip, lambda t: bank.envelope(t, scenario.v_inf),
             budget, alpha, scenario.horizon).to_dict()
     if scenario.filter == "envelope_budget":
         checks["envelope_decay"] = check_envelope_decay(
@@ -152,10 +159,23 @@ def _scenario_checks(scenario: Scenario, bank) -> dict:
     return checks
 
 
+def _estimate_rates(est, meas, k1l: float) -> tuple[float, float]:
+    """Rates of both value estimates along the observer flow, the first
+    component of `hgo_rates` per channel, from the observer part `est` of
+    the augmented state (value, rate per channel) and `k1l` = k1 * ell."""
+    return (est[1] + k1l * (meas[0] - est[0]),
+            est[3] + k1l * (meas[1] - est[2]))
+
+
+def _h_pair(v: float, omega: float, g_y: float, g_z: float, geom) -> tuple[float, float]:
+    """(h1, h2) at one speed, yaw rate and gravity pair."""
+    return (eval_h("h1", v, omega, g_y, g_z, geom),
+            eval_h("h2", v, omega, g_y, g_z, geom))
+
+
 def run(scenario: Scenario, label: str | None = None) -> RunResult:
     """Simulate one scenario; deterministic given the seed."""
     terrain = scenario.terrain()
-    noise = scenario.noise_model()
     dist = scenario.disturbance()
     geom = scenario.geometry()
     act = scenario.actuator()
@@ -165,20 +185,23 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     box = scenario.input_box()
     goal = (scenario.goal_x, scenario.goal_y)
     gains = (scenario.k_v, scenario.k_omega)
-    g = scenario.gravity
+    v_inf = scenario.v_inf
+    mode = "envelope" if scenario.filter == "envelope" else "budget"
+    k1l = bank.hgo.k1 * bank.hgo.ell
+    lip = lipschitz_gain(geom)
 
     period = 1.0 / scenario.control_rate
     n_steps = int(round(scenario.horizon * scenario.control_rate))
     sub_dt = period / scenario.substeps
     checks = _scenario_checks(scenario, bank)
 
-    gs0 = gravity_at(0.0, terrain, noise)
+    signals = exogenous_signals(terrain, scenario.noise_model(), dist)
+    hold = closed_loop_rhs(act, bank.hgo, signals)
+    g_y0, g_z0, n_y, n_z, _, _ = signals(0.0)
     # estimates start at the first measurement with zero rate; e0_bound in
     # the bank covers exactly this initialization
     aug = (scenario.start_x, scenario.start_y, scenario.start_theta,
-           0.0, 0.0, gs0.p_y, 0.0, gs0.p_z, 0.0)
-
-    hold = closed_loop_rhs(act, bank.hgo, terrain, noise, dist)
+           0.0, 0.0, g_y0 + n_y, 0.0, g_z0 + n_z, 0.0)
 
     win_y = BackwardDiffWindow(period)
     win_z = BackwardDiffWindow(period)
@@ -193,99 +216,104 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     aborted = False
     abort_reason = ""
 
-    def truth_h(v: float, omega: float, t: float) -> tuple[float, float]:
-        phi = terrain.roll(t)
-        gy, gz = g * math.sin(phi), -g * math.cos(phi)
-        return (eval_h("h1", v, omega, gy, gz, geom),
-                eval_h("h2", v, omega, gy, gz, geom))
-
     for k in range(n_steps):
         t = k * period
         state = RobotState(aug[0], aug[1], aug[2], aug[3], aug[4])
-        gs = gravity_at(t, terrain, noise)
-        meas = (gs.p_y, gs.p_z)
-
-        bank.channels[0].value_est, bank.channels[0].rate_est = aug[5], aug[6]
-        bank.channels[1].value_est, bank.channels[1].rate_est = aug[7], aug[8]
-
-        u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
-        if time_to_goal is None and math.hypot(goal[0] - state.x,
-                                               goal[1] - state.y) <= scenario.goal_radius:
-            time_to_goal = t
-
-        if scenario.filter == "none":
-            rows = ()
-        elif scenario.filter == "backward_diff":
-            win_y.push(gs.p_y)
-            win_z.push(gs.p_z)
-            rates = (backward_diff(win_y), backward_diff(win_z))
-            rows = (build_bd_row("h1", state, meas, rates, geom, act, alpha),
-                    build_bd_row("h2", state, meas, rates, geom, act, alpha))
-        else:
-            mode = "envelope" if scenario.filter == "envelope" else "budget"
-            rows = (build_constraint_row("h1", mode, state, bank, meas, t,
-                                         scenario.v_inf, geom, act, alpha, budget),
-                    build_constraint_row("h2", mode, state, bank, meas, t,
-                                         scenario.v_inf, geom, act, alpha, budget))
-
-        sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
-        if sol.status == "infeasible_relaxed":
-            relaxations += 1
-
-        env_value, env_rate = bank.envelope(t, scenario.v_inf)
-        h1t, h2t = truth_h(state.v, state.omega, t)
-        est = (aug[5], aug[6], aug[7], aug[8])
-        rob = tuple(
-            eval_barrier(which, state, (est[0], est[2]), geom, act,
-                         env_value=env_value).h_rob
-            for which in ("h1", "h2"))
-
-        d_om, d_v = dist.sample(t)
-        proj = abs(state.v * d_om + state.omega * d_v)
-        proj_max = max(proj_max, proj)
-        if proj > budget.value(t) + 1e-9:
-            budget_sound = False
-
-        phi = terrain.roll(t)
-        rate = terrain.roll_rate(t)
-        truth = ((g * math.sin(phi), g * math.cos(phi) * rate),
-                 (-g * math.cos(phi), g * math.sin(phi) * rate))
-        for ch, (p0, p0dot), (e_val, e_rate) in zip(
-                bank.channels, truth, ((est[0], est[1]), (est[2], est[3]))):
-            err = math.hypot(e_val - p0, e_rate - p0dot)
-            if err > error_envelope(ch, t, scenario.v_inf) + 1e-9:
-                env_violations += 1
-
-        records.append(TraceRecord(
-            t=t, state=state, est=est,
-            g_true=(gs.g_y0, gs.g_z0), g_meas=meas,
-            u_nom=(u_nom.u_v, u_nom.u_omega), u_star=sol.u,
-            h_true=(h1t, h2t), h_rob=rob,
-            y_zmp=zmp_lateral(state.v, state.omega, gs.g_y0, gs.g_z0, geom),
-            env_value=env_value, env_rate=env_rate,
-            budget=budget.value(t), proj_disturbance=proj,
-            qp_status=sol.status, qp_active="+".join(sol.active)))
-
-        rhs = hold(*sol.u)
+        est = aug[5:]
         try:
+            g_y0, g_z0, n_y, n_z, d_om, d_v = signals(t)
+            meas = (g_y0 + n_y, g_z0 + n_z)
+
+            u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
+            if time_to_goal is None and math.hypot(goal[0] - state.x,
+                                                   goal[1] - state.y) <= scenario.goal_radius:
+                time_to_goal = t
+
+            env_vals, env_rates = bank.channel_envelopes(t, v_inf)
+            env_value, env_rate = bank.aggregate(env_vals, env_rates)
+            budget_value = budget.value(t)
+
+            if scenario.filter == "none":
+                rows = ()
+            elif scenario.filter == "backward_diff":
+                win_y.push(meas[0])
+                win_z.push(meas[1])
+                rates = (backward_diff(win_y), backward_diff(win_z))
+                rows = (build_bd_row("h1", state, meas, rates, geom, act, alpha),
+                        build_bd_row("h2", state, meas, rates, geom, act, alpha))
+            else:
+                est_value = (est[0], est[2])
+                est_rate = _estimate_rates(est, meas, k1l)
+                rows = (constraint_row("h1", mode, state, est_value, est_rate, env_value,
+                                       env_rate, budget_value, geom, act, alpha),
+                        constraint_row("h2", mode, state, est_value, est_rate, env_value,
+                                       env_rate, budget_value, geom, act, alpha))
+
+            sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
+            if sol.status == "infeasible_relaxed":
+                relaxations += 1
+
+            h_true = _h_pair(state.v, state.omega, g_y0, g_z0, geom)
+            # h at the estimates, robustified as in eval_barrier
+            rob = tuple(h - lip * env_value
+                        for h in _h_pair(state.v, state.omega, est[0], est[2], geom))
+
+            proj = abs(state.v * d_om + state.omega * d_v)
+            proj_max = max(proj_max, proj)
+            if proj > budget_value + 1e-9:
+                budget_sound = False
+
+            # true value and rate per channel; g cos(phi) = -g_z0 exactly
+            rate = terrain.roll_rate(t)
+            truth = ((g_y0, -g_z0 * rate), (g_z0, g_y0 * rate))
+            for (p0, p0dot), (e_val, e_rate), bound in zip(
+                    truth, ((est[0], est[1]), (est[2], est[3])), env_vals):
+                err = math.hypot(e_val - p0, e_rate - p0dot)
+                if err > bound + 1e-9:
+                    env_violations += 1
+
+            records.append(TraceRecord(
+                t=t, state=state, est=est,
+                g_true=(g_y0, g_z0), g_meas=meas,
+                u_nom=(u_nom.u_v, u_nom.u_omega), u_star=sol.u,
+                h_true=h_true, h_rob=rob,
+                y_zmp=zmp_lateral(state.v, state.omega, g_y0, g_z0, geom),
+                env_value=env_value, env_rate=env_rate,
+                budget=budget_value, proj_disturbance=proj,
+                qp_status=sol.status, qp_active="+".join(sol.active)))
+
+            rhs = hold(*sol.u)
             y = aug
             for i in range(scenario.substeps):
                 y = step_rk4(y, t + i * sub_dt, sub_dt, rhs)
                 y = (y[0], y[1], wrap_angle(y[2]), *y[3:])
-                min_inter = min(min_inter, *truth_h(y[4], y[3], t + (i + 1) * sub_dt))
+                g_y, g_z = signals(t + (i + 1) * sub_dt)[:2]
+                min_inter = min(min_inter, *_h_pair(y[4], y[3], g_y, g_z, geom))
             aug = y
         except (NonFiniteStateError, DomainError) as exc:
-            # mid-stage overflow surfaces as a domain error from the
-            # dynamics input validation; either way the run is over
+            # a singular tip point or a roll outside the upright regime, a
+            # mid-stage overflow (a domain error from the dynamics input
+            # validation) or a non-finite state: the run is over
             aborted = True
             abort_reason = str(exc)
             break
 
     final_state = RobotState(aug[0], aug[1], aug[2], aug[3], aug[4])
     t_end = len(records) * period
-    h1f, h2f = truth_h(final_state.v, final_state.omega, min(t_end, scenario.horizon))
-    min_h1 = min([r.h_true[0] for r in records] + [h1f])
-    min_h2 = min([r.h_true[1] for r in records] + [h2f])
+    h1s = [r.h_true[0] for r in records]
+    h2s = [r.h_true[1] for r in records]
+    try:
+        g_y, g_z = signals(min(t_end, scenario.horizon))[:2]
+    except DomainError:
+        # the roll has left the upright regime (the run aborted on it) and
+        # the truth at the final time is undefined
+        pass
+    else:
+        h1f, h2f = _h_pair(final_state.v, final_state.omega, g_y, g_z, geom)
+        h1s.append(h1f)
+        h2s.append(h2f)
+    min_h1 = min(h1s)
+    min_h2 = min(h2s)
     final_distance = math.hypot(goal[0] - final_state.x, goal[1] - final_state.y)
     if time_to_goal is None and final_distance <= scenario.goal_radius:
         time_to_goal = t_end
@@ -320,17 +348,18 @@ def budget_row_margin(scenario: Scenario, records: list[TraceRecord]) -> float:
     alpha = scenario.alpha_fn()
     budget = scenario.budget()
     bank = scenario.make_bank()
+    k1l = bank.hgo.k1 * bank.hgo.ell
     worst = math.inf
     for rec in records:
-        bank.channels[0].value_est, bank.channels[0].rate_est = rec.est[0], rec.est[1]
-        bank.channels[1].value_est, bank.channels[1].rate_est = rec.est[2], rec.est[3]
+        est_value = (rec.est[0], rec.est[2])
+        est_rate = _estimate_rates(rec.est, rec.g_meas, k1l)
+        env_value, env_rate = bank.envelope(rec.t, scenario.v_inf)
+        budget_value = budget.value(rec.t)
         for which in ("h1", "h2"):
-            env = build_constraint_row(which, "envelope", rec.state, bank,
-                                       rec.g_meas, rec.t, scenario.v_inf,
-                                       geom, act, alpha, budget)
-            bud = build_constraint_row(which, "budget", rec.state, bank,
-                                       rec.g_meas, rec.t, scenario.v_inf,
-                                       geom, act, alpha, budget)
+            env = constraint_row(which, "envelope", rec.state, est_value, est_rate,
+                                 env_value, env_rate, 0.0, geom, act, alpha)
+            bud = constraint_row(which, "budget", rec.state, est_value, est_rate,
+                                 0.0, 0.0, budget_value, geom, act, alpha)
             worst = min(worst, bud.beta - env.beta)
     return worst
 

@@ -8,7 +8,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .barrier import AlphaLinear, DisturbanceBudget, GeometryParams
+from .barrier import (TIP_POINT_SINGULAR_BAND, AlphaLinear, DisturbanceBudget,
+                      GeometryParams)
 from .differentiator import (DiffChannel, DifferentiatorBank, HgoParams,
                              calibrate_envelope)
 from .errors import DomainError
@@ -119,6 +120,12 @@ class Scenario:
             raise DomainError("input box is empty")
         if self.gravity <= 0.0:
             raise DomainError(f"gravity must be positive, got {self.gravity}")
+        # the steepest roll of either profile is roll_deg itself
+        g_z = -self.gravity * math.cos(math.radians(self.roll_deg))
+        if abs(g_z) < TIP_POINT_SINGULAR_BAND:
+            raise DomainError(f"roll_deg {self.roll_deg} leaves a normal gravity "
+                              f"component of {g_z} m/s^2, inside the tip-point "
+                              f"singular band |g_z| < {TIP_POINT_SINGULAR_BAND}")
         if self.v_inf < 0.0:
             raise DomainError(f"v_inf must be nonnegative, got {self.v_inf}")
         if self.noise_tau <= 0.0:

@@ -15,7 +15,12 @@ plus two high-gain observers), built once per run by `closed_loop_rhs`.
 definitions: the fused form repeats their float operations in order and is
 bit-equal to them.
 
-All functions here are pure; independent scenarios can run concurrently.
+Everything that depends on time alone (true gravity components, noise and
+disturbance) comes from one per-run function built by `exogenous_signals`,
+whose reference definitions are `gravity_at` and `DisturbanceModel.sample`.
+It keeps a one-entry memo of its last time point, so it is stateful: build
+one per run and share it only within that run. Every other function here
+is pure, and independent scenarios can run concurrently.
 """
 
 from __future__ import annotations
@@ -45,9 +50,6 @@ class RobotState:
     theta: float  # rad; the stepping loop wraps to (-pi, pi]
     omega: float  # rad/s
     v: float      # m/s
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.x, self.y, self.theta, self.omega, self.v)
 
 
 @dataclass(frozen=True)
@@ -259,43 +261,81 @@ def eval_dynamics(state: RobotState, u: ControlInput, params: ActuatorParams,
     )
 
 
-def closed_loop_rhs(act: ActuatorParams, hgo, terrain: TerrainProfile, noise,
-                    dist: DisturbanceModel):
+def exogenous_signals(terrain: TerrainProfile, noise, dist: DisturbanceModel):
+    """Time-only inputs of one run, built once per run.
+
+    Returns `signals(t) -> (g_y0, g_z0, n_y, n_z, d_omega, d_v)`: the true
+    body-frame gravity components, the measurement noise and the two
+    disturbances at t. Every value is computed as `gravity_at` and
+    `dist.sample` compute it (bit-equal), and a roll outside the upright
+    regime raises the same DomainError.
+
+    The last result is kept and returned again only for a bit-equal t: the
+    two midpoint stages of one RK4 step share a time, and the end of one
+    substep is usually the start of the next. The memo lives in this
+    closure alone, so nothing is shared between runs.
+    """
+    roll, g = terrain.roll, terrain.gravity
+    sample = noise.sample
+    d_omega, d_v = dist.d_omega, dist.d_v
+    sin, cos, copysign = math.sin, math.cos, math.copysign
+    half_pi = 0.5 * math.pi
+    last_t = math.nan  # equal to no float
+    last = None
+
+    def signals(t: float) -> tuple[float, float, float, float, float, float]:
+        nonlocal last_t, last
+        # 0.0 == -0.0, but the signals at the two may differ in sign
+        if t == last_t and (t or copysign(1.0, t) == copysign(1.0, last_t)):
+            return last
+        phi = roll(t)
+        if abs(phi) >= half_pi:
+            raise DomainError(f"terrain roll {phi} rad leaves the upright regime")
+        ny, nz = sample(t)
+        last = (g * sin(phi), -g * cos(phi), ny, nz, d_omega(t), d_v(t))
+        last_t = t
+        return last
+
+    return signals
+
+
+def closed_loop_rhs(act: ActuatorParams, hgo, signals):
     """Right-hand side of one run's augmented closed loop, built once per run.
 
     The augmented state is the flat 9-tuple (x, y, theta, omega, v,
     est_gy, rate_gy, est_gz, rate_gz): the robot plus one high-gain
-    observer (`hgo`, an `HgoParams`) per measured gravity channel. The
-    result is `hold(u_v, u_omega)`, which returns `rhs(t, y)` for that
-    input held over a control period.
+    observer (`hgo`, an `HgoParams`) per measured gravity channel.
+    `signals` is the run's `exogenous_signals` function. The result is
+    `hold(u_v, u_omega)`, which returns `rhs(t, y)` for that input held
+    over a control period; every `rhs` of one run shares `signals` and its
+    memo.
 
-    `rhs` fuses `eval_dynamics` with the disturbance of `dist` and two
+    `rhs` fuses `eval_dynamics` with the disturbance and two
     `differentiator.hgo_rates` calls on the noisy measurements, which stay
     its reference definitions: every float operation happens in their
     order, so the result is bit-equal to theirs, and a non-finite dynamics
-    input raises the same DomainError. It builds no `RobotState`,
+    input raises the same DomainError (from `hold` for a non-finite input,
+    which stays fixed over the period). It builds no `RobotState`,
     `ControlInput` or `DiffChannel`.
     """
     tau_v, tau_omega = act.tau_v, act.tau_omega
     k1l = hgo.k1 * hgo.ell
     k2l2 = hgo.k2 * hgo.ell * hgo.ell
-    d_omega, d_v = dist.d_omega, dist.d_v
-    roll, g = terrain.roll, terrain.gravity
-    sample = noise.sample
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
     def hold(u_v: float, u_omega: float):
+        if not (isfinite(u_v) and isfinite(u_omega)):
+            raise DomainError("non-finite dynamics input")
+
         def rhs(t, y):
             x, y_pos, theta, omega, v, est_gy, rate_gy, est_gz, rate_gz = y
-            dist_omega = d_omega(t)
-            dist_v = d_v(t)
-            for val in (x, y_pos, theta, omega, v, u_v, u_omega, dist_omega, dist_v):
-                if not isfinite(val):
-                    raise DomainError("non-finite dynamics input")
-            phi = roll(t)
-            ny, nz = sample(t)
-            innov_y = (g * sin(phi) + ny) - est_gy
-            innov_z = (-g * cos(phi) + nz) - est_gz
+            g_y0, g_z0, ny, nz, dist_omega, dist_v = signals(t)
+            if not (isfinite(x) and isfinite(y_pos) and isfinite(theta)
+                    and isfinite(omega) and isfinite(v)
+                    and isfinite(dist_omega) and isfinite(dist_v)):
+                raise DomainError("non-finite dynamics input")
+            innov_y = (g_y0 + ny) - est_gy
+            innov_z = (g_z0 + nz) - est_gz
             return (v * cos(theta), v * sin(theta), omega,
                     -tau_omega * omega + tau_omega * u_omega + dist_omega,
                     -tau_v * v + tau_v * u_v + dist_v,

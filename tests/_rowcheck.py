@@ -10,7 +10,8 @@ import math
 
 from rollguard.barrier import eval_barrier
 from rollguard.differentiator import DiffChannel, hgo_rates
-from rollguard.sysmodel import RobotState, closed_loop_rhs, step_rk4
+from rollguard.sysmodel import (RobotState, closed_loop_rhs, exogenous_signals,
+                                step_rk4)
 
 
 def row_derivative_gap(scenario, record, which):
@@ -27,7 +28,8 @@ def row_derivative_gap(scenario, record, which):
     g = calm.gravity
     u_v, u_omega = record.u_star
     period = 1.0 / calm.control_rate
-    rhs = closed_loop_rhs(act, hgo, terrain, noise, calm.disturbance())(u_v, u_omega)
+    signals = exogenous_signals(terrain, noise, calm.disturbance())
+    rhs = closed_loop_rhs(act, hgo, signals)(u_v, u_omega)
 
     def h_rob(tt, yy):
         env_value, _ = bank.envelope(tt, calm.v_inf)

@@ -232,16 +232,15 @@ def test_criterion_9_schedule_check_examples(capsys):
     assert not bad.passed and bad.first_violation_t == 0.0
 
     # envelope/budget compatibility examples
-    m = lambda t: 0.5 * math.exp(-1.5 * t) + 0.2
-    dm = lambda t: -0.75 * math.exp(-1.5 * t)
-    assert check_envelope_budget(1.25, m, dm, DisturbanceBudget(0, 1, 0),
+    env = lambda t: (0.5 * math.exp(-1.5 * t) + 0.2, -0.75 * math.exp(-1.5 * t))
+    assert check_envelope_budget(1.25, env, DisturbanceBudget(0, 1, 0),
                                  AlphaLinear(2.0), 5.0).passed
     boundary = check_envelope_budget(
-        1.25, lambda t: 0.4, lambda t: 0.0,
+        1.25, lambda t: (0.4, 0.0),
         DisturbanceBudget(0.0, 1.0, 2.0 * 1.25 * 0.4), AlphaLinear(2.0), 5.0)
     assert boundary.passed and boundary.min_margin == pytest.approx(0.0, abs=1e-12)
     exceeded = check_envelope_budget(
-        1.25, lambda t: 0.1, lambda t: 0.0, DisturbanceBudget(0.0, 1.0, 10.0),
+        1.25, lambda t: (0.1, 0.0), DisturbanceBudget(0.0, 1.0, 10.0),
         AlphaLinear(2.0), 5.0)
     assert not exceeded.passed and exceeded.first_violation_t == 0.0
     announce(capsys,

@@ -273,9 +273,8 @@ class TestScheduleChecks:
 
     def test_envelope_budget_pass(self):
         # decaying envelope with |rate| <= alpha * value, zero budget
-        m = lambda t: 0.5 * math.exp(-1.5 * t) + 0.2
-        dm = lambda t: -0.75 * math.exp(-1.5 * t)
-        report = check_envelope_budget(1.25, m, dm,
+        env = lambda t: (0.5 * math.exp(-1.5 * t) + 0.2, -0.75 * math.exp(-1.5 * t))
+        report = check_envelope_budget(1.25, env,
                                        DisturbanceBudget(0, 1, 0),
                                        AlphaLinear(2.0), 10.0)
         assert report.passed
@@ -284,15 +283,14 @@ class TestScheduleChecks:
         m0 = 0.4
         alpha = AlphaLinear(2.0)
         budget = DisturbanceBudget(0.0, 1.0, 2.0 * 1.25 * m0)
-        report = check_envelope_budget(1.25, lambda t: m0, lambda t: 0.0,
+        report = check_envelope_budget(1.25, lambda t: (m0, 0.0),
                                        budget, alpha, 5.0)
         assert report.passed
         assert report.min_margin == pytest.approx(0.0, abs=1e-12)
 
     def test_envelope_budget_violation_located(self):
-        m = lambda t: 0.1
         budget = DisturbanceBudget(0.0, 1.0, 10.0)
-        report = check_envelope_budget(1.25, m, lambda t: 0.0, budget,
+        report = check_envelope_budget(1.25, lambda t: (0.1, 0.0), budget,
                                        AlphaLinear(2.0), 5.0)
         assert not report.passed
         assert report.first_violation_t == 0.0

@@ -256,16 +256,17 @@ def test_bank_envelope_aggregation():
                   DiffChannel(e0_bound=0.2, coeffs=coeffs)),
         hgo=HgoParams(2, 1, 50), sharpness=100.0)
     value, rate = bank.envelope(0.5, 0.1)
-    vals = bank.envelope_values(0.5, 0.1)
+    vals, _ = bank.channel_envelopes(0.5, 0.1)
     assert max(vals) <= value <= max(vals) + math.log(2) / 100.0
     assert rate <= 0.0
 
 
 @pytest.mark.parametrize("v_inf", [0.0, 0.01, 0.05])
 def test_bank_envelope_bit_equal_to_reference(v_inf):
-    """The one-pass envelope equals smooth_max/smooth_max_rate over the
-    per-channel error_envelope/error_envelope_rate, bit for bit, from t = 0
-    on, with two channels of different coefficients."""
+    """The channel pass equals error_envelope/error_envelope_rate per
+    channel, and the aggregated envelope equals smooth_max/smooth_max_rate
+    over them, bit for bit, from t = 0 on, with two channels of different
+    coefficients."""
     bank = DifferentiatorBank(
         channels=(DiffChannel(e0_bound=4.51, coeffs=EnvelopeCoeffs(1.9, 45.0, 0.73)),
                   DiffChannel(e0_bound=0.37, coeffs=EnvelopeCoeffs(3.1, 7.3, 2.9))),
@@ -278,12 +279,17 @@ def test_bank_envelope_bit_equal_to_reference(v_inf):
                 smooth_max_rate(vals, rates, bank.sharpness))
         got = bank.envelope(t, v_inf)
         assert [x.hex() for x in got] == [x.hex() for x in want], t
+        got_vals, got_rates = bank.channel_envelopes(t, v_inf)
+        assert [x.hex() for x in got_vals + got_rates] == \
+            [x.hex() for x in vals + rates], t
 
 
 def test_bank_envelope_rejects_negative_time():
     bank = DifferentiatorBank(channels=(DiffChannel(),), hgo=HgoParams())
     with pytest.raises(DomainError):
         bank.envelope(-1e-9, 0.01)
+    with pytest.raises(DomainError):
+        bank.channel_envelopes(-1e-9, 0.01)
 
 
 def test_bank_requires_channels():

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rollguard import cli, harness
+from rollguard import cli, harness, sysmodel
+from rollguard.barrier import build_constraint_row, constraint_row
 from rollguard.errors import DomainError
 from rollguard.scenario import Scenario, load_config, parse_variant
-from rollguard.sysmodel import RobotState
+from rollguard.sysmodel import RobotState, constant_roll, smooth_ramp_roll
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ROLLOVER_CFG = str(CONFIGS / "rollover_slope.cfg")
@@ -100,6 +101,62 @@ class TestRun:
         assert not res.summary.safe
         assert len(res.records) >= 1  # partial trace kept
 
+    def test_terrain_leaving_upright_regime_aborts(self, monkeypatch):
+        # no Scenario field reaches a roll beyond 90 degrees, so the
+        # terrain is swapped: the ramp passes 90 degrees at about 0.64 s
+        monkeypatch.setattr(Scenario, "terrain", lambda self: smooth_ramp_roll(
+            math.radians(120.0), 0.0, 1.0, self.gravity))
+        res = harness.run(Scenario(horizon=2.0))
+        s = res.summary
+        assert s.aborted and not s.safe
+        assert "upright regime" in s.abort_reason
+        assert 20 <= s.n_steps < 100 and len(res.records) == s.n_steps
+        assert math.isfinite(s.min_h_true)
+        json.dumps(s.to_dict())
+
+    def test_singular_tip_point_aborts(self, monkeypatch):
+        # |g_z| = 9.81e-8: upright, but inside the tip-point singular band
+        monkeypatch.setattr(Scenario, "terrain", lambda self: constant_roll(
+            math.acos(1e-8), self.gravity))
+        res = harness.run(Scenario(horizon=0.5))
+        s = res.summary
+        assert s.aborted and not s.safe
+        assert "tip point" in s.abort_reason
+        assert s.n_steps == 0
+        assert math.isfinite(s.min_h_true)
+
+    def test_signals_evaluated_once_per_time_point(self, monkeypatch):
+        """One flagship run evaluates the terrain roll and the noise at
+        most 3 * substeps + 1 times per control step: once per distinct
+        time point of the step (RK4 midpoint and end per substep, the
+        step start), not once per use."""
+        counts = {"roll": 0, "sample": 0}
+        make_terrain = Scenario.terrain
+
+        def counted_terrain(self):
+            profile = make_terrain(self)
+
+            def roll(t):
+                counts["roll"] += 1
+                return profile.roll(t)
+            return dataclasses.replace(profile, roll=roll)
+
+        sample = sysmodel.NoiseModel.sample
+
+        def counted_sample(self, t):
+            counts["sample"] += 1
+            return sample(self, t)
+
+        flagship = Scenario()
+        monkeypatch.setattr(Scenario, "terrain", counted_terrain)
+        monkeypatch.setattr(sysmodel.NoiseModel, "sample", counted_sample)
+        res = harness.run(flagship)
+        steps = res.summary.n_steps
+        assert steps == 525 and not res.summary.aborted
+        limit = 3 * flagship.substeps + 1
+        assert counts["roll"] <= limit * steps, counts
+        assert counts["sample"] <= limit * steps, counts
+
     def test_checks_attached_per_filter(self):
         none_run = harness.run(Scenario(filter="none", horizon=0.5))
         assert none_run.summary.checks == {}
@@ -134,6 +191,40 @@ class TestRun:
         for rec in res.records:
             assert rec.h_rob[0] <= rec.h_true[0] + 1e-9
             assert rec.h_rob[1] <= rec.h_true[1] + 1e-9
+
+
+def test_row_wrapper_bit_equal_to_run_rows():
+    """build_constraint_row, which reads the bank's channels and calls
+    hgo_rates and the envelope itself, gives the same bits as the rows
+    harness.run assembles from values taken once per step."""
+    rng = np.random.default_rng(31)
+    for i in range(300):
+        if i % 50 == 0:
+            # a fresh observer calibration is the slow part; reuse it
+            sc = Scenario(hgo_k1=rng.uniform(0.5, 4.0), hgo_ell=rng.uniform(5.0, 90.0),
+                          v_inf=rng.uniform(0.001, 0.1), alpha=rng.uniform(1.0, 8.0),
+                          budget_initial=rng.uniform(0.0, 2.0), filter="envelope_budget")
+            geom, act, alpha, budget = sc.geometry(), sc.actuator(), sc.alpha_fn(), sc.budget()
+            bank = sc.make_bank()
+        state = RobotState(*rng.uniform(-3.0, 3.0, 5).tolist())
+        est = tuple(rng.uniform(-10.0, 10.0, 4).tolist())
+        meas = tuple(rng.uniform(-10.0, 10.0, 2).tolist())
+        t = float(rng.uniform(0.0, 10.0))
+        bank.channels[0].value_est, bank.channels[0].rate_est = est[0], est[1]
+        bank.channels[1].value_est, bank.channels[1].rate_est = est[2], est[3]
+        # as in harness.run
+        est_rate = harness._estimate_rates(est, meas, bank.hgo.k1 * bank.hgo.ell)
+        env_value, env_rate = bank.aggregate(*bank.channel_envelopes(t, sc.v_inf))
+        for mode in ("envelope", "budget"):
+            for which in ("h1", "h2"):
+                want = build_constraint_row(which, mode, state, bank, meas, t, sc.v_inf,
+                                            geom, act, alpha, budget)
+                got = constraint_row(which, mode, state, (est[0], est[2]), est_rate,
+                                     env_value, env_rate, budget.value(t),
+                                     geom, act, alpha)
+                assert got.label == want.label == which
+                assert [x.hex() for x in (*got.a, got.beta)] == \
+                    [x.hex() for x in (*want.a, want.beta)], (mode, which)
 
 
 class TestCompare:
@@ -274,6 +365,8 @@ class TestConfig:
         {"pdot_bound": -1.0}, {"pddot_bound": -1.0}, {"ramp_duration": 0.0},
         {"budget_floor": -1.0}, {"budget_decay": -1.0},
         {"budget_initial": -1.0, "filter": "const_margin"},
+        {"terrain_profile": "constant", "roll_deg": 89.999999},
+        {"roll_deg": -89.999999},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_bad_scenario_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -334,9 +427,12 @@ class TestCli:
                                       "[run]\nhorizon = 0.001\n",
                                       "[terrain]\nroll_deg = 95\n",
                                       "[terrain]\ngravity = 0\n",
-                                      "[controller]\nu_v_min = 5\n"],
+                                      "[controller]\nu_v_min = 5\n",
+                                      "[terrain]\nprofile = constant\n"
+                                      "roll_deg = 89.999999\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
-                                  "roll_95", "gravity_0", "empty_box"])
+                                  "roll_95", "gravity_0", "empty_box",
+                                  "roll_singular"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -8,9 +8,11 @@ from rollguard.differentiator import DiffChannel, HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ConstantNoise, ControlInput,
-                                NoiseModel, RobotState, closed_loop_rhs,
-                                constant_roll, eval_dynamics, gravity_at,
-                                smooth_ramp_roll, step_rk4, wrap_angle)
+                                NoiseModel, RobotState, TerrainProfile,
+                                closed_loop_rhs, constant_roll, eval_dynamics,
+                                exogenous_signals, gravity_at,
+                                sinusoid_disturbance, smooth_ramp_roll, step_rk4,
+                                wrap_angle)
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -169,6 +171,11 @@ class TestClosedLoopRhs:
                 sc.disturbance(), sc.horizon)
 
     @staticmethod
+    def _hold(parts):
+        act, hgo, terrain, noise, dist, _ = parts
+        return closed_loop_rhs(act, hgo, exogenous_signals(terrain, noise, dist))
+
+    @staticmethod
     def _reference(parts, u, t, y):
         act, hgo, terrain, noise, dist, _ = parts
         dx = eval_dynamics(RobotState(*y[:5]), ControlInput(*u), act, dist.sample(t))
@@ -186,7 +193,7 @@ class TestClosedLoopRhs:
         checked = 0
         for _ in range(20):
             parts = self._parts(rng)
-            hold = closed_loop_rhs(*parts[:5])
+            hold = self._hold(parts)
             for _ in range(60):
                 u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
                 t = float(rng.uniform(0.0, parts[5]))
@@ -196,6 +203,25 @@ class TestClosedLoopRhs:
                 assert _bits(got) == _bits(self._reference(parts, u, t, y))
                 checked += 1
         assert checked >= 1000
+
+    def test_memo_bit_equal_on_repeated_times(self):
+        """Times that repeat, interleave and come back, through two held
+        inputs of one run, which share one signals memo."""
+        rng = np.random.default_rng(77)
+        for _ in range(5):
+            parts = self._parts(rng)
+            hold = self._hold(parts)
+            u_a = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+            u_b = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+            rhs = {"a": hold(*u_a), "b": hold(*u_b)}
+            inputs = {"a": u_a, "b": u_b}
+            t1, t2 = rng.uniform(0.0, parts[5], 2).tolist()
+            for which, t in [("a", t1), ("a", t1), ("b", t1), ("a", t2),
+                             ("b", t1), ("b", t2), ("a", t2), ("a", t1),
+                             ("b", 0.0), ("a", 0.0), ("b", t1)]:
+                y = rng.normal(0.0, 5.0, 9).tolist()
+                want = self._reference(parts, inputs[which], t, y)
+                assert _bits(rhs[which](t, y)) == _bits(want), (which, t)
 
     @pytest.mark.parametrize("where", range(7))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -210,8 +236,40 @@ class TestClosedLoopRhs:
         with pytest.raises(DomainError, match="non-finite dynamics input") as ref:
             self._reference(parts, u, 0.3, y)
         with pytest.raises(DomainError, match="non-finite dynamics input") as got:
-            closed_loop_rhs(*parts[:5])(*u)(0.3, y)
+            self._hold(parts)(*u)(0.3, y)
         assert type(got.value) is type(ref.value)
+
+
+class TestExogenousSignals:
+    @staticmethod
+    def _reference(terrain, noise, dist, t):
+        gs = gravity_at(t, terrain, noise)
+        return (gs.g_y0, gs.g_z0, gs.v_y, gs.v_z, *dist.sample(t))
+
+    @pytest.mark.parametrize("terrain", [
+        smooth_ramp_roll(math.radians(27.0), 0.1, 1.5),
+        # odd in t: the gravity truth at -0.0 and 0.0 differs in sign, so
+        # the memo must keep the two times apart
+        TerrainProfile(roll=lambda t: 0.3 * math.sin(t),
+                       roll_rate=lambda t: 0.3 * math.cos(t)),
+    ], ids=["ramp", "odd"])
+    def test_bit_equal_to_reference_with_memo(self, terrain):
+        noise = NoiseModel(0.05, 50.0, 2.0, seed=4)
+        dist = sinusoid_disturbance(0.3, 0.12, 0.15, 0.08)
+        signals = exogenous_signals(terrain, noise, dist)
+        times = np.random.default_rng(6).uniform(0.0, 2.0, 40).tolist()
+        sequence = [0.0, 0.0, -0.0, -0.0, 0.0]
+        for t1, t2 in zip(times[::2], times[1::2]):
+            sequence += [t1, t1, t2, t1, t2, t2]
+        for t in sequence:
+            assert _bits(signals(t)) == _bits(self._reference(terrain, noise, dist, t)), t
+
+    def test_upright_regime_guard(self):
+        dist = sinusoid_disturbance(0.3, 0.12, 0.15, 0.08)
+        noise = NoiseModel(0.01, 50.0, 1.0, seed=1)
+        signals = exogenous_signals(constant_roll(math.radians(95.0)), noise, dist)
+        with pytest.raises(DomainError, match="upright regime"):
+            signals(0.5)
 
 
 class TestNoiseModel:
