@@ -39,13 +39,9 @@ def _sign_of(which: str) -> float:
 class GeometryParams:
     half_width: float      # b, m
     cg_height: float       # m, center of mass above ground
-    mass: float = 40.0
-    inertia_x: float = 0.8
-    inertia_y: float = 1.1
-    inertia_z: float = 1.4
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and self.cg_height > 0.0 and self.mass > 0.0):
+        if not (self.half_width > 0.0 and self.cg_height > 0.0):
             raise DomainError("geometry parameters must be positive")
 
     @property
@@ -67,12 +63,6 @@ class AlphaLinear:
         return self.rate * r
 
 
-def param_gradient(which: str, geom: GeometryParams) -> tuple[float, float]:
-    """d h / d (g_y, g_z); both constraints are affine in the gravity pair."""
-    sign = _sign_of(which)
-    return (-sign, -geom.width_ratio)
-
-
 def lipschitz_gain(geom: GeometryParams) -> float:
     """Smallest Lipschitz constant of h in the gravity pair w.r.t. the
     Euclidean norm; shared by h1 and h2."""
@@ -85,23 +75,6 @@ def zmp_lateral(v: float, omega: float, g_y: float, g_z: float,
     if abs(g_z) < TIP_POINT_SINGULAR_BAND:
         raise SingularityError("normal gravity component ~ 0; tip point undefined")
     return (v * omega * geom.cg_height - g_y * geom.cg_height) / g_z
-
-
-def zmp_lateral_full(y_acc_body: float, z_acc_body: float, roll_acc: float,
-                     pitch_rate: float, omega: float, g_y: float, g_z: float,
-                     geom: GeometryParams) -> float:
-    """General moment-balance tip point with explicit angular terms.
-
-    Reduces to zmp_lateral with y_acc_body = -v*omega and the angular terms
-    zero; kept for cross-checking that simplification.
-    """
-    denom = geom.mass * (z_acc_body + g_z)
-    if abs(denom) < 1e-6 * geom.mass:
-        raise SingularityError("net normal force ~ 0; tip point undefined")
-    gyro = geom.inertia_x * roll_acc + (geom.inertia_y - geom.inertia_z) * pitch_rate * omega
-    num = (-geom.mass * y_acc_body * geom.cg_height
-           - geom.mass * g_y * geom.cg_height - gyro)
-    return num / denom
 
 
 def eval_h(which: str, v: float, omega: float, g_y: float, g_z: float,
@@ -123,8 +96,6 @@ class BarrierEval:
 
     h: float
     h_rob: float
-    grad_x: tuple[float, float, float, float, float]
-    dh_dp: tuple[float, float]
     drift: float
     input_row: tuple[float, float]
 
@@ -163,8 +134,6 @@ def eval_barrier(which: str, state: RobotState, est: tuple[float, float],
     return BarrierEval(
         h=h,
         h_rob=h - lip * env_value,
-        grad_x=(0.0, 0.0, 0.0, dh_domega, dh_dv),
-        dh_dp=(-sign, -ratio),
         drift=drift,
         input_row=(dh_dv * actuator.tau_v, dh_domega * actuator.tau_omega),
     )
@@ -356,12 +325,10 @@ class CandidateReport:
 def verify_cbf_candidate(which: str, v_grid: Sequence[float],
                          omega_grid: Sequence[float], roll_grid: Sequence[float],
                          geom: GeometryParams, actuator: ActuatorParams,
-                         alpha: AlphaLinear, input_box=None,
-                         gravity: float = 9.81) -> CandidateReport:
+                         alpha: AlphaLinear, gravity: float = 9.81) -> CandidateReport:
     """Audit of the constraint over an operating grid: wherever the input
     direction vanishes, the drift alone must satisfy the rate condition.
-    Necessary, not sufficient, once inputs are bounded; `input_box` is
-    recorded for context only.
+    Necessary, not sufficient, once inputs are bounded.
     """
     sign = _sign_of(which)
     violations = []

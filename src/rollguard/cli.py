@@ -88,7 +88,6 @@ def _cmd_verify(args) -> int:
     for which in ("h1", "h2"):
         audit = verify_cbf_candidate(which, grid, omega_grid, roll_grid, geom,
                                      scenario.actuator(), alpha,
-                                     input_box=scenario.input_box(),
                                      gravity=scenario.gravity)
         print(json.dumps({"name": f"cbf_candidate_{which}", **audit.to_dict()}))
         ok = ok and audit.passed

@@ -211,12 +211,6 @@ def backward_diff(window: BackwardDiffWindow) -> float:
     return (3.0 * window.p_n - 4.0 * window.p_n1 + window.p_n2) / (2.0 * window.period)
 
 
-def error_dynamics_matrix(params: HgoParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    k1l = params.k1 * params.ell
-    k2l2 = params.k2 * params.ell * params.ell
-    return ((-k1l, 1.0), (-k2l2, 0.0))
-
-
 def error_dynamics_eigenvalues(params: HgoParams) -> tuple[complex, complex]:
     """Roots of the characteristic polynomial s^2 + k1 ell s + k2 ell^2.
 
@@ -278,8 +272,8 @@ def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
         raise DomainError("observer error dynamics are not Hurwitz")
     decay = 0.9 * slowest
 
-    (a11, a12), (a21, a22) = error_dynamics_matrix(params)
     k1l, k2l2 = params.k1 * params.ell, params.k2 * params.ell * params.ell
+    a11, a12, a21, a22 = -k1l, 1.0, -k2l2, 0.0
 
     # exp(A*dt) by plain Taylor series; ||A dt|| is small so this is exact
     # to machine precision.

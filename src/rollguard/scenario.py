@@ -52,10 +52,6 @@ class Scenario:
     # geometry
     half_width: float = 0.30
     cg_height: float = 0.40
-    mass: float = 40.0
-    inertia_x: float = 0.8
-    inertia_y: float = 1.1
-    inertia_z: float = 1.4
     # actuator
     tau_v: float = 5.0
     tau_omega: float = 5.0
@@ -160,8 +156,7 @@ class Scenario:
                                     self.dist_omega_phase, self.dist_v_phase)
 
     def geometry(self) -> GeometryParams:
-        return GeometryParams(self.half_width, self.cg_height, self.mass,
-                              self.inertia_x, self.inertia_y, self.inertia_z)
+        return GeometryParams(self.half_width, self.cg_height)
 
     def actuator(self) -> ActuatorParams:
         return ActuatorParams(self.tau_v, self.tau_omega)
@@ -208,9 +203,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
                     "omega_freq": "dist_omega_freq", "omega_phase": "dist_omega_phase",
                     "v_amp": "dist_v_amp", "v_freq": "dist_v_freq",
                     "v_phase": "dist_v_phase"},
-    "geometry": {"half_width": "half_width", "cg_height": "cg_height",
-                 "mass": "mass", "inertia_x": "inertia_x",
-                 "inertia_y": "inertia_y", "inertia_z": "inertia_z"},
+    "geometry": {"half_width": "half_width", "cg_height": "cg_height"},
     "actuator": {"tau_v": "tau_v", "tau_omega": "tau_omega"},
     "controller": {"start_x": "start_x", "start_y": "start_y",
                    "start_theta": "start_theta",

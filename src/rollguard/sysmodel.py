@@ -16,11 +16,12 @@ definitions: the fused form repeats their float operations in order and is
 bit-equal to them.
 
 Everything that depends on time alone (true gravity components, noise and
-disturbance) comes from one per-run function built by `exogenous_signals`,
-whose reference definitions are `gravity_at` and `DisturbanceModel.sample`.
-It keeps a one-entry memo of its last time point, so it is stateful: build
-one per run and share it only within that run. Every other function here
-is pure, and independent scenarios can run concurrently.
+disturbance) comes from one per-run function built by `exogenous_signals`.
+Its reference definitions are `gravity_at`, for the gravity truth and the
+noise, and `DisturbanceModel.sample`. It keeps a one-entry memo of its
+last time point, so it is stateful: build one per run and share it only
+within that run. Every other function here is pure, and independent
+scenarios can run concurrently.
 """
 
 from __future__ import annotations
@@ -113,38 +114,6 @@ def smooth_ramp_roll(angle: float, start: float, duration: float,
     return TerrainProfile(roll=roll, roll_rate=roll_rate, gravity=gravity)
 
 
-@dataclass(frozen=True)
-class GravitySignal:
-    """Noise-free body-frame gravity components and the additive noise
-    realized at one instant. Truth fields are for post-hoc evaluation only."""
-
-    g_y0: float   # true lateral component, m/s^2
-    g_z0: float   # true normal component, m/s^2 (negative while upright)
-    v_y: float
-    v_z: float
-    v_inf: float  # sup-norm bound the noise respects
-
-    @property
-    def p_y(self) -> float:
-        return self.g_y0 + self.v_y
-
-    @property
-    def p_z(self) -> float:
-        return self.g_z0 + self.v_z
-
-
-class ConstantNoise:
-    """Fixed additive offset on both channels; handy in tests."""
-
-    def __init__(self, v_y: float, v_z: float):
-        self.v_y = v_y
-        self.v_z = v_z
-        self.v_inf = max(abs(v_y), abs(v_z))
-
-    def sample(self, t: float) -> tuple[float, float]:
-        return (self.v_y, self.v_z)
-
-
 class NoiseModel:
     """Seeded measurement noise with an exact sup-norm bound.
 
@@ -200,8 +169,6 @@ class DisturbanceModel:
 
     d_omega: Callable[[float], float]
     d_v: Callable[[float], float]
-    bound_omega: Callable[[float], float]
-    bound_v: Callable[[float], float]
 
     def sample(self, t: float) -> tuple[float, float]:
         return (self.d_omega(t), self.d_v(t))
@@ -209,7 +176,7 @@ class DisturbanceModel:
 
 def no_disturbance() -> DisturbanceModel:
     zero = lambda t: 0.0
-    return DisturbanceModel(zero, zero, zero, zero)
+    return DisturbanceModel(zero, zero)
 
 
 def sinusoid_disturbance(omega_amp: float, omega_freq: float,
@@ -220,13 +187,15 @@ def sinusoid_disturbance(omega_amp: float, omega_freq: float,
     return DisturbanceModel(
         d_omega=lambda t: omega_amp * math.sin(wo * t + omega_phase),
         d_v=lambda t: v_amp * math.sin(wv * t + v_phase),
-        bound_omega=lambda t: abs(omega_amp),
-        bound_v=lambda t: abs(v_amp),
     )
 
 
-def gravity_at(t: float, profile: TerrainProfile, noise=None) -> GravitySignal:
-    """Body-frame gravity at time t: noisy measurements plus truth.
+def gravity_at(t: float, profile: TerrainProfile,
+               noise=None) -> tuple[float, float, float, float]:
+    """Body-frame gravity at time t as (g_y0, g_z0, n_y, n_z): the true
+    lateral and normal components and the additive measurement noise
+    (zero without a noise model), so the measurements are g_y0 + n_y and
+    g_z0 + n_z.
 
     Convention: the body z axis points up, so g_z0 < 0 while the robot is
     on its tracks. |roll| must stay below pi/2.
@@ -235,12 +204,8 @@ def gravity_at(t: float, profile: TerrainProfile, noise=None) -> GravitySignal:
     if abs(phi) >= 0.5 * math.pi:
         raise DomainError(f"terrain roll {phi} rad leaves the upright regime")
     g = profile.gravity
-    g_y0 = g * math.sin(phi)
-    g_z0 = -g * math.cos(phi)
-    if noise is None:
-        return GravitySignal(g_y0, g_z0, 0.0, 0.0, 0.0)
-    v_y, v_z = noise.sample(t)
-    return GravitySignal(g_y0, g_z0, v_y, v_z, noise.v_inf)
+    n_y, n_z = (0.0, 0.0) if noise is None else noise.sample(t)
+    return (g * math.sin(phi), -g * math.cos(phi), n_y, n_z)
 
 
 def eval_dynamics(state: RobotState, u: ControlInput, params: ActuatorParams,
@@ -266,9 +231,10 @@ def exogenous_signals(terrain: TerrainProfile, noise, dist: DisturbanceModel):
 
     Returns `signals(t) -> (g_y0, g_z0, n_y, n_z, d_omega, d_v)`: the true
     body-frame gravity components, the measurement noise and the two
-    disturbances at t. Every value is computed as `gravity_at` and
-    `dist.sample` compute it (bit-equal), and a roll outside the upright
-    regime raises the same DomainError.
+    disturbances at t. `signals(t)[:4]` is bit-equal to
+    `gravity_at(t, terrain, noise)` and `signals(t)[4:]` to
+    `dist.sample(t)`, and a roll outside the upright regime raises the
+    same DomainError.
 
     The last result is kept and returned again only for a bit-equal t: the
     two midpoint stages of one RK4 step share a time, and the end of one

@@ -1,7 +1,10 @@
 """Brute-force reference for the filter QP: the exact objective minimum over
 a regular grid of the input box, refined locally. It shares nothing with the
 active-set path except the degenerate-row policy, so the QP tests and
-acceptance criterion 4 can check the solver against it."""
+acceptance criterion 4 can check the solver against it.
+
+Also the general moment-balance tip point, the reference that
+`barrier.zmp_lateral` simplifies."""
 
 import math
 
@@ -115,3 +118,16 @@ def grid_oracle(problem: qp.QpProblem, n0: int = 401, refinements: int = 6):
     if not found:
         return None
     return obj, (ux, uy)
+
+
+def zmp_lateral_full(y_acc_body, z_acc_body, roll_acc, pitch_rate, omega,
+                     g_y, g_z, cg_height, mass, inertia_x, inertia_y, inertia_z):
+    """General moment-balance lateral tip point with explicit angular terms.
+
+    Reduces to `barrier.zmp_lateral` with y_acc_body = -v*omega and the
+    angular terms zero, for any mass and inertias.
+    """
+    denom = mass * (z_acc_body + g_z)
+    gyro = inertia_x * roll_acc + (inertia_y - inertia_z) * pitch_rate * omega
+    num = -mass * y_acc_body * cg_height - mass * g_y * cg_height - gyro
+    return num / denom

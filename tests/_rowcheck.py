@@ -1,14 +1,20 @@
-"""Finite-difference oracle for the constraint-row derivative: propagates
-the augmented closed loop (without disturbance, input held) from recorded
-states and compares d/dt of the robustified constraint against the
-analytic drift + input_row . u. The flow is the one `harness.run`
-integrates, `sysmodel.closed_loop_rhs`, on the scenario without
-disturbance."""
+"""Oracles for the constraint rows.
+
+`row_derivative_gap` is the finite-difference oracle for the row
+derivative: it propagates the augmented closed loop (without disturbance,
+input held) from recorded states and compares d/dt of the robustified
+constraint against the analytic drift + input_row . u. The flow is the
+one `harness.run` integrates, `sysmodel.closed_loop_rhs`, on the scenario
+without disturbance.
+
+`budget_row_margin_rebuilt` rebuilds both rows of both modes at every
+trace record, the reference for the closed form of
+`harness.budget_row_margin`."""
 
 import dataclasses
 import math
 
-from rollguard.barrier import eval_barrier
+from rollguard.barrier import constraint_row, eval_barrier
 from rollguard.differentiator import DiffChannel, hgo_rates
 from rollguard.sysmodel import (RobotState, closed_loop_rhs, exogenous_signals,
                                 step_rk4)
@@ -62,3 +68,26 @@ def row_derivative_gap(scenario, record, which):
                       env_value, env_rate)
     analytic = be.drift + be.input_row[0] * u_v + be.input_row[1] * u_omega
     return fd, analytic
+
+
+def budget_row_margin_rebuilt(scenario, records):
+    """Minimum over a trace of beta(budget row) - beta(envelope row), both
+    rows rebuilt from the recorded states, estimates and measurements."""
+    geom, act = scenario.geometry(), scenario.actuator()
+    alpha = scenario.alpha_fn()
+    budget = scenario.budget()
+    bank = scenario.make_bank()
+    k1l = bank.hgo.k1 * bank.hgo.ell
+    worst = math.inf
+    for rec in records:
+        est_value = (rec.est[0], rec.est[2])
+        est_rate = (rec.est[1] + k1l * (rec.g_meas[0] - rec.est[0]),
+                    rec.est[3] + k1l * (rec.g_meas[1] - rec.est[2]))
+        env_value, env_rate = bank.envelope(rec.t, scenario.v_inf)
+        for which in ("h1", "h2"):
+            env = constraint_row(which, "envelope", rec.state, est_value, est_rate,
+                                 env_value, env_rate, 0.0, geom, act, alpha)
+            bud = constraint_row(which, "budget", rec.state, est_value, est_rate,
+                                 0.0, 0.0, budget.value(rec.t), geom, act, alpha)
+            worst = min(worst, bud.beta - env.beta)
+    return worst

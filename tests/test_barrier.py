@@ -8,18 +8,20 @@ from rollguard.barrier import (AlphaLinear, CheckReport, DisturbanceBudget,
                                build_constraint_row, check_budget_schedule,
                                check_envelope_budget, check_envelope_decay,
                                eval_barrier, eval_h, lipschitz_gain,
-                               param_gradient, verify_cbf_candidate,
-                               zmp_lateral, zmp_lateral_full)
+                               verify_cbf_candidate, zmp_lateral)
 from rollguard.differentiator import (DiffChannel, DifferentiatorBank,
                                       EnvelopeCoeffs, HgoParams)
 from rollguard.errors import (DomainError, SingularityError,
                               StaleMeasurementError)
 from rollguard.sysmodel import RobotState
 
+from _oracle import zmp_lateral_full
 from _rowcheck import row_derivative_gap
 
 G27_Y = 9.81 * math.sin(math.radians(27.0))
 G27_Z = -9.81 * math.cos(math.radians(27.0))
+# mass (kg) and principal inertias (kg m^2) for the general tip-point oracle
+BODY = {"mass": 40.0, "inertia_x": 0.8, "inertia_y": 1.1, "inertia_z": 1.4}
 
 
 def make_bank(value_y=0.0, value_z=-9.81, e0=0.0, coeffs=None):
@@ -50,13 +52,15 @@ class TestZmp:
             g_z = -rng.uniform(4, 12)
             simple = zmp_lateral(v, omega, g_y, g_z, geom)
             general = zmp_lateral_full(-v * omega, 0.0, 0.0, 0.0, omega,
-                                       g_y, g_z, geom)
+                                       g_y, g_z, geom.cg_height, **BODY)
             assert general == pytest.approx(simple, abs=1e-12)
 
     def test_general_path_gyroscopic_term(self, geom):
-        base = zmp_lateral_full(-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -9.81, geom)
-        tilted = zmp_lateral_full(-1.0, 0.0, 0.5, 0.0, 1.0, 0.0, -9.81, geom)
-        expected = base - geom.inertia_x * 0.5 / (geom.mass * -9.81)
+        base = zmp_lateral_full(-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -9.81,
+                                geom.cg_height, **BODY)
+        tilted = zmp_lateral_full(-1.0, 0.0, 0.5, 0.0, 1.0, 0.0, -9.81,
+                                  geom.cg_height, **BODY)
+        expected = base - BODY["inertia_x"] * 0.5 / (BODY["mass"] * -9.81)
         assert tilted == pytest.approx(expected)
 
     def test_track_edge_matches_constraint_zero(self, geom):
@@ -131,16 +135,21 @@ class TestEvalBarrier:
         assert be2.input_row == pytest.approx((-2.5, -5.0))
 
     def test_input_row_matches_finite_difference(self, geom, actuator):
-        # a . u must equal the u-directional derivative of h_rob's flow
-        # derivative; equivalently d(drift + a.u)/du = a, checked through
-        # the affine structure
+        # u_v drives v_dot with gain tau_v and u_omega drives omega_dot
+        # with gain tau_omega, so a = (dh/dv * tau_v, dh/domega * tau_omega)
+        # with the partials of h taken by central differences
         st = RobotState(0, 0, 0, -1.1, 2.3)
-        be = eval_barrier("h1", st, (2.0, -9.0), geom, actuator,
-                          est_rate=(0.3, -0.2), env_value=0.1, env_rate=-0.05)
-        assert be.grad_x[3] == pytest.approx(st.v * 1.0)
-        assert be.grad_x[4] == pytest.approx(st.omega * 1.0)
-        assert be.input_row[0] == pytest.approx(be.grad_x[4] * actuator.tau_v)
-        assert be.input_row[1] == pytest.approx(be.grad_x[3] * actuator.tau_omega)
+        est = (2.0, -9.0)
+        eps = 1e-6
+        for which in ("h1", "h2"):
+            be = eval_barrier(which, st, est, geom, actuator,
+                              est_rate=(0.3, -0.2), env_value=0.1, env_rate=-0.05)
+            h = lambda v, omega: eval_h(which, v, omega, *est, geom)
+            dh_dv = (h(st.v + eps, st.omega) - h(st.v - eps, st.omega)) / (2 * eps)
+            dh_domega = (h(st.v, st.omega + eps) - h(st.v, st.omega - eps)) / (2 * eps)
+            assert be.input_row[0] == pytest.approx(dh_dv * actuator.tau_v, rel=1e-8)
+            assert be.input_row[1] == pytest.approx(dh_domega * actuator.tau_omega,
+                                                    rel=1e-8)
 
     def test_envelope_shrinks_value(self, geom, actuator):
         st = RobotState(0, 0, 0, 0.0, 0.0)
@@ -148,8 +157,17 @@ class TestEvalBarrier:
         assert be.h_rob == pytest.approx(be.h - 1.25 * 0.8)
 
     def test_param_gradient_signs(self, geom):
-        assert param_gradient("h1", geom) == pytest.approx((-1.0, -0.75))
-        assert param_gradient("h2", geom) == pytest.approx((1.0, -0.75))
+        # both constraints are affine in the gravity pair: dh/dg_y = -sign,
+        # dh/dg_z = -width_ratio, at any state and gravity
+        rng = np.random.default_rng(12)
+        for which, sign in (("h1", 1.0), ("h2", -1.0)):
+            for _ in range(20):
+                v, omega = rng.uniform(-3, 3), rng.uniform(-2, 2)
+                g_y, g_z = rng.uniform(-5, 5), -rng.uniform(4, 12)
+                h0 = eval_h(which, v, omega, g_y, g_z, geom)
+                d_gy = eval_h(which, v, omega, g_y + 1.0, g_z, geom) - h0
+                d_gz = eval_h(which, v, omega, g_y, g_z + 1.0, geom) - h0
+                assert (d_gy, d_gz) == pytest.approx((-sign, -0.75), abs=1e-12)
 
     def test_negative_envelope_rejected(self, geom, actuator):
         with pytest.raises(DomainError):

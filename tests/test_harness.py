@@ -13,6 +13,8 @@ from rollguard.errors import DomainError
 from rollguard.scenario import Scenario, load_config, parse_variant
 from rollguard.sysmodel import RobotState, constant_roll, smooth_ramp_roll
 
+from _rowcheck import budget_row_margin_rebuilt
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ROLLOVER_CFG = str(CONFIGS / "rollover_slope.cfg")
 STATIC_CFG = str(CONFIGS / "static_slope.cfg")
@@ -100,6 +102,21 @@ class TestRun:
         assert res.summary.aborted
         assert not res.summary.safe
         assert len(res.records) >= 1  # partial trace kept
+        # the integration of step 0 aborts, so the last good state is the
+        # initial one: the final truth point pairs it with t = 0, not with
+        # the next step's time, and adds no new minimum
+        assert res.summary.n_steps == 1
+        assert res.summary.min_h1_true == res.records[0].h_true[0]
+        assert res.summary.min_h2_true == res.records[0].h_true[1]
+
+    def test_final_truth_at_last_state_time(self):
+        """Horizons 1.03 and 1.04 both round to 52 control steps, so both
+        runs end in the same state at t = 1.04, during the terrain ramp;
+        the final truth point is taken at that time, not at the horizon."""
+        short = harness.run(Scenario(filter="none", horizon=1.03)).summary
+        exact = harness.run(Scenario(filter="none", horizon=1.04)).summary
+        assert short.n_steps == exact.n_steps == 52
+        assert short.to_dict() == exact.to_dict()
 
     def test_terrain_leaving_upright_regime_aborts(self, monkeypatch):
         # no Scenario field reaches a roll beyond 90 degrees, so the
@@ -156,6 +173,19 @@ class TestRun:
         limit = 3 * flagship.substeps + 1
         assert counts["roll"] <= limit * steps, counts
         assert counts["sample"] <= limit * steps, counts
+
+    def test_verdict_counts_intersample_dip(self):
+        """At a 2 Hz control rate a 2 Hz yaw disturbance is sampled at the
+        same phase every step: h stays positive at the steps and dips
+        below zero between them. The verdict reads the intersample truth."""
+        sc = Scenario(filter="none", control_rate=2.0, dist_omega_freq=2.0,
+                      dist_omega_amp=5.0, dist_omega_phase=3.14, roll_deg=15.0,
+                      horizon=4.0)
+        s = harness.run(sc).summary
+        assert not s.aborted
+        assert s.min_h_true > 0.5
+        assert s.min_h_true_intersample < -0.5
+        assert not s.safe and not s.to_dict()["safe"]
 
     def test_checks_attached_per_filter(self):
         none_run = harness.run(Scenario(filter="none", horizon=0.5))
@@ -251,6 +281,21 @@ class TestCompare:
         assert all(res.summary.safe for res in result.results.values())
         assert result.extras["budget_vs_envelope_beta_min"] >= -1e-9
 
+    @pytest.mark.parametrize("config", [ROLLOVER_CFG, STATIC_CFG],
+                             ids=["rollover", "static"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_budget_row_margin_matches_row_rebuild(self, config, seed):
+        """The closed form over the trace times against both rows of both
+        modes rebuilt at every record."""
+        sc = dataclasses.replace(load_config(config), filter="envelope_budget",
+                                 seed=seed)
+        records = harness.run(sc).records
+        want = budget_row_margin_rebuilt(sc, records)
+        got = harness.budget_row_margin(sc, records)
+        assert math.isfinite(want)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert harness.budget_row_margin(sc, []) == math.inf
+
     def test_outputs_written(self, tmp_path):
         result = harness.compare(Scenario(filter="none", horizon=0.5),
                                  ["envelope", "const_margin:0.9"])
@@ -320,11 +365,17 @@ class TestConfig:
     def test_roundtrip_defaults(self):
         assert load_config(ROLLOVER_CFG) == Scenario()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, key", [
+        ("[run]\nhorizon = 1.0\nwarp_speed = 9\n", "warp_speed"),
+        ("[geometry]\nmass = 40\n", "mass"),
+    ], ids=["warp_speed", "geometry_mass"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[run]\nhorizon = 1.0\nwarp_speed = 9\n")
-        with pytest.raises(DomainError, match="warp_speed"):
+        bad.write_text(text)
+        with pytest.raises(DomainError, match=key):
             load_config(bad)
+        assert cli.main(["verify", "--config", str(bad)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"

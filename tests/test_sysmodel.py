@@ -7,8 +7,7 @@ import scipy.linalg
 from rollguard.differentiator import DiffChannel, HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
-from rollguard.sysmodel import (ActuatorParams, ConstantNoise, ControlInput,
-                                NoiseModel, RobotState, TerrainProfile,
+from rollguard.sysmodel import (ActuatorParams, ControlInput, NoiseModel, RobotState, TerrainProfile,
                                 closed_loop_rhs, constant_roll, eval_dynamics,
                                 exogenous_signals, gravity_at,
                                 sinusoid_disturbance, smooth_ramp_roll, step_rk4,
@@ -17,6 +16,16 @@ from rollguard.sysmodel import (ActuatorParams, ConstantNoise, ControlInput,
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
     return RobotState(x, y, theta, omega, v)
+
+
+class ConstantNoise:
+    """Fixed additive offset on both channels, in place of a NoiseModel."""
+
+    def __init__(self, n_y: float, n_z: float):
+        self.n_y, self.n_z = n_y, n_z
+
+    def sample(self, t: float) -> tuple[float, float]:
+        return (self.n_y, self.n_z)
 
 
 class TestDynamics:
@@ -73,27 +82,27 @@ class TestDynamics:
 
 class TestGravity:
     def test_flat_ground(self):
-        gs = gravity_at(0.0, constant_roll(0.0))
-        assert (gs.p_y, gs.p_z, gs.g_y0, gs.g_z0) == (0.0, -9.81, 0.0, -9.81)
+        assert gravity_at(0.0, constant_roll(0.0)) == (0.0, -9.81, 0.0, 0.0)
 
     def test_slope_trig(self):
-        gs = gravity_at(0.0, constant_roll(math.radians(27.0)))
-        assert gs.g_y0 == pytest.approx(9.81 * math.sin(math.radians(27.0)))
-        assert gs.g_z0 == pytest.approx(-9.81 * math.cos(math.radians(27.0)))
-        assert gs.g_y0 == pytest.approx(4.4536, abs=1e-4)
-        assert gs.g_z0 == pytest.approx(-8.7408, abs=1e-4)
+        g_y0, g_z0, _, _ = gravity_at(0.0, constant_roll(math.radians(27.0)))
+        assert g_y0 == pytest.approx(9.81 * math.sin(math.radians(27.0)))
+        assert g_z0 == pytest.approx(-9.81 * math.cos(math.radians(27.0)))
+        assert g_y0 == pytest.approx(4.4536, abs=1e-4)
+        assert g_z0 == pytest.approx(-8.7408, abs=1e-4)
 
     def test_additive_noise(self):
-        gs = gravity_at(0.0, constant_roll(0.0), ConstantNoise(0.1, 0.1))
-        assert gs.p_y == pytest.approx(0.1)
-        assert gs.p_z == pytest.approx(-9.71)
-        assert (gs.g_y0, gs.g_z0) == (0.0, -9.81)
+        g_y0, g_z0, n_y, n_z = gravity_at(0.0, constant_roll(0.0),
+                                          ConstantNoise(0.1, 0.1))
+        assert (g_y0, g_z0, n_y, n_z) == (0.0, -9.81, 0.1, 0.1)
+        assert g_y0 + n_y == pytest.approx(0.1)
+        assert g_z0 + n_z == pytest.approx(-9.71)
 
     def test_magnitude_preserved(self):
         profile = smooth_ramp_roll(math.radians(27.0), 0.0, 2.0)
         for t in np.linspace(0.0, 3.0, 200):
-            gs = gravity_at(t, profile)
-            assert gs.g_y0 ** 2 + gs.g_z0 ** 2 == pytest.approx(9.81 ** 2, abs=1e-12)
+            g_y0, g_z0, _, _ = gravity_at(t, profile)
+            assert g_y0 ** 2 + g_z0 ** 2 == pytest.approx(9.81 ** 2, abs=1e-12)
 
     def test_upright_regime_guard(self):
         with pytest.raises(DomainError):
@@ -243,8 +252,7 @@ class TestClosedLoopRhs:
 class TestExogenousSignals:
     @staticmethod
     def _reference(terrain, noise, dist, t):
-        gs = gravity_at(t, terrain, noise)
-        return (gs.g_y0, gs.g_z0, gs.v_y, gs.v_z, *dist.sample(t))
+        return (*gravity_at(t, terrain, noise), *dist.sample(t))
 
     @pytest.mark.parametrize("terrain", [
         smooth_ramp_roll(math.radians(27.0), 0.1, 1.5),
