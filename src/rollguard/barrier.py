@@ -197,7 +197,8 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
                          actuator: ActuatorParams, alpha: AlphaLinear,
                          budget: DisturbanceBudget | None = None) -> ConstraintRow:
     """One row of `constraint_row` from the bank's current estimates: the
-    estimate rates come from `hgo_rates` on `measurements`, the envelope
+    estimate rates come from `hgo_rates` on each channel's estimates and
+    its entry of `measurements`, the envelope
     from `bank.envelope(t, v_inf)` (envelope mode) and the budget value
     from `budget.value(t)` (budget mode)."""
     if measurements is None:
@@ -205,9 +206,8 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
     if len(bank.channels) != 2:
         raise DomainError("expected one channel per gravity component")
     est = (bank.channels[0].value_est, bank.channels[1].value_est)
-    est_rate = tuple(
-        hgo_rates(ch, bank.hgo, p)[0] for ch, p in zip(bank.channels, measurements)
-    )
+    est_rate = tuple(hgo_rates(ch.value_est, ch.rate_est, bank.hgo, p)[0]
+                     for ch, p in zip(bank.channels, measurements))
     env_value = env_rate = budget_value = 0.0
     if mode == "envelope":
         env_value, env_rate = bank.envelope(t, v_inf)

@@ -6,7 +6,9 @@ by a high-gain observer
     value_est_dot = rate_est + k1 * ell * (p - value_est)
     rate_est_dot  = k2 * ell^2 * (p - value_est)
 
-whose estimation error obeys a certified envelope
+`hgo_rates` is this right-hand side for one channel, pure over floats: the
+estimate rates of every constraint row, and the reference definition of the
+observer part of `sysmodel.closed_loop_rhs`. Its error has a certified envelope
 
     M(t) = transient_gain * exp(-decay_rate * t) * e0_bound
            + noise_gain * v_inf.
@@ -119,11 +121,13 @@ class DifferentiatorBank:
         return self.aggregate(*self.channel_envelopes(t, v_inf))
 
 
-def hgo_rates(channel: DiffChannel, params: HgoParams, p: float) -> tuple[float, float]:
-    """Time derivatives of (value_est, rate_est) for one measurement p.
-    Integration is owned by the caller as part of the augmented state."""
-    innov = p - channel.value_est
-    return (channel.rate_est + params.k1 * params.ell * innov,
+def hgo_rates(value_est: float, rate_est: float, params: HgoParams,
+              p: float) -> tuple[float, float]:
+    """Time derivatives of one channel's (value_est, rate_est) for one
+    measurement p; pure over floats. Integration is owned by the caller as
+    part of the augmented state."""
+    innov = p - value_est
+    return (rate_est + params.k1 * params.ell * innov,
             params.k2 * params.ell * params.ell * innov)
 
 

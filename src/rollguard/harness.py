@@ -6,6 +6,12 @@ a trace row per control step, and derives a deterministic summary with the
 safety audits (true constraint minima, realized projected disturbance
 against the budget, envelope soundness, QP relaxation events).
 
+The trace records are the one source of every per-step fact: the summary's
+relaxation count, projected-disturbance maximum, budget soundness and time
+to goal, and the comparison's `budget_row_margin`, are folds over them.
+The loop keeps only what a record does not hold: the per-channel envelope
+audit, the intersample minimum and the abort state.
+
 Integration advances the augmented state (robot plus both observers) with
 `sysmodel.step_rk4` on one fused right-hand side, `sysmodel.closed_loop_rhs`,
 built once per run; `sysmodel.eval_dynamics` and
@@ -34,7 +40,7 @@ from . import qp
 from .barrier import (build_bd_row, check_budget_schedule, check_envelope_budget,
                       check_envelope_decay, constraint_row, eval_h, lipschitz_gain,
                       zmp_lateral)
-from .differentiator import BackwardDiffWindow, backward_diff
+from .differentiator import BackwardDiffWindow, backward_diff, hgo_rates
 from .errors import DomainError, NonFiniteStateError
 from .scenario import Scenario, parse_variant
 from .sysmodel import (ControlInput, RobotState, closed_loop_rhs, exogenous_signals,
@@ -143,7 +149,8 @@ def nominal_control(state: RobotState, goal: tuple[float, float],
 
 
 def _scenario_checks(scenario: Scenario, bank) -> dict:
-    """Schedule/compatibility reports attached to filtered runs."""
+    """Schedule/compatibility reports attached to filtered runs, keyed by
+    check name; `rollguard verify` prints the same reports."""
     alpha = scenario.alpha_fn()
     budget = scenario.budget()
     lip = lipschitz_gain(scenario.geometry())
@@ -161,12 +168,8 @@ def _scenario_checks(scenario: Scenario, bank) -> dict:
     return checks
 
 
-def _estimate_rates(est, meas, k1l: float) -> tuple[float, float]:
-    """Rates of both value estimates along the observer flow, the first
-    component of `hgo_rates` per channel, from the observer part `est` of
-    the augmented state (value, rate per channel) and `k1l` = k1 * ell."""
-    return (est[1] + k1l * (meas[0] - est[0]),
-            est[3] + k1l * (meas[1] - est[2]))
+def _goal_distance(goal: tuple[float, float], state: RobotState) -> float:
+    return math.hypot(goal[0] - state.x, goal[1] - state.y)
 
 
 def _h_pair(v: float, omega: float, g_y: float, g_z: float, geom) -> tuple[float, float]:
@@ -189,7 +192,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     gains = (scenario.k_v, scenario.k_omega)
     v_inf = scenario.v_inf
     mode = "envelope" if scenario.filter == "envelope" else "budget"
-    k1l = bank.hgo.k1 * bank.hgo.ell
+    hgo = bank.hgo
     lip = lipschitz_gain(geom)
 
     period = 1.0 / scenario.control_rate
@@ -198,7 +201,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     checks = _scenario_checks(scenario, bank)
 
     signals = exogenous_signals(terrain, scenario.noise_model(), dist)
-    hold = closed_loop_rhs(act, bank.hgo, signals)
+    hold = closed_loop_rhs(act, hgo, signals)
     g_y0, g_z0, n_y, n_z, _, _ = signals(0.0)
     # estimates start at the first measurement with zero rate; e0_bound in
     # the bank covers exactly this initialization
@@ -210,11 +213,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
     records: list[TraceRecord] = []
     min_inter = math.inf
-    relaxations = 0
     env_violations = 0
-    proj_max = 0.0
-    budget_sound = True
-    time_to_goal = None
     aborted = False
     abort_reason = ""
     t_aug = 0.0  # time of the state in aug; behind t once a step aborts
@@ -228,9 +227,6 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
             meas = (g_y0 + n_y, g_z0 + n_z)
 
             u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
-            if time_to_goal is None and math.hypot(goal[0] - state.x,
-                                                   goal[1] - state.y) <= scenario.goal_radius:
-                time_to_goal = t
 
             env_vals, env_rates = bank.channel_envelopes(t, v_inf)
             env_value, env_rate = bank.aggregate(env_vals, env_rates)
@@ -246,15 +242,14 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
                         build_bd_row("h2", state, meas, rates, geom, act, alpha))
             else:
                 est_value = (est[0], est[2])
-                est_rate = _estimate_rates(est, meas, k1l)
+                est_rate = (hgo_rates(est[0], est[1], hgo, meas[0])[0],
+                            hgo_rates(est[2], est[3], hgo, meas[1])[0])
                 rows = (constraint_row("h1", mode, state, est_value, est_rate, env_value,
                                        env_rate, budget_value, geom, act, alpha),
                         constraint_row("h2", mode, state, est_value, est_rate, env_value,
                                        env_rate, budget_value, geom, act, alpha))
 
             sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
-            if sol.status == "infeasible_relaxed":
-                relaxations += 1
 
             h_true = _h_pair(state.v, state.omega, g_y0, g_z0, geom)
             # h at the estimates, robustified as in eval_barrier
@@ -262,9 +257,6 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
                         for h in _h_pair(state.v, state.omega, est[0], est[2], geom))
 
             proj = abs(state.v * d_om + state.omega * d_v)
-            proj_max = max(proj_max, proj)
-            if proj > budget_value + 1e-9:
-                budget_sound = False
 
             # true value and rate per channel; g cos(phi) = -g_z0 exactly
             rate = terrain.roll_rate(t)
@@ -317,7 +309,11 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
         h2s.append(h2f)
     min_h1 = min(h1s)
     min_h2 = min(h2s)
-    final_distance = math.hypot(goal[0] - final_state.x, goal[1] - final_state.y)
+    final_distance = _goal_distance(goal, final_state)
+    # the last good state has no record when the run ended or a step
+    # aborted before appending one; the fallback pairs it with its own time
+    time_to_goal = next((r.t for r in records
+                         if _goal_distance(goal, r.state) <= scenario.goal_radius), None)
     if time_to_goal is None and final_distance <= scenario.goal_radius:
         time_to_goal = t_aug
 
@@ -332,10 +328,10 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
         min_h_true_intersample=min(min_inter, min_h1, min_h2),
         final_distance=final_distance,
         time_to_goal=time_to_goal,
-        relaxations=relaxations,
+        relaxations=sum(r.qp_status == "infeasible_relaxed" for r in records),
         envelope_violations=env_violations,
-        budget_sound=budget_sound,
-        proj_max=proj_max,
+        budget_sound=not any(r.proj_disturbance > r.budget + 1e-9 for r in records),
+        proj_max=max((r.proj_disturbance for r in records), default=0.0),
         checks=checks,
         aborted=aborted,
         abort_reason=abort_reason,
@@ -344,24 +340,19 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
 
 def budget_row_margin(scenario: Scenario, records: list[TraceRecord]) -> float:
-    """Minimum over the trace times of beta(budget row) - beta(envelope row).
-    Nonnegative means the budget form is never less conservative.
+    """Minimum over the trace records of beta(budget row) - beta(envelope
+    row). Nonnegative means the budget form is never less conservative.
 
     The two rows share the drift and input terms at the raw estimates, so
     the difference depends on t alone:
         alpha(B(t)) - alpha(lip * M(t)) - lip * M'(t),
-    with B the budget, (M, M') the aggregated envelope and its rate. An
-    empty trace gives inf."""
+    with B the budget, (M, M') the aggregated envelope and its rate, as the
+    run recorded them (`budget`, `env_value`, `env_rate`). An empty trace
+    gives inf."""
     alpha = scenario.alpha_fn()
-    budget = scenario.budget()
-    bank = scenario.make_bank()
     lip = lipschitz_gain(scenario.geometry())
-    worst = math.inf
-    for rec in records:
-        env_value, env_rate = bank.envelope(rec.t, scenario.v_inf)
-        worst = min(worst, alpha(budget.value(rec.t)) - alpha(lip * env_value)
-                    - lip * env_rate)
-    return worst
+    return min((alpha(r.budget) - alpha(lip * r.env_value) - lip * r.env_rate
+                for r in records), default=math.inf)
 
 
 @dataclass

@@ -111,6 +111,10 @@ class Scenario:
         self.actuator()
         self.hgo()
         self.alpha_fn()
+        if self.filter in ("const_margin", "envelope_budget") and self.alpha < 1.0:
+            # the budget-mode row is only sufficient at a linear rate >= 1
+            raise DomainError(f"filter {self.filter!r} requires alpha >= 1, "
+                              f"got {self.alpha}")
         DisturbanceBudget(self.budget_initial, self.budget_decay, self.budget_floor)
         if self.u_v_min > self.u_v_max or self.u_omega_min > self.u_omega_max:
             raise DomainError("input box is empty")

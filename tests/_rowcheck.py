@@ -15,7 +15,7 @@ import dataclasses
 import math
 
 from rollguard.barrier import constraint_row, eval_barrier
-from rollguard.differentiator import DiffChannel, hgo_rates
+from rollguard.differentiator import hgo_rates
 from rollguard.sysmodel import (RobotState, closed_loop_rhs, exogenous_signals,
                                 step_rk4)
 
@@ -59,10 +59,8 @@ def row_derivative_gap(scenario, record, which):
     ny, nz = noise.sample(t)
     meas = (g * math.sin(phi) + ny, -g * math.cos(phi) + nz)
     est = (y[5], y[7])
-    est_rate = (
-        hgo_rates(DiffChannel(value_est=y[5], rate_est=y[6]), hgo, meas[0])[0],
-        hgo_rates(DiffChannel(value_est=y[7], rate_est=y[8]), hgo, meas[1])[0],
-    )
+    est_rate = (hgo_rates(y[5], y[6], hgo, meas[0])[0],
+                hgo_rates(y[7], y[8], hgo, meas[1])[0])
     env_value, env_rate = bank.envelope(t, calm.v_inf)
     be = eval_barrier(which, RobotState(*y[:5]), est, geom, act, est_rate,
                       env_value, env_rate)
@@ -77,12 +75,11 @@ def budget_row_margin_rebuilt(scenario, records):
     alpha = scenario.alpha_fn()
     budget = scenario.budget()
     bank = scenario.make_bank()
-    k1l = bank.hgo.k1 * bank.hgo.ell
     worst = math.inf
     for rec in records:
         est_value = (rec.est[0], rec.est[2])
-        est_rate = (rec.est[1] + k1l * (rec.g_meas[0] - rec.est[0]),
-                    rec.est[3] + k1l * (rec.g_meas[1] - rec.est[2]))
+        est_rate = (hgo_rates(rec.est[0], rec.est[1], bank.hgo, rec.g_meas[0])[0],
+                    hgo_rates(rec.est[2], rec.est[3], bank.hgo, rec.g_meas[1])[0])
         env_value, env_rate = bank.envelope(rec.t, scenario.v_inf)
         for which in ("h1", "h2"):
             env = constraint_row(which, "envelope", rec.state, est_value, est_rate,

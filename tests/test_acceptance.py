@@ -133,7 +133,6 @@ def test_criterion_5_envelope_soundness_battery(capsys):
     v_inf, curvature, pdot_bound = 0.02, 8.0, 4.5
     coeffs = calibrate_envelope(params, v_inf, curvature)
     channel = DiffChannel(e0_bound=v_inf + pdot_bound, coeffs=coeffs)
-    scratch = DiffChannel()
     rng = np.random.default_rng(515)
     violations = 0
     checked = 0
@@ -147,8 +146,7 @@ def test_criterion_5_envelope_soundness_battery(capsys):
         p0dot = lambda t: amp * omega * math.cos(omega * t + phase)
 
         def rhs(t, yy):
-            scratch.value_est, scratch.rate_est = yy
-            return hgo_rates(scratch, params, p0(t) + noise.sample(t)[0])
+            return hgo_rates(*yy, params, p0(t) + noise.sample(t)[0])
 
         y = (p0(0.0) + noise.sample(0.0)[0], 0.0)
         t, dt = 0.0, 5e-4

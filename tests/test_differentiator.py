@@ -18,22 +18,18 @@ from rollguard.sysmodel import NoiseModel, step_rk4
 
 class TestHgo:
     def test_fixed_point_at_zero_innovation(self):
-        ch = DiffChannel(value_est=3.2, rate_est=0.0)
-        assert hgo_rates(ch, HgoParams(2, 1, 10), 3.2) == (0.0, 0.0)
+        assert hgo_rates(3.2, 0.0, HgoParams(2, 1, 10), 3.2) == (0.0, 0.0)
 
     def test_direct_substitution(self):
-        ch = DiffChannel(value_est=0.0, rate_est=0.0)
-        assert hgo_rates(ch, HgoParams(2, 1, 10), 1.0) == (20.0, 100.0)
+        assert hgo_rates(0.0, 0.0, HgoParams(2, 1, 10), 1.0) == (20.0, 100.0)
 
     def test_ramp_slope_recovered(self):
         # noise-free ramp input: the rate estimate converges to the slope
         params = HgoParams(2, 1, 10)
-        ch = DiffChannel()
         y = (0.0, 0.0)
 
         def rhs(t, yy):
-            ch.value_est, ch.rate_est = yy
-            return hgo_rates(ch, params, t)
+            return hgo_rates(*yy, params, t)
 
         t, dt = 0.0, 1e-3
         for _ in range(5000):
@@ -231,11 +227,9 @@ class TestCalibration:
             p0 = lambda t: amp * math.sin(omega * t + phase)
             p0dot = lambda t: amp * omega * math.cos(omega * t + phase)
             ch = DiffChannel(e0_bound=v_inf + pdot_bound, coeffs=coeffs)
-            scratch = DiffChannel()
 
             def rhs(t, yy):
-                scratch.value_est, scratch.rate_est = yy
-                return hgo_rates(scratch, params, p0(t) + noise.sample(t)[0])
+                return hgo_rates(*yy, params, p0(t) + noise.sample(t)[0])
 
             y = (p0(0.0) + noise.sample(0.0)[0], 0.0)
             t, dt = 0.0, 5e-4

@@ -9,6 +9,7 @@ import pytest
 
 from rollguard import cli, harness, sysmodel
 from rollguard.barrier import build_constraint_row, constraint_row
+from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError
 from rollguard.scenario import Scenario, load_config, parse_variant
 from rollguard.sysmodel import RobotState, constant_roll, smooth_ramp_roll
@@ -213,6 +214,17 @@ class TestRun:
         assert env.safe and cm.safe
         assert env.final_distance <= cm.final_distance
 
+    def test_envelope_audit_fires_when_calibration_premise_breaks(self):
+        """A 0.3 s ramp has a far larger curvature than the declared
+        pddot_bound of 0, so the calibrated envelope is not sound and the
+        per-channel audit counts violations; with the default calibration
+        it counts none."""
+        broken = harness.run(Scenario(filter="envelope", ramp_duration=0.3,
+                                      pddot_bound=0.0, horizon=3.0)).summary
+        assert broken.envelope_violations > 0
+        sound = harness.run(Scenario(filter="envelope", horizon=3.0)).summary
+        assert sound.envelope_violations == 0
+
     def test_robustified_value_lower_bounds_truth(self):
         # whenever the error envelopes hold, h_rob evaluated at the
         # estimates must not exceed the true constraint value
@@ -221,6 +233,43 @@ class TestRun:
         for rec in res.records:
             assert rec.h_rob[0] <= rec.h_true[0] + 1e-9
             assert rec.h_rob[1] <= rec.h_true[1] + 1e-9
+
+
+def _trace_folds(path, goal, goal_radius) -> dict:
+    """The summary's trace folds, recomputed from a written trace.csv."""
+    with path.open(newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    proj = [float(r["proj_disturbance"]) for r in rows]
+    return {
+        "relaxations": sum(r["qp_status"] == "infeasible_relaxed" for r in rows),
+        "proj_max": max(proj, default=0.0),
+        "budget_sound": all(p <= float(r["budget"]) + 1e-9 for p, r in zip(proj, rows)),
+        "time_to_goal": next((float(r["t"]) for r in rows
+                              if math.hypot(goal[0] - float(r["x"]),
+                                            goal[1] - float(r["y"])) <= goal_radius),
+                             None),
+    }
+
+
+@pytest.mark.parametrize("sc, premise", [
+    *((Scenario(filter=name), None) for name in FILTERS),
+    (Scenario(filter="envelope", v_inf=0.1), lambda s: s["relaxations"] > 0),
+    (Scenario(filter="const_margin", budget_floor=0.03),
+     lambda s: s["budget_sound"] is False),
+    (Scenario(filter="none", goal_x=0.3, goal_y=0.0, start_theta=0.0, horizon=3.0),
+     lambda s: s["time_to_goal"] is not None),
+], ids=[*FILTERS, "envelope_v_inf_0.1", "const_margin_floor_0.03", "none_goal"])
+def test_summary_folds_the_written_trace(tmp_path, sc, premise):
+    """relaxations, proj_max, budget_sound and time_to_goal are folds over
+    the trace: the same folds over the written CSV give the same values.
+    The last three cases relax, exceed the budget and reach the goal."""
+    res = harness.run(sc)
+    harness.write_trace(res.records, tmp_path / "trace.csv")
+    folds = _trace_folds(tmp_path / "trace.csv", (sc.goal_x, sc.goal_y), sc.goal_radius)
+    s = res.summary.to_dict()
+    assert folds == {key: s[key] for key in folds}
+    assert premise is None or premise(s)
 
 
 def test_row_wrapper_bit_equal_to_run_rows():
@@ -243,7 +292,8 @@ def test_row_wrapper_bit_equal_to_run_rows():
         bank.channels[0].value_est, bank.channels[0].rate_est = est[0], est[1]
         bank.channels[1].value_est, bank.channels[1].rate_est = est[2], est[3]
         # as in harness.run
-        est_rate = harness._estimate_rates(est, meas, bank.hgo.k1 * bank.hgo.ell)
+        est_rate = (hgo_rates(est[0], est[1], bank.hgo, meas[0])[0],
+                    hgo_rates(est[2], est[3], bank.hgo, meas[1])[0])
         env_value, env_rate = bank.aggregate(*bank.channel_envelopes(t, sc.v_inf))
         for mode in ("envelope", "budget"):
             for which in ("h1", "h2"):
@@ -416,6 +466,8 @@ class TestConfig:
         {"pdot_bound": -1.0}, {"pddot_bound": -1.0}, {"ramp_duration": 0.0},
         {"budget_floor": -1.0}, {"budget_decay": -1.0},
         {"budget_initial": -1.0, "filter": "const_margin"},
+        {"alpha": 0.5, "filter": "const_margin"},
+        {"alpha": 0.5, "filter": "envelope_budget"},
         {"terrain_profile": "constant", "roll_deg": 89.999999},
         {"roll_deg": -89.999999},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
@@ -467,6 +519,20 @@ class TestCli:
     def test_verify_passes_on_static_config(self):
         assert cli.main(["verify", "--config", STATIC_CFG]) == 0
 
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_verify_prints_the_run_checks(self, tmp_path, capsys, name):
+        """The schedule checks verify prints are the ones a run of the
+        configured filter attaches to its summary."""
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"[run]\nhorizon = 0.5\n[filter]\nname = {name}\n")
+        cli.main(["verify", "--config", str(cfg)])
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        printed = {r["name"]: r for r in reports
+                   if not r["name"].startswith("cbf_candidate_")}
+        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert printed == summary["checks"]
+
     def test_bad_config_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\nwarp = 1\n")
@@ -480,10 +546,13 @@ class TestCli:
                                       "[terrain]\ngravity = 0\n",
                                       "[controller]\nu_v_min = 5\n",
                                       "[terrain]\nprofile = constant\n"
-                                      "roll_deg = 89.999999\n"],
+                                      "roll_deg = 89.999999\n",
+                                      "[filter]\nname = const_margin\nalpha = 0.5\n",
+                                      "[filter]\nname = envelope_budget\nalpha = 0.5\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
                                   "roll_95", "gravity_0", "empty_box",
-                                  "roll_singular"])
+                                  "roll_singular", "const_margin_alpha_half",
+                                  "envelope_budget_alpha_half"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rollguard.differentiator import DiffChannel, HgoParams, hgo_rates
+from rollguard.differentiator import HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, NoiseModel, RobotState, TerrainProfile,
@@ -191,10 +191,8 @@ class TestClosedLoopRhs:
         phi = terrain.roll(t)
         ny, nz = noise.sample(t)
         g = terrain.gravity
-        ry = hgo_rates(DiffChannel(value_est=y[5], rate_est=y[6]), hgo,
-                       g * math.sin(phi) + ny)
-        rz = hgo_rates(DiffChannel(value_est=y[7], rate_est=y[8]), hgo,
-                       -g * math.cos(phi) + nz)
+        ry = hgo_rates(y[5], y[6], hgo, g * math.sin(phi) + ny)
+        rz = hgo_rates(y[7], y[8], hgo, -g * math.cos(phi) + nz)
         return dx + ry + rz
 
     def test_bit_equal_to_reference(self):
