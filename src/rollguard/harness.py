@@ -12,10 +12,13 @@ to goal, and the comparison's `budget_row_margin`, are folds over them.
 The loop keeps only what a record does not hold: the per-channel envelope
 audit, the intersample minimum and the abort state.
 
-Integration advances the augmented state (robot plus both observers) with
-`sysmodel.step_rk4` on one fused right-hand side, `sysmodel.closed_loop_rhs`,
-built once per run; `sysmodel.eval_dynamics` and
-`differentiator.hgo_rates` remain its reference definitions.
+Integration advances the augmented state (robot plus both observers) one
+substep at a time with `sysmodel.closed_loop_step`, built once per run, and
+reads the true constraint after every substep for the intersample minimum.
+Its reference definition is `sysmodel.step_rk4` over
+`sysmodel.closed_loop_rhs`, followed by `sysmodel.wrap_angle` on the
+heading; `sysmodel.eval_dynamics` and `differentiator.hgo_rates` remain the
+reference definitions of that right-hand side.
 
 Each time-dependent quantity is evaluated once per time point. One
 `sysmodel.exogenous_signals` function per run gives the gravity truth,
@@ -43,8 +46,7 @@ from .barrier import (build_bd_row, check_budget_schedule, check_envelope_budget
 from .differentiator import BackwardDiffWindow, backward_diff, hgo_rates
 from .errors import DomainError, NonFiniteStateError
 from .scenario import Scenario, parse_variant
-from .sysmodel import (ControlInput, RobotState, closed_loop_rhs, exogenous_signals,
-                       step_rk4, wrap_angle)
+from .sysmodel import ControlInput, RobotState, closed_loop_step, exogenous_signals
 
 TRACE_SCHEMA = "rollguard-trace-1"
 SAFETY_TOL = 1e-3  # sampled-data slack on the continuous-time guarantee
@@ -201,7 +203,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     checks = _scenario_checks(scenario, bank)
 
     signals = exogenous_signals(terrain, scenario.noise_model(), dist)
-    hold = closed_loop_rhs(act, hgo, signals)
+    hold = closed_loop_step(act, hgo, signals)
     g_y0, g_z0, n_y, n_z, _, _ = signals(0.0)
     # estimates start at the first measurement with zero rate; e0_bound in
     # the bank covers exactly this initialization
@@ -277,11 +279,10 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
                 budget=budget_value, proj_disturbance=proj,
                 qp_status=sol.status, qp_active="+".join(sol.active)))
 
-            rhs = hold(*sol.u)
+            step = hold(*sol.u)
             y = aug
             for i in range(scenario.substeps):
-                y = step_rk4(y, t + i * sub_dt, sub_dt, rhs)
-                y = (y[0], y[1], wrap_angle(y[2]), *y[3:])
+                y = step(y, t + i * sub_dt, sub_dt)
                 g_y, g_z = signals(t + (i + 1) * sub_dt)[:2]
                 min_inter = min(min_inter, *_h_pair(y[4], y[3], g_y, g_z, geom))
             aug = y

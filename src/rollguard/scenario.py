@@ -128,6 +128,13 @@ class Scenario:
                               f"singular band |g_z| < {TIP_POINT_SINGULAR_BAND}")
         if self.v_inf < 0.0:
             raise DomainError(f"v_inf must be nonnegative, got {self.v_inf}")
+        if not math.isfinite(2.0 * self.v_inf):
+            # the noise targets are drawn from [-v_inf, v_inf], whose width
+            # must be a finite float
+            raise DomainError(f"v_inf {self.v_inf} is too large: the noise "
+                              f"range 2 * v_inf is not finite")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.noise_tau <= 0.0:
             raise DomainError(f"noise tau must be positive, got {self.noise_tau}")
         if self.lse_sharpness <= 0.0:

@@ -9,11 +9,13 @@ State ordering used throughout: (x, y, theta, omega, v)
     omega_dot = -tau_omega * omega + tau_omega * u_omega + d_omega
     v_dot     = -tau_v * v + tau_v * u_v + d_v
 
-A run integrates one fused right-hand side on the augmented 9-state (robot
-plus two high-gain observers), built once per run by `closed_loop_rhs`.
-`eval_dynamics` here and `differentiator.hgo_rates` remain its reference
-definitions: the fused form repeats their float operations in order and is
-bit-equal to them.
+A run advances the augmented 9-state (robot plus two high-gain observers)
+with `closed_loop_step`, built once per run: one classical RK4 step of the
+fused closed-loop right-hand side, written out on nine floats. Its
+reference definition is `step_rk4` over `closed_loop_rhs`, followed by
+`wrap_angle` on the heading; that of `closed_loop_rhs` is `eval_dynamics`
+here plus two `differentiator.hgo_rates` calls. Each fused form repeats its
+reference's float operations in order and is bit-equal to it.
 
 Everything that depends on time alone (true gravity components, noise and
 disturbance) comes from one per-run function built by `exogenous_signals`.
@@ -308,6 +310,125 @@ def closed_loop_rhs(act: ActuatorParams, hgo, signals):
                     rate_gy + k1l * innov_y, k2l2 * innov_y,
                     rate_gz + k1l * innov_z, k2l2 * innov_z)
         return rhs
+    return hold
+
+
+def closed_loop_step(act: ActuatorParams, hgo, signals):
+    """One RK4 step of one run's augmented closed loop, built once per run.
+
+    The arguments are those of `closed_loop_rhs`. The result is
+    `hold(u_v, u_omega)`, which returns `step(y, t, dt)` for that input
+    held over a control period: one classical RK4 step from the flat
+    9-tuple augmented state `y` at time `t`, returning the 9-tuple at
+    `t + dt` with the heading wrapped to (-pi, pi].
+
+    `step_rk4` over `closed_loop_rhs`, followed by `wrap_angle` on the
+    heading, is its reference definition. `step` writes that composition
+    out on nine named floats, without stage lists or a call per stage; every
+    float operation happens in the reference's order, so the result is
+    bit-equal, and each check raises the same error: a non-finite held
+    input (from `hold`), a non-finite robot state or disturbance at any
+    stage, a non-finite result and `dt <= 0`. The two midpoint stages share
+    one `signals(t + dt/2)` value, as the reference does through the memo.
+    """
+    tau_v, tau_omega = act.tau_v, act.tau_omega
+    # -tau * state parses as (-tau) * state, so the negations are exact
+    neg_tau_v, neg_tau_omega = -tau_v, -tau_omega
+    k1l = hgo.k1 * hgo.ell
+    k2l2 = hgo.k2 * hgo.ell * hgo.ell
+    sin, cos, ceil, isfinite = math.sin, math.cos, math.ceil, math.isfinite
+    pi = math.pi
+    two_pi = 2.0 * math.pi
+
+    def hold(u_v: float, u_omega: float):
+        if not (isfinite(u_v) and isfinite(u_omega)):
+            raise DomainError("non-finite dynamics input")
+        # the input terms of the two actuator rates are fixed over the hold
+        in_omega = tau_omega * u_omega
+        in_v = tau_v * u_v
+
+        def step(y, t: float, dt: float) -> tuple[float, ...]:
+            if dt <= 0.0:
+                raise DomainError("dt must be positive")
+            x, p, th, w, v, ey, ry, ez, rz = y
+            h2 = 0.5 * dt
+
+            # stage 1 at (t, y)
+            g_y0, g_z0, ny, nz, dw, dv = signals(t)
+            if not (isfinite(x) and isfinite(p) and isfinite(th) and isfinite(w)
+                    and isfinite(v) and isfinite(dw) and isfinite(dv)):
+                raise DomainError("non-finite dynamics input")
+            iy = (g_y0 + ny) - ey
+            iz = (g_z0 + nz) - ez
+            a0, a1, a2 = v * cos(th), v * sin(th), w
+            a3 = neg_tau_omega * w + in_omega + dw
+            a4 = neg_tau_v * v + in_v + dv
+            a5, a6 = ry + k1l * iy, k2l2 * iy
+            a7, a8 = rz + k1l * iz, k2l2 * iz
+
+            # stages 2 and 3 at t + dt/2 share one signals value
+            x2, p2, th2 = x + h2 * a0, p + h2 * a1, th + h2 * a2
+            w2, v2 = w + h2 * a3, v + h2 * a4
+            ey2, ry2, ez2, rz2 = ey + h2 * a5, ry + h2 * a6, ez + h2 * a7, rz + h2 * a8
+            g_y0, g_z0, ny, nz, dw, dv = signals(t + h2)
+            if not (isfinite(x2) and isfinite(p2) and isfinite(th2) and isfinite(w2)
+                    and isfinite(v2) and isfinite(dw) and isfinite(dv)):
+                raise DomainError("non-finite dynamics input")
+            my, mz = g_y0 + ny, g_z0 + nz
+            iy, iz = my - ey2, mz - ez2
+            b0, b1, b2 = v2 * cos(th2), v2 * sin(th2), w2
+            b3 = neg_tau_omega * w2 + in_omega + dw
+            b4 = neg_tau_v * v2 + in_v + dv
+            b5, b6 = ry2 + k1l * iy, k2l2 * iy
+            b7, b8 = rz2 + k1l * iz, k2l2 * iz
+
+            x3, p3, th3 = x + h2 * b0, p + h2 * b1, th + h2 * b2
+            w3, v3 = w + h2 * b3, v + h2 * b4
+            ey3, ry3, ez3, rz3 = ey + h2 * b5, ry + h2 * b6, ez + h2 * b7, rz + h2 * b8
+            # the disturbances were checked in stage 2
+            if not (isfinite(x3) and isfinite(p3) and isfinite(th3) and isfinite(w3)
+                    and isfinite(v3)):
+                raise DomainError("non-finite dynamics input")
+            iy, iz = my - ey3, mz - ez3
+            c0, c1, c2 = v3 * cos(th3), v3 * sin(th3), w3
+            c3 = neg_tau_omega * w3 + in_omega + dw
+            c4 = neg_tau_v * v3 + in_v + dv
+            c5, c6 = ry3 + k1l * iy, k2l2 * iy
+            c7, c8 = rz3 + k1l * iz, k2l2 * iz
+
+            # stage 4 at t + dt
+            x4, p4, th4 = x + dt * c0, p + dt * c1, th + dt * c2
+            w4, v4 = w + dt * c3, v + dt * c4
+            ey4, ry4, ez4, rz4 = ey + dt * c5, ry + dt * c6, ez + dt * c7, rz + dt * c8
+            g_y0, g_z0, ny, nz, dw, dv = signals(t + dt)
+            if not (isfinite(x4) and isfinite(p4) and isfinite(th4) and isfinite(w4)
+                    and isfinite(v4) and isfinite(dw) and isfinite(dv)):
+                raise DomainError("non-finite dynamics input")
+            iy = (g_y0 + ny) - ey4
+            iz = (g_z0 + nz) - ez4
+            d0, d1, d2 = v4 * cos(th4), v4 * sin(th4), w4
+            d3 = neg_tau_omega * w4 + in_omega + dw
+            d4 = neg_tau_v * v4 + in_v + dv
+            d5, d6 = ry4 + k1l * iy, k2l2 * iy
+            d7, d8 = rz4 + k1l * iz, k2l2 * iz
+
+            sixth = dt / 6.0
+            x = x + sixth * (a0 + 2.0 * (b0 + c0) + d0)
+            p = p + sixth * (a1 + 2.0 * (b1 + c1) + d1)
+            th = th + sixth * (a2 + 2.0 * (b2 + c2) + d2)
+            w = w + sixth * (a3 + 2.0 * (b3 + c3) + d3)
+            v = v + sixth * (a4 + 2.0 * (b4 + c4) + d4)
+            ey = ey + sixth * (a5 + 2.0 * (b5 + c5) + d5)
+            ry = ry + sixth * (a6 + 2.0 * (b6 + c6) + d6)
+            ez = ez + sixth * (a7 + 2.0 * (b7 + c7) + d7)
+            rz = rz + sixth * (a8 + 2.0 * (b8 + c8) + d8)
+            if not (isfinite(x) and isfinite(p) and isfinite(th) and isfinite(w)
+                    and isfinite(v) and isfinite(ey) and isfinite(ry)
+                    and isfinite(ez) and isfinite(rz)):
+                raise NonFiniteStateError(f"non-finite state after step at t={t}")
+            # the heading through wrap_angle's expression
+            return (x, p, th - two_pi * ceil((th - pi) / two_pi), w, v, ey, ry, ez, rz)
+        return step
     return hold
 
 

@@ -4,8 +4,8 @@
 derivative: it propagates the augmented closed loop (without disturbance,
 input held) from recorded states and compares d/dt of the robustified
 constraint against the analytic drift + input_row . u. The flow is the
-one `harness.run` integrates, `sysmodel.closed_loop_rhs`, on the scenario
-without disturbance.
+one `harness.run` integrates, `sysmodel.closed_loop_rhs` (the right-hand
+side of `sysmodel.closed_loop_step`), on the scenario without disturbance.
 
 `budget_row_margin_rebuilt` rebuilds both rows of both modes at every
 trace record, the reference for the closed form of

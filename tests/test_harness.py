@@ -15,6 +15,7 @@ from rollguard.scenario import Scenario, load_config, parse_variant
 from rollguard.sysmodel import RobotState, constant_roll, smooth_ramp_roll
 
 from _rowcheck import budget_row_margin_rebuilt
+from _stepref import reference_closed_loop_step
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ROLLOVER_CFG = str(CONFIGS / "rollover_slope.cfg")
@@ -307,6 +308,39 @@ def test_row_wrapper_bit_equal_to_run_rows():
                     [x.hex() for x in (*want.a, want.beta)], (mode, which)
 
 
+@pytest.mark.parametrize("case", [*FILTERS, "tau_v_abort", "mid_period_abort"])
+def test_run_bit_equal_with_reference_step(tmp_path, monkeypatch, case):
+    """harness.run with the shipped closed_loop_step writes the same trace
+    and summary bytes as with its reference definition (step_rk4 over
+    closed_loop_rhs, then wrap_angle): the five filters, an overflow abort,
+    and a roll that leaves the upright regime inside a control period,
+    where the minimum of the substeps finished before the abort must stay
+    in the summary."""
+    if case == "tau_v_abort":
+        sc = Scenario(filter="none", tau_v=1e160, horizon=1.0)
+    elif case == "mid_period_abort":
+        monkeypatch.setattr(Scenario, "terrain", lambda self: smooth_ramp_roll(
+            math.radians(95.0), 0.0, 1.3, self.gravity))
+        sc = Scenario(filter="none", horizon=2.0)
+    else:
+        sc = Scenario(filter=case, horizon=2.0)
+    shipped = harness.run(sc)
+    monkeypatch.setattr(harness, "closed_loop_step", reference_closed_loop_step)
+    reference = harness.run(sc)
+    written = {}
+    for name, res in (("shipped", shipped), ("reference", reference)):
+        harness.write_trace(res.records, tmp_path / f"trace_{name}.csv")
+        harness.write_summary(res.summary, tmp_path / f"summary_{name}.json")
+        written[name] = [(tmp_path / f"{kind}_{name}.{ext}").read_bytes()
+                         for kind, ext in (("trace", "csv"), ("summary", "json"))]
+    assert written["shipped"] == written["reference"]
+    s = shipped.summary
+    assert s.aborted == (case in ("tau_v_abort", "mid_period_abort"))
+    if case == "mid_period_abort":
+        assert "upright regime" in s.abort_reason
+        assert s.min_h_true_intersample < s.min_h_true
+
+
 class TestCompare:
     def test_empty_variant_list(self):
         result = harness.compare(Scenario(filter="none", horizon=0.5), [])
@@ -469,7 +503,7 @@ class TestConfig:
         {"alpha": 0.5, "filter": "const_margin"},
         {"alpha": 0.5, "filter": "envelope_budget"},
         {"terrain_profile": "constant", "roll_deg": 89.999999},
-        {"roll_deg": -89.999999},
+        {"roll_deg": -89.999999}, {"seed": -1}, {"v_inf": 1e308},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_bad_scenario_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -548,11 +582,14 @@ class TestCli:
                                       "[terrain]\nprofile = constant\n"
                                       "roll_deg = 89.999999\n",
                                       "[filter]\nname = const_margin\nalpha = 0.5\n",
-                                      "[filter]\nname = envelope_budget\nalpha = 0.5\n"],
+                                      "[filter]\nname = envelope_budget\nalpha = 0.5\n",
+                                      "[run]\nseed = -1\n",
+                                      "[noise]\nv_inf = 1e308\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
                                   "roll_95", "gravity_0", "empty_box",
                                   "roll_singular", "const_margin_alpha_half",
-                                  "envelope_budget_alpha_half"])
+                                  "envelope_budget_alpha_half", "seed_negative",
+                                  "v_inf_range_overflow"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

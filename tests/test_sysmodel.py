@@ -7,11 +7,14 @@ import scipy.linalg
 from rollguard.differentiator import HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
-from rollguard.sysmodel import (ActuatorParams, ControlInput, NoiseModel, RobotState, TerrainProfile,
-                                closed_loop_rhs, constant_roll, eval_dynamics,
+from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
+                                RobotState, TerrainProfile, closed_loop_rhs,
+                                closed_loop_step, constant_roll, eval_dynamics,
                                 exogenous_signals, gravity_at,
                                 sinusoid_disturbance, smooth_ramp_roll, step_rk4,
                                 wrap_angle)
+
+from _stepref import reference_closed_loop_step
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -245,6 +248,126 @@ class TestClosedLoopRhs:
         with pytest.raises(DomainError, match="non-finite dynamics input") as got:
             self._hold(parts)(*u)(0.3, y)
         assert type(got.value) is type(ref.value)
+
+
+def _outcome(call):
+    """The bits of call()'s result, or the type and text of what it raised."""
+    try:
+        return _bits(call())
+    except (DomainError, NonFiniteStateError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestClosedLoopStep:
+    """The unrolled step a run integrates against its reference definition,
+    step_rk4 over closed_loop_rhs plus wrap_angle, bit for bit: the same
+    results and the same errors."""
+
+    Y = (0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0)
+    NON_FINITE = "non-finite dynamics input"
+
+    @staticmethod
+    def _holds(parts, dist=None):
+        """(shipped, reference) holds, each on its own signals memo."""
+        act, hgo, terrain, noise, run_dist, _ = parts
+        dist = run_dist if dist is None else dist
+        return [make(act, hgo, exogenous_signals(terrain, noise, dist))
+                for make in (closed_loop_step, reference_closed_loop_step)]
+
+    def _both(self, parts, u, y, t, dt, dist=None):
+        got, want = [_outcome(lambda: hold(*u)(y, t, dt))
+                     for hold in self._holds(parts, dist)]
+        assert got == want
+        return got
+
+    def test_bit_equal_to_reference(self):
+        """Random scenarios, inputs, states (headings that wrap) and start
+        times; each sample chains the substeps of one control period, at
+        control rates 2 and 50 Hz with 1, 2, 4 or 7 substeps."""
+        rng = np.random.default_rng(4096)
+        checked = 0
+        for _ in range(20):
+            parts = TestClosedLoopRhs._parts(rng)
+            got_hold, want_hold = self._holds(parts)
+            for _ in range(60):
+                u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+                substeps = int(rng.choice([1, 2, 4, 7]))
+                dt = (1.0 / float(rng.choice([2.0, 50.0]))) / substeps
+                t = float(rng.uniform(0.0, parts[5]))
+                y = rng.normal(0.0, 5.0, 9).tolist()
+                y[2] = float(rng.uniform(-20.0, 20.0))
+                got_step, want_step = got_hold(*u), want_hold(*u)
+                got = want = y
+                for i in range(substeps):
+                    got = got_step(got, t + i * dt, dt)
+                    want = want_step(want, t + i * dt, dt)
+                    assert type(got) is tuple and len(got) == 9
+                    assert -math.pi < got[2] <= math.pi
+                    assert _bits(got) == _bits(want)
+                    checked += 1
+        assert checked >= 1000
+
+    @pytest.mark.parametrize("where", range(2))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_held_input(self, where, bad):
+        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        u = [0.5, -0.2]
+        u[where] = bad
+        got, want = [_outcome(lambda: hold(*u)) for hold in self._holds(parts)]
+        assert got == want == (DomainError, self.NON_FINITE)
+
+    @pytest.mark.parametrize("where", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_robot_state(self, where, bad):
+        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        y = list(self.Y)
+        y[where] = bad
+        assert self._both(parts, (0.5, -0.2), y, 0.3, 0.02) == \
+            (DomainError, self.NON_FINITE)
+
+    @pytest.mark.parametrize("stage, offset", [(1, 0.0), (2, 0.25), (4, 0.75)])
+    @pytest.mark.parametrize("channel", ["d_omega", "d_v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_disturbance(self, stage, offset, channel, bad):
+        """The disturbance turns non-finite from t + offset * dt on, so the
+        first stage whose time reaches it rejects it (stage 3 shares the
+        time of stage 2)."""
+        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        t, dt = 0.3, 0.02
+        t_bad = t + offset * dt
+        bad_signal = lambda s: bad if s >= t_bad else 0.1
+        dist = DisturbanceModel(**{"d_omega": lambda s: 0.1, "d_v": lambda s: 0.1,
+                                   channel: bad_signal})
+        assert self._both(parts, (0.5, -0.2), self.Y, t, dt, dist) == \
+            (DomainError, self.NON_FINITE)
+
+    @pytest.mark.parametrize("fields, u, overrides, t, dt, error", [
+        # x overflows in the stage-2 input, and only in the stage-4 input
+        ({}, (0.5, -0.2), {0: 1.79e308, 2: 0.0, 4: 1e307}, 0.3, 0.5, DomainError),
+        ({}, (0.5, -0.2), {0: 1.79e308, 2: 0.0, 4: 2e306}, 0.3, 0.5, DomainError),
+        # the speed overflows in the stage-3 input: the tau_v = 1e160 abort
+        ({"tau_v": 1e160}, (3.0, 0.0), {0: 0.0, 1: 0.0, 2: 1.5, 3: 0.0, 4: 0.0},
+         0.0, 0.005, DomainError),
+        # an observer state is not a dynamics input: only the result overflows
+        ({}, (0.5, -0.2), {5: 1e308}, 0.3, 0.5, NonFiniteStateError),
+    ], ids=["stage_2", "stage_4", "stage_3_tau_v_1e160", "result"])
+    def test_overflow(self, fields, u, overrides, t, dt, error):
+        sc = Scenario(**fields)
+        parts = (sc.actuator(), sc.hgo(), sc.terrain(), sc.noise_model(),
+                 sc.disturbance(), sc.horizon)
+        y = list(self.Y)
+        for i, value in overrides.items():
+            y[i] = value
+        got = self._both(parts, u, y, t, dt)
+        assert got[0] is error
+        if error is NonFiniteStateError:
+            assert got[1] == f"non-finite state after step at t={t}"
+
+    def test_rejects_bad_dt(self):
+        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        for dt in (0.0, -0.01):
+            assert self._both(parts, (0.5, -0.2), self.Y, 0.3, dt) == \
+                (DomainError, "dt must be positive")
 
 
 class TestExogenousSignals:
