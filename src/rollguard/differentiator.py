@@ -8,7 +8,7 @@ by a high-gain observer
 
 `hgo_rates` is this right-hand side for one channel, pure over floats: the
 estimate rates of every constraint row, and the reference definition of the
-observer part of `sysmodel.closed_loop_rhs`. Its error has a certified envelope
+observer part of `sysmodel.closed_loop_step`. Its error has a certified envelope
 
     M(t) = transient_gain * exp(-decay_rate * t) * e0_bound
            + noise_gain * v_inf.

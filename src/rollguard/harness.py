@@ -15,10 +15,9 @@ audit, the intersample minimum and the abort state.
 Integration advances the augmented state (robot plus both observers) one
 substep at a time with `sysmodel.closed_loop_step`, built once per run, and
 reads the true constraint after every substep for the intersample minimum.
-Its reference definition is `sysmodel.step_rk4` over
-`sysmodel.closed_loop_rhs`, followed by `sysmodel.wrap_angle` on the
-heading; `sysmodel.eval_dynamics` and `differentiator.hgo_rates` remain the
-reference definitions of that right-hand side.
+Its reference definition is `sysmodel.step_rk4` over the right-hand side
+`sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
+followed by `sysmodel.wrap_angle` on the heading.
 
 Each time-dependent quantity is evaluated once per time point. One
 `sysmodel.exogenous_signals` function per run gives the gravity truth,

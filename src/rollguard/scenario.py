@@ -87,6 +87,10 @@ class Scenario:
             value = getattr(self, field.name)
             if field.type == "float" and not math.isfinite(value):
                 raise DomainError(f"{field.name} must be finite, got {value!r}")
+            # a float fails later in a run and a numpy integer in the JSON
+            # summary; a bool is no count or seed
+            if field.type == "int" and type(value) is not int:
+                raise DomainError(f"{field.name} must be an int, got {value!r}")
         if self.control_rate <= 0.0 or self.horizon <= 0.0:
             raise DomainError("control_rate and horizon must be positive")
         if self.horizon < 1.0 / self.control_rate:
@@ -235,9 +239,14 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 
 def load_config(path) -> Scenario:
     """Parse an INI-style scenario file; unknown sections or keys are
-    rejected so typos cannot silently fall back to defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    rejected so typos cannot silently fall back to defaults, and values are
+    taken literally (no `%` interpolation)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise DomainError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise DomainError(f"config file {path!r} not found or unreadable")
     values = {}

@@ -11,11 +11,11 @@ State ordering used throughout: (x, y, theta, omega, v)
 
 A run advances the augmented 9-state (robot plus two high-gain observers)
 with `closed_loop_step`, built once per run: one classical RK4 step of the
-fused closed-loop right-hand side, written out on nine floats. Its
-reference definition is `step_rk4` over `closed_loop_rhs`, followed by
-`wrap_angle` on the heading; that of `closed_loop_rhs` is `eval_dynamics`
-here plus two `differentiator.hgo_rates` calls. Each fused form repeats its
-reference's float operations in order and is bit-equal to it.
+closed loop, written out on nine floats. Its reference definition is
+`step_rk4` over the right-hand side made of `eval_dynamics` here and two
+`differentiator.hgo_rates` calls, followed by `wrap_angle` on the heading;
+the step repeats that composition's float operations in order and is
+bit-equal to it.
 
 Everything that depends on time alone (true gravity components, noise and
 disturbance) comes from one per-run function built by `exogenous_signals`.
@@ -267,69 +267,30 @@ def exogenous_signals(terrain: TerrainProfile, noise, dist: DisturbanceModel):
     return signals
 
 
-def closed_loop_rhs(act: ActuatorParams, hgo, signals):
-    """Right-hand side of one run's augmented closed loop, built once per run.
-
-    The augmented state is the flat 9-tuple (x, y, theta, omega, v,
-    est_gy, rate_gy, est_gz, rate_gz): the robot plus one high-gain
-    observer (`hgo`, an `HgoParams`) per measured gravity channel.
-    `signals` is the run's `exogenous_signals` function. The result is
-    `hold(u_v, u_omega)`, which returns `rhs(t, y)` for that input held
-    over a control period; every `rhs` of one run shares `signals` and its
-    memo.
-
-    `rhs` fuses `eval_dynamics` with the disturbance and two
-    `differentiator.hgo_rates` calls on the noisy measurements, which stay
-    its reference definitions: every float operation happens in their
-    order, so the result is bit-equal to theirs, and a non-finite dynamics
-    input raises the same DomainError (from `hold` for a non-finite input,
-    which stays fixed over the period). It builds no `RobotState`,
-    `ControlInput` or `DiffChannel`.
-    """
-    tau_v, tau_omega = act.tau_v, act.tau_omega
-    k1l = hgo.k1 * hgo.ell
-    k2l2 = hgo.k2 * hgo.ell * hgo.ell
-    sin, cos, isfinite = math.sin, math.cos, math.isfinite
-
-    def hold(u_v: float, u_omega: float):
-        if not (isfinite(u_v) and isfinite(u_omega)):
-            raise DomainError("non-finite dynamics input")
-
-        def rhs(t, y):
-            x, y_pos, theta, omega, v, est_gy, rate_gy, est_gz, rate_gz = y
-            g_y0, g_z0, ny, nz, dist_omega, dist_v = signals(t)
-            if not (isfinite(x) and isfinite(y_pos) and isfinite(theta)
-                    and isfinite(omega) and isfinite(v)
-                    and isfinite(dist_omega) and isfinite(dist_v)):
-                raise DomainError("non-finite dynamics input")
-            innov_y = (g_y0 + ny) - est_gy
-            innov_z = (g_z0 + nz) - est_gz
-            return (v * cos(theta), v * sin(theta), omega,
-                    -tau_omega * omega + tau_omega * u_omega + dist_omega,
-                    -tau_v * v + tau_v * u_v + dist_v,
-                    rate_gy + k1l * innov_y, k2l2 * innov_y,
-                    rate_gz + k1l * innov_z, k2l2 * innov_z)
-        return rhs
-    return hold
-
-
 def closed_loop_step(act: ActuatorParams, hgo, signals):
     """One RK4 step of one run's augmented closed loop, built once per run.
 
-    The arguments are those of `closed_loop_rhs`. The result is
-    `hold(u_v, u_omega)`, which returns `step(y, t, dt)` for that input
-    held over a control period: one classical RK4 step from the flat
-    9-tuple augmented state `y` at time `t`, returning the 9-tuple at
-    `t + dt` with the heading wrapped to (-pi, pi].
+    The augmented state is the flat 9-tuple (x, y, theta, omega, v,
+    est_gy, rate_gy, est_gz, rate_gz): the robot plus one high-gain
+    observer (`hgo`, an `HgoParams`) per measured gravity channel, each
+    driven by its noisy measurement. `signals` is the run's
+    `exogenous_signals` function. The result is `hold(u_v, u_omega)`,
+    which returns `step(y, t, dt)` for that input held over a control
+    period: one classical RK4 step from `y` at time `t`, returning the
+    9-tuple at `t + dt` with the heading wrapped to (-pi, pi]. Every
+    `step` of one run shares `signals` and its memo.
 
-    `step_rk4` over `closed_loop_rhs`, followed by `wrap_angle` on the
-    heading, is its reference definition. `step` writes that composition
-    out on nine named floats, without stage lists or a call per stage; every
+    Its reference definition is `step_rk4` over the right-hand side
+    `eval_dynamics` (with the disturbance) plus two
+    `differentiator.hgo_rates` calls on the measurements, followed by
+    `wrap_angle` on the heading. `step` writes that composition out on
+    nine named floats, without stage lists or a call per stage; every
     float operation happens in the reference's order, so the result is
     bit-equal, and each check raises the same error: a non-finite held
-    input (from `hold`), a non-finite robot state or disturbance at any
-    stage, a non-finite result and `dt <= 0`. The two midpoint stages share
-    one `signals(t + dt/2)` value, as the reference does through the memo.
+    input (from `hold`, which the reference rejects at the first stage), a
+    non-finite robot state or disturbance at any stage, a non-finite
+    result and `dt <= 0`. The two midpoint stages share one
+    `signals(t + dt/2)` value, as the reference does through the memo.
     """
     tau_v, tau_omega = act.tau_v, act.tau_omega
     # -tau * state parses as (-tau) * state, so the negations are exact

@@ -4,8 +4,9 @@
 derivative: it propagates the augmented closed loop (without disturbance,
 input held) from recorded states and compares d/dt of the robustified
 constraint against the analytic drift + input_row . u. The flow is the
-one `harness.run` integrates, `sysmodel.closed_loop_rhs` (the right-hand
-side of `sysmodel.closed_loop_step`), on the scenario without disturbance.
+one `harness.run` integrates: `sysmodel.closed_loop_step` on the run's
+`exogenous_signals`, which also give the measurements, on the scenario
+without disturbance.
 
 `budget_row_margin_rebuilt` rebuilds both rows of both modes at every
 trace record, the reference for the closed form of
@@ -16,8 +17,7 @@ import math
 
 from rollguard.barrier import constraint_row, eval_barrier
 from rollguard.differentiator import hgo_rates
-from rollguard.sysmodel import (RobotState, closed_loop_rhs, exogenous_signals,
-                                step_rk4)
+from rollguard.sysmodel import RobotState, closed_loop_step, exogenous_signals
 
 
 def row_derivative_gap(scenario, record, which):
@@ -25,17 +25,14 @@ def row_derivative_gap(scenario, record, which):
     the midpoint of the record's hold period so every evaluation stays
     inside one smooth piece of the measurement signal."""
     calm = dataclasses.replace(scenario, disturbance_kind="none")
-    terrain = calm.terrain()
-    noise = calm.noise_model()
     geom = calm.geometry()
     act = calm.actuator()
     bank = calm.make_bank()
     hgo = bank.hgo
-    g = calm.gravity
     u_v, u_omega = record.u_star
     period = 1.0 / calm.control_rate
-    signals = exogenous_signals(terrain, noise, calm.disturbance())
-    rhs = closed_loop_rhs(act, hgo, signals)(u_v, u_omega)
+    signals = exogenous_signals(calm.terrain(), calm.noise_model(), calm.disturbance())
+    step = closed_loop_step(act, hgo, signals)(u_v, u_omega)
 
     def h_rob(tt, yy):
         env_value, _ = bank.envelope(tt, calm.v_inf)
@@ -46,18 +43,17 @@ def row_derivative_gap(scenario, record, which):
     y = (s.x, s.y, s.theta, s.omega, s.v, *record.est)
     t = record.t
     for _ in range(2):
-        y = step_rk4(y, t, period / 4.0, rhs)
+        y = step(y, t, period / 4.0)
         t += period / 4.0
 
     eps = 1e-6
-    y1 = step_rk4(y, t, eps, rhs)
-    y2 = step_rk4(y1, t + eps, eps, rhs)
+    y1 = step(y, t, eps)
+    y2 = step(y1, t + eps, eps)
     fd = (-3.0 * h_rob(t, y) + 4.0 * h_rob(t + eps, y1)
           - h_rob(t + 2 * eps, y2)) / (2.0 * eps)
 
-    phi = terrain.roll(t)
-    ny, nz = noise.sample(t)
-    meas = (g * math.sin(phi) + ny, -g * math.cos(phi) + nz)
+    g_y0, g_z0, ny, nz, _, _ = signals(t)
+    meas = (g_y0 + ny, g_z0 + nz)
     est = (y[5], y[7])
     est_rate = (hgo_rates(y[5], y[6], hgo, meas[0])[0],
                 hgo_rates(y[7], y[8], hgo, meas[1])[0])

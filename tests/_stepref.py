@@ -1,19 +1,30 @@
 """The reference definition of `sysmodel.closed_loop_step`.
 
 `reference_closed_loop_step` has its signature and returns the same
-`hold(u_v, u_omega) -> step(y, t, dt)` closures, built from the reference
-parts: `step_rk4` over `closed_loop_rhs`, then `wrap_angle` on the heading.
-The sysmodel tests compare the two step by step, and the harness tests run
-`harness.run` with it in place of the shipped step."""
+`hold(u_v, u_omega) -> step(y, t, dt)` closures, built from the plain
+definitions: `step_rk4` over a right-hand side made of `eval_dynamics`
+(with the disturbance) plus two `hgo_rates` calls on the noisy
+measurements, then `wrap_angle` on the heading. `signals` gives the
+gravity truth, noise and disturbance as `exogenous_signals` does. The
+sysmodel tests compare the two step by step, the reference on the plain
+`gravity_at` and `DisturbanceModel.sample`, and the harness tests run
+`harness.run` with it in place of the shipped step, on the run's own
+`signals`."""
 
-from rollguard.sysmodel import closed_loop_rhs, step_rk4, wrap_angle
+from rollguard.differentiator import hgo_rates
+from rollguard.sysmodel import (ControlInput, RobotState, eval_dynamics, step_rk4,
+                                wrap_angle)
 
 
 def reference_closed_loop_step(act, hgo, signals):
-    hold_rhs = closed_loop_rhs(act, hgo, signals)
-
     def hold(u_v, u_omega):
-        rhs = hold_rhs(u_v, u_omega)
+        u = ControlInput(u_v, u_omega)
+
+        def rhs(t, y):
+            g_y0, g_z0, ny, nz, d_omega, d_v = signals(t)
+            return (eval_dynamics(RobotState(*y[:5]), u, act, (d_omega, d_v))
+                    + hgo_rates(y[5], y[6], hgo, g_y0 + ny)
+                    + hgo_rates(y[7], y[8], hgo, g_z0 + nz))
 
         def step(y, t, dt):
             y = step_rk4(y, t, dt, rhs)

@@ -312,10 +312,10 @@ def test_row_wrapper_bit_equal_to_run_rows():
 def test_run_bit_equal_with_reference_step(tmp_path, monkeypatch, case):
     """harness.run with the shipped closed_loop_step writes the same trace
     and summary bytes as with its reference definition (step_rk4 over
-    closed_loop_rhs, then wrap_angle): the five filters, an overflow abort,
-    and a roll that leaves the upright regime inside a control period,
-    where the minimum of the substeps finished before the abort must stay
-    in the summary."""
+    eval_dynamics plus two hgo_rates calls, then wrap_angle): the five
+    filters, an overflow abort, and a roll that leaves the upright regime
+    inside a control period, where the minimum of the substeps finished
+    before the abort must stay in the summary."""
     if case == "tau_v_abort":
         sc = Scenario(filter="none", tau_v=1e160, horizon=1.0)
     elif case == "mid_period_abort":
@@ -504,6 +504,8 @@ class TestConfig:
         {"alpha": 0.5, "filter": "envelope_budget"},
         {"terrain_profile": "constant", "roll_deg": 89.999999},
         {"roll_deg": -89.999999}, {"seed": -1}, {"v_inf": 1e308},
+        {"substeps": 2.5}, {"seed": 1.5}, {"seed": np.int64(3)}, {"seed": True},
+        {"substeps": True},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_bad_scenario_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -584,12 +586,19 @@ class TestCli:
                                       "[filter]\nname = const_margin\nalpha = 0.5\n",
                                       "[filter]\nname = envelope_budget\nalpha = 0.5\n",
                                       "[run]\nseed = -1\n",
-                                      "[noise]\nv_inf = 1e308\n"],
+                                      "[noise]\nv_inf = 1e308\n",
+                                      "seed = 1\n[run]\n",
+                                      "[run]\nseed = 1\nseed = 2\n",
+                                      "[run]\nseed = 1\n[run]\nhorizon = 2\n",
+                                      "[run]\nseed\n",
+                                      "[filter]\nname = %(x)s\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
                                   "roll_95", "gravity_0", "empty_box",
                                   "roll_singular", "const_margin_alpha_half",
                                   "envelope_budget_alpha_half", "seed_negative",
-                                  "v_inf_range_overflow"])
+                                  "v_inf_range_overflow", "key_before_section",
+                                  "repeated_key", "repeated_section",
+                                  "key_without_value", "interpolation"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rollguard.differentiator import HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
-                                RobotState, TerrainProfile, closed_loop_rhs,
-                                closed_loop_step, constant_roll, eval_dynamics,
+                                RobotState, TerrainProfile, closed_loop_step,
+                                constant_roll, eval_dynamics,
                                 exogenous_signals, gravity_at,
                                 sinusoid_disturbance, smooth_ramp_roll, step_rk4,
                                 wrap_angle)
@@ -169,85 +168,15 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-class TestClosedLoopRhs:
-    """The fused RHS that a run integrates against its reference
-    definitions, eval_dynamics plus two hgo_rates calls, bit for bit."""
-
-    @staticmethod
-    def _parts(rng):
-        sc = Scenario(tau_v=rng.uniform(0.5, 9.0), tau_omega=rng.uniform(0.5, 9.0),
-                      hgo_k1=rng.uniform(0.5, 4.0), hgo_k2=rng.uniform(0.2, 3.0),
-                      hgo_ell=rng.uniform(5.0, 90.0), v_inf=rng.uniform(0.0, 0.1),
-                      seed=int(rng.integers(1 << 30)))
-        return (sc.actuator(), sc.hgo(), sc.terrain(), sc.noise_model(),
-                sc.disturbance(), sc.horizon)
-
-    @staticmethod
-    def _hold(parts):
-        act, hgo, terrain, noise, dist, _ = parts
-        return closed_loop_rhs(act, hgo, exogenous_signals(terrain, noise, dist))
-
-    @staticmethod
-    def _reference(parts, u, t, y):
-        act, hgo, terrain, noise, dist, _ = parts
-        dx = eval_dynamics(RobotState(*y[:5]), ControlInput(*u), act, dist.sample(t))
-        phi = terrain.roll(t)
-        ny, nz = noise.sample(t)
-        g = terrain.gravity
-        ry = hgo_rates(y[5], y[6], hgo, g * math.sin(phi) + ny)
-        rz = hgo_rates(y[7], y[8], hgo, -g * math.cos(phi) + nz)
-        return dx + ry + rz
-
-    def test_bit_equal_to_reference(self):
-        rng = np.random.default_rng(2024)
-        checked = 0
-        for _ in range(20):
-            parts = self._parts(rng)
-            hold = self._hold(parts)
-            for _ in range(60):
-                u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
-                t = float(rng.uniform(0.0, parts[5]))
-                y = rng.normal(0.0, 5.0, 9).tolist()
-                got = hold(*u)(t, y)
-                assert type(got) is tuple and len(got) == 9
-                assert _bits(got) == _bits(self._reference(parts, u, t, y))
-                checked += 1
-        assert checked >= 1000
-
-    def test_memo_bit_equal_on_repeated_times(self):
-        """Times that repeat, interleave and come back, through two held
-        inputs of one run, which share one signals memo."""
-        rng = np.random.default_rng(77)
-        for _ in range(5):
-            parts = self._parts(rng)
-            hold = self._hold(parts)
-            u_a = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
-            u_b = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
-            rhs = {"a": hold(*u_a), "b": hold(*u_b)}
-            inputs = {"a": u_a, "b": u_b}
-            t1, t2 = rng.uniform(0.0, parts[5], 2).tolist()
-            for which, t in [("a", t1), ("a", t1), ("b", t1), ("a", t2),
-                             ("b", t1), ("b", t2), ("a", t2), ("a", t1),
-                             ("b", 0.0), ("a", 0.0), ("b", t1)]:
-                y = rng.normal(0.0, 5.0, 9).tolist()
-                want = self._reference(parts, inputs[which], t, y)
-                assert _bits(rhs[which](t, y)) == _bits(want), (which, t)
-
-    @pytest.mark.parametrize("where", range(7))
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_input_rejected(self, where, bad):
-        parts = self._parts(np.random.default_rng(5))
-        u = [0.5, -0.2]
-        y = [0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0]
-        if where < 5:
-            y[where] = bad
-        else:
-            u[where - 5] = bad
-        with pytest.raises(DomainError, match="non-finite dynamics input") as ref:
-            self._reference(parts, u, 0.3, y)
-        with pytest.raises(DomainError, match="non-finite dynamics input") as got:
-            self._hold(parts)(*u)(0.3, y)
-        assert type(got.value) is type(ref.value)
+def _parts(rng):
+    """One random scenario's (actuator, observer, terrain, noise,
+    disturbance, horizon)."""
+    sc = Scenario(tau_v=rng.uniform(0.5, 9.0), tau_omega=rng.uniform(0.5, 9.0),
+                  hgo_k1=rng.uniform(0.5, 4.0), hgo_k2=rng.uniform(0.2, 3.0),
+                  hgo_ell=rng.uniform(5.0, 90.0), v_inf=rng.uniform(0.0, 0.1),
+                  seed=int(rng.integers(1 << 30)))
+    return (sc.actuator(), sc.hgo(), sc.terrain(), sc.noise_model(),
+            sc.disturbance(), sc.horizon)
 
 
 def _outcome(call):
@@ -260,19 +189,21 @@ def _outcome(call):
 
 class TestClosedLoopStep:
     """The unrolled step a run integrates against its reference definition,
-    step_rk4 over closed_loop_rhs plus wrap_angle, bit for bit: the same
-    results and the same errors."""
+    step_rk4 over eval_dynamics plus two hgo_rates calls, then wrap_angle,
+    bit for bit: the same results and the same errors."""
 
     Y = (0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0)
     NON_FINITE = "non-finite dynamics input"
 
     @staticmethod
     def _holds(parts, dist=None):
-        """(shipped, reference) holds, each on its own signals memo."""
+        """(shipped, reference) holds: the shipped step on the run's memoized
+        signals, the reference on their plain definitions, without a memo."""
         act, hgo, terrain, noise, run_dist, _ = parts
         dist = run_dist if dist is None else dist
-        return [make(act, hgo, exogenous_signals(terrain, noise, dist))
-                for make in (closed_loop_step, reference_closed_loop_step)]
+        plain = lambda t: (*gravity_at(t, terrain, noise), *dist.sample(t))
+        return [closed_loop_step(act, hgo, exogenous_signals(terrain, noise, dist)),
+                reference_closed_loop_step(act, hgo, plain)]
 
     def _both(self, parts, u, y, t, dt, dist=None):
         got, want = [_outcome(lambda: hold(*u)(y, t, dt))
@@ -287,7 +218,7 @@ class TestClosedLoopStep:
         rng = np.random.default_rng(4096)
         checked = 0
         for _ in range(20):
-            parts = TestClosedLoopRhs._parts(rng)
+            parts = _parts(rng)
             got_hold, want_hold = self._holds(parts)
             for _ in range(60):
                 u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
@@ -307,19 +238,42 @@ class TestClosedLoopStep:
                     checked += 1
         assert checked >= 1000
 
+    def test_memo_bit_equal_on_repeated_times(self):
+        """Times that repeat, interleave and come back, through two held
+        inputs of one run, which share one signals memo."""
+        rng = np.random.default_rng(77)
+        for _ in range(5):
+            parts = _parts(rng)
+            got_hold, want_hold = self._holds(parts)
+            u_a = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+            u_b = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+            steps = {which: (got_hold(*u), want_hold(*u))
+                     for which, u in (("a", u_a), ("b", u_b))}
+            t1, t2 = rng.uniform(0.0, parts[5], 2).tolist()
+            dt = 0.005
+            for which, t in [("a", t1), ("a", t1), ("b", t1), ("a", t2),
+                             ("b", t1), ("b", t2), ("a", t2), ("a", t1),
+                             ("b", 0.0), ("a", 0.0), ("b", t1), ("a", t1 + dt),
+                             ("b", t1 + dt / 2.0)]:
+                y = rng.normal(0.0, 5.0, 9).tolist()
+                got_step, want_step = steps[which]
+                assert _bits(got_step(y, t, dt)) == _bits(want_step(y, t, dt)), (which, t)
+
     @pytest.mark.parametrize("where", range(2))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_held_input(self, where, bad):
-        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        """The shipped step rejects the input in `hold`, the reference at its
+        first stage, with the same error."""
+        parts = _parts(np.random.default_rng(5))
         u = [0.5, -0.2]
         u[where] = bad
-        got, want = [_outcome(lambda: hold(*u)) for hold in self._holds(parts)]
-        assert got == want == (DomainError, self.NON_FINITE)
+        assert self._both(parts, u, self.Y, 0.3, 0.02) == \
+            (DomainError, self.NON_FINITE)
 
     @pytest.mark.parametrize("where", range(5))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_robot_state(self, where, bad):
-        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        parts = _parts(np.random.default_rng(5))
         y = list(self.Y)
         y[where] = bad
         assert self._both(parts, (0.5, -0.2), y, 0.3, 0.02) == \
@@ -332,7 +286,7 @@ class TestClosedLoopStep:
         """The disturbance turns non-finite from t + offset * dt on, so the
         first stage whose time reaches it rejects it (stage 3 shares the
         time of stage 2)."""
-        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        parts = _parts(np.random.default_rng(5))
         t, dt = 0.3, 0.02
         t_bad = t + offset * dt
         bad_signal = lambda s: bad if s >= t_bad else 0.1
@@ -364,7 +318,7 @@ class TestClosedLoopStep:
             assert got[1] == f"non-finite state after step at t={t}"
 
     def test_rejects_bad_dt(self):
-        parts = TestClosedLoopRhs._parts(np.random.default_rng(5))
+        parts = _parts(np.random.default_rng(5))
         for dt in (0.0, -0.01):
             assert self._both(parts, (0.5, -0.2), self.Y, 0.3, dt) == \
                 (DomainError, "dt must be positive")
