@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
@@ -13,7 +14,7 @@ from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, 
                                 sinusoid_disturbance, smooth_ramp_roll, step_rk4,
                                 wrap_angle)
 
-from _stepref import reference_closed_loop_step
+from _stepref import reference_closed_loop_step, reference_rhs
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -185,6 +186,65 @@ def _outcome(call):
         return _bits(call())
     except (DomainError, NonFiniteStateError) as exc:
         return (type(exc), str(exc))
+
+
+class TestClosedLoopRhs:
+    """The closed-loop right-hand side, on a run's memoized signals, against
+    the model written out by hand: eval_dynamics on the disturbance plus two
+    hgo_rates calls on g sin(phi) + n_y and -g cos(phi) + n_z, bit for bit.
+    Each stage of the shipped step evaluates this field, and its reference
+    integrates it."""
+
+    @staticmethod
+    def _hold(parts):
+        act, hgo, terrain, noise, dist, _ = parts
+        return reference_rhs(act, hgo, exogenous_signals(terrain, noise, dist))
+
+    @staticmethod
+    def _reference(parts, u, t, y):
+        act, hgo, terrain, noise, dist, _ = parts
+        dx = eval_dynamics(RobotState(*y[:5]), ControlInput(*u), act, dist.sample(t))
+        phi = terrain.roll(t)
+        ny, nz = noise.sample(t)
+        g = terrain.gravity
+        ry = hgo_rates(y[5], y[6], hgo, g * math.sin(phi) + ny)
+        rz = hgo_rates(y[7], y[8], hgo, -g * math.cos(phi) + nz)
+        return dx + ry + rz
+
+    def test_bit_equal_to_reference(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(20):
+            parts = _parts(rng)
+            hold = self._hold(parts)
+            for _ in range(60):
+                u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+                t = float(rng.uniform(0.0, parts[5]))
+                y = rng.normal(0.0, 5.0, 9).tolist()
+                got = hold(*u)(t, y)
+                assert type(got) is tuple and len(got) == 9
+                assert _bits(got) == _bits(self._reference(parts, u, t, y))
+                checked += 1
+        assert checked >= 1000
+
+    @pytest.mark.parametrize("where", range(7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        """The hand-written model, the right-hand side and the shipped step,
+        whose first stage evaluates it at (t, y), raise the same error."""
+        parts = _parts(np.random.default_rng(5))
+        act, hgo, terrain, noise, dist, _ = parts
+        u = [0.5, -0.2]
+        y = [0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0]
+        if where < 5:
+            y[where] = bad
+        else:
+            u[where - 5] = bad
+        shipped = closed_loop_step(act, hgo, exogenous_signals(terrain, noise, dist))
+        outcomes = {_outcome(lambda: self._reference(parts, u, 0.3, y)),
+                    _outcome(lambda: self._hold(parts)(*u)(0.3, y)),
+                    _outcome(lambda: shipped(*u)(y, 0.3, 0.02))}
+        assert outcomes == {(DomainError, "non-finite dynamics input")}
 
 
 class TestClosedLoopStep:
