@@ -87,7 +87,8 @@ class Scenario:
             value = getattr(self, field.name)
             if field.type == "float" and not math.isfinite(value):
                 raise DomainError(f"{field.name} must be finite, got {value!r}")
-            # a float fails later in a run and a numpy integer in the JSON
+            # a float substeps fails later in a run, a float seed draws a
+            # noise stream of its own and a numpy integer fails in the JSON
             # summary; a bool is no count or seed
             if field.type == "int" and type(value) is not int:
                 raise DomainError(f"{field.name} must be an int, got {value!r}")
@@ -133,11 +134,13 @@ class Scenario:
         if self.v_inf < 0.0:
             raise DomainError(f"v_inf must be nonnegative, got {self.v_inf}")
         if not math.isfinite(2.0 * self.v_inf):
-            # the noise targets are drawn from [-v_inf, v_inf], whose width
-            # must be a finite float
+            # the noise targets are -v_inf + 2 * v_inf * u, which would be
+            # inf or nan with an infinite width
             raise DomainError(f"v_inf {self.v_inf} is too large: the noise "
                               f"range 2 * v_inf is not finite")
         if self.seed < 0:
+            # random.Random seeds from |seed|, so -s would share the noise
+            # stream of s
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.noise_tau <= 0.0:
             raise DomainError(f"noise tau must be positive, got {self.noise_tau}")
@@ -240,15 +243,19 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 def load_config(path) -> Scenario:
     """Parse an INI-style scenario file; unknown sections or keys are
     rejected so typos cannot silently fall back to defaults, and values are
-    taken literally (no `%` interpolation)."""
+    taken literally (no `%` interpolation). The file is read as UTF-8, and
+    keys under `[DEFAULT]`, which configparser would merge into every other
+    section, are rejected like any unknown section."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                        interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise DomainError(f"config file {path!r} not found or unreadable")
+    if parser.defaults():
+        raise DomainError(f"unknown config section [{parser.default_section}]")
     values = {}
     for section in parser.sections():
         if section not in _SCHEMA:

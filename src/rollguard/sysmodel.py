@@ -29,10 +29,9 @@ scenarios can run concurrently.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import DomainError, NonFiniteStateError
 
@@ -119,8 +118,9 @@ def smooth_ramp_roll(angle: float, start: float, duration: float,
 class NoiseModel:
     """Seeded measurement noise with an exact sup-norm bound.
 
-    Uniform targets in [-v_inf, v_inf] are drawn once per control period and
-    fed through a first-order low-pass, whose piecewise solution
+    Uniform targets in [-v_inf, v_inf] are drawn once per control period,
+    y then z, from one `random.Random(seed)` stream, and fed through a
+    first-order low-pass, whose piecewise solution
 
         n(t) = target_k + (n(t_k) - target_k) * exp(-(t - t_k) / tau)
 
@@ -139,10 +139,12 @@ class NoiseModel:
         self.tau = tau
         self.period = 1.0 / rate
         n = int(math.ceil(horizon * rate)) + 2
-        rng = np.random.default_rng(seed)
-        # numpy only draws the targets; the recursion runs on builtin
-        # floats, whose arithmetic rounds exactly like numpy's float64
-        targets = rng.uniform(-v_inf, v_inf, size=(n, 2)).tolist()
+        # Python keeps random.Random's stream for a seed fixed across
+        # versions; low + (high - low) * u with u in [0, 1) rounds to at
+        # most v_inf in magnitude
+        u = random.Random(seed).random
+        low, width = -v_inf, 2.0 * v_inf
+        targets = [(low + width * u(), low + width * u()) for _ in range(n)]
         decay = math.exp(-self.period / tau)
         sy = sz = 0.0
         states = [(sy, sz)]

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +522,17 @@ class TestConfig:
 
 
 class TestCli:
+    def test_runtime_imports_without_numpy(self):
+        """The package runs on the standard library alone; numpy is a test
+        dependency only."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import rollguard.cli, rollguard.harness; "
+                "assert 'numpy' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_simulate_safe_exit_zero(self, tmp_path):
         code = cli.main(["simulate", "--config", ROLLOVER_CFG,
                          "--out", str(tmp_path)])
@@ -591,17 +604,22 @@ class TestCli:
                                       "[run]\nseed = 1\nseed = 2\n",
                                       "[run]\nseed = 1\n[run]\nhorizon = 2\n",
                                       "[run]\nseed\n",
-                                      "[filter]\nname = %(x)s\n"],
+                                      "[filter]\nname = %(x)s\n",
+                                      b"\xff\xfe[run]\nseed=3\n",
+                                      "[DEFAULT]\nseed = 3\nwarp = 9\n",
+                                      "[DEFAULT]\nseed = 3\n[run]\nhorizon = 2\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
                                   "roll_95", "gravity_0", "empty_box",
                                   "roll_singular", "const_margin_alpha_half",
                                   "envelope_budget_alpha_half", "seed_negative",
                                   "v_inf_range_overflow", "key_before_section",
                                   "repeated_key", "repeated_section",
-                                  "key_without_value", "interpolation"])
+                                  "key_without_value", "interpolation",
+                                  "not_utf8", "default_section_typo",
+                                  "default_section_merged"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
