@@ -159,35 +159,22 @@ class DisturbanceBudget:
         return -self.initial * self.decay * math.exp(-self.decay * t)
 
 
-def constraint_row(which: str, mode: str, state: RobotState,
-                   est: tuple[float, float], est_rate: tuple[float, float],
-                   env_value: float, env_rate: float, budget_value: float,
-                   geom: GeometryParams, actuator: ActuatorParams,
-                   alpha: AlphaLinear) -> ConstraintRow:
+def constraint_row(which: str, state: RobotState, est: tuple[float, float],
+                   est_rate: tuple[float, float], env_value: float, env_rate: float,
+                   budget_value: float, geom: GeometryParams,
+                   actuator: ActuatorParams, alpha: AlphaLinear) -> ConstraintRow:
     """Assemble one affine row for the safety QP from values taken once
     per control step: the value estimates `est` and their rates along the
     observer flow, the aggregated envelope (value, rate) and the budget
-    value at the step's time.
-
-    mode 'envelope': enforce the robustified constraint including the
-    envelope rate term,
-        drift + a . u >= -alpha(h_rob).
-    mode 'budget': the sufficient linear-rate form evaluated at the raw
-    estimates, independent of the envelope,
-        drift0 + a . u - alpha.rate * budget(t) >= -alpha(h).
-    Each mode reads only its own inputs.
+    value at the step's time. Every filter enforces the one robustified
+    condition
+        drift + a . u >= -alpha(h_rob) + alpha.rate * budget(t),
+    with h_rob and drift from `eval_barrier`; a filter picks which inputs
+    it sets to zero.
     """
-    if mode == "envelope":
-        be = eval_barrier(which, state, est, geom, actuator, est_rate,
-                          env_value, env_rate)
-        beta = -alpha(be.h_rob) - be.drift
-    elif mode == "budget":
-        if alpha.rate < 1.0:
-            raise DomainError("budget mode requires alpha rate >= 1")
-        be = eval_barrier(which, state, est, geom, actuator, est_rate)
-        beta = -alpha(be.h) + alpha.rate * budget_value - be.drift
-    else:
-        raise DomainError(f"unknown row mode {mode!r}")
+    be = eval_barrier(which, state, est, geom, actuator, est_rate,
+                      env_value, env_rate)
+    beta = -alpha(be.h_rob) + alpha.rate * budget_value - be.drift
     return ConstraintRow(a=be.input_row, beta=beta, label=which)
 
 
@@ -198,9 +185,10 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
                          budget: DisturbanceBudget | None = None) -> ConstraintRow:
     """One row of `constraint_row` from the bank's current estimates: the
     estimate rates come from `hgo_rates` on each channel's estimates and
-    its entry of `measurements`, the envelope
-    from `bank.envelope(t, v_inf)` (envelope mode) and the budget value
-    from `budget.value(t)` (budget mode)."""
+    its entry of `measurements`. mode 'envelope' takes the envelope from
+    `bank.envelope(t, v_inf)` with zero budget; mode 'budget' takes the
+    budget value from `budget.value(t)` with zero envelope, and needs an
+    alpha rate >= 1 for the row to be sufficient."""
     if measurements is None:
         raise StaleMeasurementError("constraint row requires current measurements")
     if len(bank.channels) != 2:
@@ -214,8 +202,12 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
     elif mode == "budget":
         if budget is None:
             raise DomainError("budget mode requires a DisturbanceBudget")
+        if alpha.rate < 1.0:
+            raise DomainError("budget mode requires alpha rate >= 1")
         budget_value = budget.value(t)
-    return constraint_row(which, mode, state, est, est_rate, env_value, env_rate,
+    else:
+        raise DomainError(f"unknown row mode {mode!r}")
+    return constraint_row(which, state, est, est_rate, env_value, env_rate,
                           budget_value, geom, actuator, alpha)
 
 
@@ -225,8 +217,8 @@ def build_bd_row(which: str, state: RobotState, measurements: tuple[float, float
     """Baseline row: h at the raw measurements, with the parameter drift
     taken from a finite-difference derivative estimate. No robustification;
     noisy rate estimates feed straight into the inequality."""
-    be = eval_barrier(which, state, measurements, geom, actuator, rate_estimates)
-    return ConstraintRow(a=be.input_row, beta=-alpha(be.h) - be.drift, label=which)
+    return constraint_row(which, state, measurements, rate_estimates, 0.0, 0.0,
+                          0.0, geom, actuator, alpha)
 
 
 @dataclass(frozen=True)
@@ -295,7 +287,7 @@ def check_envelope_budget(lip: float,
 
 def check_envelope_decay(bank: DifferentiatorBank, alpha: AlphaLinear,
                          horizon: float, v_inf: float, n: int = 501) -> CheckReport:
-    """Premise of the budget-mode row: alpha rate >= 1 and every channel
+    """Premise of the budget row: alpha rate >= 1 and every channel
     envelope decaying at least at that rate, env_rate <= -alpha(env)."""
     def margin(t: float) -> float:
         vals, rates = bank.channel_envelopes(t, v_inf)
@@ -331,22 +323,20 @@ def verify_cbf_candidate(which: str, v_grid: Sequence[float],
     Necessary, not sufficient, once inputs are bounded.
     """
     sign = _sign_of(which)
+    # the input-direction gate does not depend on the roll
+    rest = [(v, omega) for v in v_grid for omega in omega_grid
+            if math.hypot(actuator.tau_v * omega, actuator.tau_omega * v)
+            < 1e-8 * (1.0 + math.hypot(v, omega))]
     violations = []
-    points = 0
-    gated = 0
     for phi in roll_grid:
         g_y = gravity * math.sin(phi)
         g_z = -gravity * math.cos(phi)
-        for v in v_grid:
-            for omega in omega_grid:
-                points += 1
-                row_norm = math.hypot(actuator.tau_v * omega, actuator.tau_omega * v)
-                if row_norm >= 1e-8 * (1.0 + math.hypot(v, omega)):
-                    continue
-                gated += 1
-                h = eval_h(which, v, omega, g_y, g_z, geom)
-                drift = -sign * (actuator.tau_v + actuator.tau_omega) * v * omega
-                if drift < -alpha(h) - 1e-12:
-                    violations.append({"v": v, "omega": omega, "roll": phi,
-                                       "h": h, "drift": drift})
-    return CandidateReport(points=points, gated=gated, violations=tuple(violations))
+        for v, omega in rest:
+            h = eval_h(which, v, omega, g_y, g_z, geom)
+            drift = -sign * (actuator.tau_v + actuator.tau_omega) * v * omega
+            if drift < -alpha(h) - 1e-12:
+                violations.append({"v": v, "omega": omega, "roll": phi,
+                                   "h": h, "drift": drift})
+    return CandidateReport(points=len(roll_grid) * len(v_grid) * len(omega_grid),
+                           gated=len(roll_grid) * len(rest),
+                           violations=tuple(violations))

@@ -6,7 +6,8 @@
 
 Exit codes: 0 all safety assertions hold, 2 a violation was detected
 (the intended outcome for the unfiltered baseline when --expect-violation
-is passed), 1 error.
+is passed), 1 error (a bad config or an output path that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def _load(args):
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    result = harness.run(scenario)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    result = harness.run(scenario)
     harness.write_trace(result.records, outdir / f"trace_{scenario.filter}.csv")
     harness.write_summary(result.summary, outdir / "summary.json")
     s = result.summary
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

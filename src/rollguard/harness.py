@@ -25,8 +25,13 @@ noise and disturbance to the right-hand side, the measurements, the truth
 audits and the intersample truth. Per control step, one per-channel
 envelope pass gives the rows, `h_rob`, the envelope columns and the
 envelope audit; the estimate rates and the budget value are taken once
-for both rows through `barrier.constraint_row`. A `DomainError` anywhere
-in a control step ends the run with an aborted summary.
+for both rows. Every filtered variant builds its rows with the one
+formula `barrier.constraint_row` and differs only in the inputs:
+`backward_diff` gives it the measurements and their backward-difference
+rates, the others the observer estimates and their rates; only `envelope`
+passes the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS`
+the budget. A `DomainError` anywhere in a control step ends the run with
+an aborted summary.
 """
 
 from __future__ import annotations
@@ -39,12 +44,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import qp
-from .barrier import (build_bd_row, check_budget_schedule, check_envelope_budget,
+from .barrier import (check_budget_schedule, check_envelope_budget,
                       check_envelope_decay, constraint_row, eval_h, lipschitz_gain,
                       zmp_lateral)
 from .differentiator import BackwardDiffWindow, backward_diff, hgo_rates
 from .errors import DomainError, NonFiniteStateError
-from .scenario import Scenario, parse_variant
+from .scenario import BUDGET_ROW_FILTERS, Scenario, parse_variant
 from .sysmodel import ControlInput, RobotState, closed_loop_step, exogenous_signals
 
 TRACE_SCHEMA = "rollguard-trace-1"
@@ -192,7 +197,9 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     goal = (scenario.goal_x, scenario.goal_y)
     gains = (scenario.k_v, scenario.k_omega)
     v_inf = scenario.v_inf
-    mode = "envelope" if scenario.filter == "envelope" else "budget"
+    # the row inputs a filter does not keep enter the row as zero
+    keeps_envelope = scenario.filter == "envelope"
+    keeps_budget = scenario.filter in BUDGET_ROW_FILTERS
     hgo = bank.hgo
     lip = lipschitz_gain(geom)
 
@@ -235,20 +242,21 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
             if scenario.filter == "none":
                 rows = ()
-            elif scenario.filter == "backward_diff":
-                win_y.push(meas[0])
-                win_z.push(meas[1])
-                rates = (backward_diff(win_y), backward_diff(win_z))
-                rows = (build_bd_row("h1", state, meas, rates, geom, act, alpha),
-                        build_bd_row("h2", state, meas, rates, geom, act, alpha))
             else:
-                est_value = (est[0], est[2])
-                est_rate = (hgo_rates(est[0], est[1], hgo, meas[0])[0],
-                            hgo_rates(est[2], est[3], hgo, meas[1])[0])
-                rows = (constraint_row("h1", mode, state, est_value, est_rate, env_value,
-                                       env_rate, budget_value, geom, act, alpha),
-                        constraint_row("h2", mode, state, est_value, est_rate, env_value,
-                                       env_rate, budget_value, geom, act, alpha))
+                if scenario.filter == "backward_diff":
+                    win_y.push(meas[0])
+                    win_z.push(meas[1])
+                    row_est = meas
+                    row_rate = (backward_diff(win_y), backward_diff(win_z))
+                else:
+                    row_est = (est[0], est[2])
+                    row_rate = (hgo_rates(est[0], est[1], hgo, meas[0])[0],
+                                hgo_rates(est[2], est[3], hgo, meas[1])[0])
+                row_env = (env_value, env_rate) if keeps_envelope else (0.0, 0.0)
+                row_budget = budget_value if keeps_budget else 0.0
+                rows = tuple(constraint_row(which, state, row_est, row_rate, *row_env,
+                                            row_budget, geom, act, alpha)
+                             for which in ("h1", "h2"))
 
             sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
 

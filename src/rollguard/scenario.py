@@ -18,6 +18,9 @@ from .sysmodel import (ActuatorParams, DisturbanceModel, NoiseModel,
                        sinusoid_disturbance, smooth_ramp_roll)
 
 FILTERS = ("none", "backward_diff", "const_margin", "envelope", "envelope_budget")
+# filters whose row carries the disturbance budget; the row is sufficient
+# only at a linear alpha rate >= 1
+BUDGET_ROW_FILTERS = ("const_margin", "envelope_budget")
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class Scenario:
     hgo_k1: float = 2.0
     hgo_k2: float = 1.0
     hgo_ell: float = 50.0
-    lse_sharpness: float = 100.0
     pdot_bound: float = 4.5
     pddot_bound: float = 8.0
     # safety filter
@@ -116,8 +118,7 @@ class Scenario:
         self.actuator()
         self.hgo()
         self.alpha_fn()
-        if self.filter in ("const_margin", "envelope_budget") and self.alpha < 1.0:
-            # the budget-mode row is only sufficient at a linear rate >= 1
+        if self.filter in BUDGET_ROW_FILTERS and self.alpha < 1.0:
             raise DomainError(f"filter {self.filter!r} requires alpha >= 1, "
                               f"got {self.alpha}")
         DisturbanceBudget(self.budget_initial, self.budget_decay, self.budget_floor)
@@ -144,9 +145,6 @@ class Scenario:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.noise_tau <= 0.0:
             raise DomainError(f"noise tau must be positive, got {self.noise_tau}")
-        if self.lse_sharpness <= 0.0:
-            raise DomainError(f"differentiator sharpness must be positive, "
-                              f"got {self.lse_sharpness}")
         if self.pdot_bound < 0.0 or self.pddot_bound < 0.0:
             raise DomainError("signal derivative bounds must be nonnegative")
         if self.v_inf == 0.0 and self.pddot_bound > 0.0:
@@ -206,7 +204,6 @@ class Scenario:
             channels=(DiffChannel(e0_bound=e0, coeffs=coeffs),
                       DiffChannel(e0_bound=e0, coeffs=coeffs)),
             hgo=self.hgo(),
-            sharpness=self.lse_sharpness,
         )
 
 
@@ -230,8 +227,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
                    "u_v_min": "u_v_min", "u_v_max": "u_v_max",
                    "u_omega_min": "u_omega_min", "u_omega_max": "u_omega_max"},
     "differentiator": {"k1": "hgo_k1", "k2": "hgo_k2", "ell": "hgo_ell",
-                       "sharpness": "lse_sharpness", "pdot_bound": "pdot_bound",
-                       "pddot_bound": "pddot_bound"},
+                       "pdot_bound": "pdot_bound", "pddot_bound": "pddot_bound"},
     "filter": {"name": "filter", "alpha": "alpha",
                "budget_initial": "budget_initial", "budget_decay": "budget_decay",
                "budget_floor": "budget_floor"},
@@ -243,13 +239,14 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 def load_config(path) -> Scenario:
     """Parse an INI-style scenario file; unknown sections or keys are
     rejected so typos cannot silently fall back to defaults, and values are
-    taken literally (no `%` interpolation). The file is read as UTF-8, and
-    keys under `[DEFAULT]`, which configparser would merge into every other
-    section, are rejected like any unknown section."""
+    taken literally (no `%` interpolation). The file is read as UTF-8, with
+    or without a byte-order mark, and keys under `[DEFAULT]`, which
+    configparser would merge into every other section, are rejected like
+    any unknown section."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                        interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed config file {path!r}: {exc}") from exc
     if not read:

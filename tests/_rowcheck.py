@@ -8,9 +8,9 @@ one `harness.run` integrates: `sysmodel.closed_loop_step` on the run's
 `exogenous_signals`, which also give the measurements, on the scenario
 without disturbance.
 
-`budget_row_margin_rebuilt` rebuilds both rows of both modes at every
-trace record, the reference for the closed form of
-`harness.budget_row_margin`."""
+`budget_row_margin_rebuilt` rebuilds the envelope row and the budget row
+of both constraints at every trace record, the reference for the closed
+form of `harness.budget_row_margin`."""
 
 import dataclasses
 import math
@@ -78,9 +78,9 @@ def budget_row_margin_rebuilt(scenario, records):
                     hgo_rates(rec.est[2], rec.est[3], bank.hgo, rec.g_meas[1])[0])
         env_value, env_rate = bank.envelope(rec.t, scenario.v_inf)
         for which in ("h1", "h2"):
-            env = constraint_row(which, "envelope", rec.state, est_value, est_rate,
+            env = constraint_row(which, rec.state, est_value, est_rate,
                                  env_value, env_rate, 0.0, geom, act, alpha)
-            bud = constraint_row(which, "budget", rec.state, est_value, est_rate,
+            bud = constraint_row(which, rec.state, est_value, est_rate,
                                  0.0, 0.0, budget.value(rec.t), geom, act, alpha)
             worst = min(worst, bud.beta - env.beta)
     return worst

@@ -7,7 +7,7 @@ from rollguard.barrier import (AlphaLinear, CheckReport, DisturbanceBudget,
                                GeometryParams, build_bd_row,
                                build_constraint_row, check_budget_schedule,
                                check_envelope_budget, check_envelope_decay,
-                               eval_barrier, eval_h, lipschitz_gain,
+                               constraint_row, eval_barrier, eval_h, lipschitz_gain,
                                verify_cbf_candidate, zmp_lateral)
 from rollguard.differentiator import (DiffChannel, DifferentiatorBank,
                                       EnvelopeCoeffs, HgoParams)
@@ -205,6 +205,46 @@ class TestRows:
         assert env.a == pytest.approx(bud.a)
         assert env.beta == pytest.approx(bud.beta + lse_gap, abs=1e-12)
 
+    def test_one_row_matches_envelope_and_budget_formulas(self, geom, actuator):
+        """The one row against the two formulas it replaces, bit for bit:
+        -alpha(h_rob) - drift at zero budget and -alpha(h) + alpha.rate * B
+        - drift at zero envelope. The zero budget adds + 0.0, which turns an
+        exact-zero -0.0 into +0.0; that case compares with ==."""
+        rng = np.random.default_rng(14)
+        zero_case = (RobotState(0, 0, 0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        signed_zeros = 0
+        for i in range(1001):
+            if i == 0:
+                st, est, est_rate = zero_case
+            else:
+                st = RobotState(*rng.uniform(-3.0, 3.0, 5).tolist())
+                est = tuple(rng.uniform(-10.0, 10.0, 2).tolist())
+                est_rate = tuple(rng.uniform(-10.0, 10.0, 2).tolist())
+            env_value = float(rng.uniform(0.0, 5.0))
+            env_rate = float(rng.uniform(-50.0, 0.0))
+            budget_value = float(rng.uniform(0.0, 3.0))
+            # below 1 as well: the backward-difference row takes any rate
+            alpha = AlphaLinear(float(rng.uniform(0.1, 8.0)))
+            for which in ("h1", "h2"):
+                be = eval_barrier(which, st, est, geom, actuator, est_rate,
+                                  env_value, env_rate)
+                be0 = eval_barrier(which, st, est, geom, actuator, est_rate)
+                for want, inputs in (
+                        (-alpha(be.h_rob) - be.drift, (env_value, env_rate, 0.0)),
+                        (-alpha(be0.h) + alpha.rate * budget_value - be0.drift,
+                         (0.0, 0.0, budget_value)),
+                        (-alpha(be0.h) - be0.drift, (0.0, 0.0, 0.0))):
+                    got = constraint_row(which, st, est, est_rate, *inputs, geom,
+                                         actuator, alpha)
+                    assert got.a == be.input_row
+                    if want == 0.0 and got.beta.hex() != want.hex():
+                        assert (want, got.beta) == (-0.0, 0.0)
+                        signed_zeros += 1
+                    else:
+                        assert got.beta.hex() == want.hex(), (i, which, inputs)
+        # h2 at rest on zero estimates: h_rob and drift are both +0.0
+        assert signed_zeros == 1
+
     def test_missing_measurements_rejected(self, geom, actuator, alpha):
         with pytest.raises(StaleMeasurementError):
             build_constraint_row("h1", "envelope", RobotState(0, 0, 0, 0, 0),
@@ -220,6 +260,9 @@ class TestRows:
             build_constraint_row("h1", "budget", st, make_bank(), (0.0, -9.81),
                                  0.0, 0.0, geom, actuator, AlphaLinear(0.5),
                                  DisturbanceBudget(0.0, 1.0, 0.1))
+        with pytest.raises(DomainError, match="unknown row mode"):
+            build_constraint_row("h1", "margin", st, make_bank(), (0.0, -9.81),
+                                 0.0, 0.0, geom, actuator, AlphaLinear(4.0))
 
     def test_alpha_monotonicity_on_safe_states(self, geom, actuator):
         # larger rate never shrinks the feasible half-plane while the
@@ -346,6 +389,9 @@ class TestCandidateAudit:
         report = verify_cbf_candidate("h1", [0.0, 1.0], [0.0], [0.0],
                                       geom, actuator, alpha)
         assert report.gated == 1
+        report = verify_cbf_candidate("h1", [0.0, 1.0], [0.0, 0.5],
+                                      [0.0, 0.1, 0.2], geom, actuator, alpha)
+        assert (report.points, report.gated) == (12, 3)
 
     def test_violation_reported_for_tall_robot(self, actuator, alpha):
         # a geometry whose rest pose is already outside the safe set on a

@@ -298,12 +298,15 @@ def test_row_wrapper_bit_equal_to_run_rows():
         est_rate = (hgo_rates(est[0], est[1], bank.hgo, meas[0])[0],
                     hgo_rates(est[2], est[3], bank.hgo, meas[1])[0])
         env_value, env_rate = bank.aggregate(*bank.channel_envelopes(t, sc.v_inf))
-        for mode in ("envelope", "budget"):
+        # the inputs each mode keeps, as harness.run passes them
+        inputs = {"envelope": (env_value, env_rate, 0.0),
+                  "budget": (0.0, 0.0, budget.value(t))}
+        for mode, (row_env, row_env_rate, row_budget) in inputs.items():
             for which in ("h1", "h2"):
                 want = build_constraint_row(which, mode, state, bank, meas, t, sc.v_inf,
                                             geom, act, alpha, budget)
-                got = constraint_row(which, mode, state, (est[0], est[2]), est_rate,
-                                     env_value, env_rate, budget.value(t),
+                got = constraint_row(which, state, (est[0], est[2]), est_rate,
+                                     row_env, row_env_rate, row_budget,
                                      geom, act, alpha)
                 assert got.label == want.label == which
                 assert [x.hex() for x in (*got.a, got.beta)] == \
@@ -479,6 +482,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             load_config("no_such_file.cfg")
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf[run]\nseed = 3\n")
+        assert load_config(cfg).seed == 3
+
     def test_variant_parsing(self):
         label, sc = parse_variant(Scenario(), "const_margin:0.9")
         assert label == "const_margin_0.9"
@@ -497,7 +505,7 @@ class TestConfig:
         {"u_v_min": 5.0}, {"u_omega_max": -3.0}, {"gravity": 0.0},
         {"gravity": -9.81}, {"tau_v": 0.0}, {"tau_omega": -1.0},
         {"alpha": 0.0}, {"half_width": 0.0}, {"cg_height": -0.4},
-        {"hgo_ell": 0.0}, {"hgo_k1": -2.0}, {"lse_sharpness": 0.0},
+        {"hgo_ell": 0.0}, {"hgo_k1": -2.0},
         {"noise_tau": 0.0}, {"v_inf": -0.01}, {"v_inf": 0.0},
         {"pdot_bound": -1.0}, {"pddot_bound": -1.0}, {"ramp_duration": 0.0},
         {"budget_floor": -1.0}, {"budget_decay": -1.0},
@@ -581,6 +589,23 @@ class TestCli:
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert printed == summary["checks"]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_unwritable_out_exit_one(self, tmp_path, capsys, monkeypatch, command):
+        """An --out that is, or lies under, an existing file is an error,
+        and simulate reports it before it runs the simulation."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if command == "simulate":
+            def no_run(*args, **kwargs):
+                raise AssertionError("simulated before creating the output directory")
+            monkeypatch.setattr(harness, "run", no_run)
+            argv = ["simulate", "--config", ROLLOVER_CFG, "--out", str(blocker)]
+        else:
+            argv = ["compare", "--config", STATIC_CFG, "--seed", "1", "--variants",
+                    "none", "--out", str(blocker / "x")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
