@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .differentiator import DifferentiatorBank, hgo_rates
+from .differentiator import DifferentiatorBank, error_envelope, hgo_rates
 from .errors import DomainError, SingularityError, StaleMeasurementError
 from .sysmodel import ActuatorParams, RobotState
 
@@ -114,7 +114,7 @@ def eval_barrier(which: str, state: RobotState, est: tuple[float, float],
                  est_rate: tuple[float, float] = (0.0, 0.0),
                  env_value: float = 0.0, env_rate: float = 0.0) -> BarrierEval:
     """Evaluate one constraint at the gravity estimates `est`, robustified
-    by the aggregated error envelope: h_rob = h(est) - lipschitz * env_value.
+    by the bank's envelope: h_rob = h(est) - lipschitz * env_value.
 
     `est_rate` is the time derivative of the value estimates along the
     estimator flow (rate estimate plus innovation).
@@ -165,7 +165,7 @@ def constraint_row(which: str, state: RobotState, est: tuple[float, float],
                    actuator: ActuatorParams, alpha: AlphaLinear) -> ConstraintRow:
     """Assemble one affine row for the safety QP from values taken once
     per control step: the value estimates `est` and their rates along the
-    observer flow, the aggregated envelope (value, rate) and the budget
+    observer flow, the bank's envelope (value, rate) and the budget
     value at the step's time. Every filter enforces the one robustified
     condition
         drift + a . u >= -alpha(h_rob) + alpha.rate * budget(t),
@@ -186,19 +186,19 @@ def build_constraint_row(which: str, mode: str, state: RobotState,
     """One row of `constraint_row` from the bank's current estimates: the
     estimate rates come from `hgo_rates` on each channel's estimates and
     its entry of `measurements`. mode 'envelope' takes the envelope from
-    `bank.envelope(t, v_inf)` with zero budget; mode 'budget' takes the
-    budget value from `budget.value(t)` with zero envelope, and needs an
-    alpha rate >= 1 for the row to be sufficient."""
+    `bank.envelope(t)` with zero budget; mode 'budget' takes the budget
+    value from `budget.value(t)` with zero envelope, and needs an alpha
+    rate >= 1 for the row to be sufficient. `v_inf` must be `bank.v_inf`."""
     if measurements is None:
         raise StaleMeasurementError("constraint row requires current measurements")
-    if len(bank.channels) != 2:
-        raise DomainError("expected one channel per gravity component")
+    if v_inf != bank.v_inf:
+        raise DomainError(f"v_inf {v_inf!r} differs from the bank's {bank.v_inf!r}")
     est = (bank.channels[0].value_est, bank.channels[1].value_est)
     est_rate = tuple(hgo_rates(ch.value_est, ch.rate_est, bank.hgo, p)[0]
                      for ch, p in zip(bank.channels, measurements))
     env_value = env_rate = budget_value = 0.0
     if mode == "envelope":
-        env_value, env_rate = bank.envelope(t, v_inf)
+        env_value, env_rate = bank.envelope(t)
     elif mode == "budget":
         if budget is None:
             raise DomainError("budget mode requires a DisturbanceBudget")
@@ -275,7 +275,7 @@ def check_envelope_budget(lip: float,
                           budget: DisturbanceBudget, alpha: AlphaLinear,
                           horizon: float, n: int = 501) -> CheckReport:
     """Envelope/budget compatibility for the robustified constraint, with
-    `envelope(t)` the aggregated (env_value, env_rate) at t:
+    `envelope(t)` the bank's (env_value, env_rate) at t:
         -lip * env_rate(t) + budget(t) <= alpha(lip * env_value(t)).
     """
     def margin(t: float) -> float:
@@ -286,12 +286,12 @@ def check_envelope_budget(lip: float,
 
 
 def check_envelope_decay(bank: DifferentiatorBank, alpha: AlphaLinear,
-                         horizon: float, v_inf: float, n: int = 501) -> CheckReport:
-    """Premise of the budget row: alpha rate >= 1 and every channel
-    envelope decaying at least at that rate, env_rate <= -alpha(env)."""
+                         horizon: float, n: int = 501) -> CheckReport:
+    """Premise of the budget row: alpha rate >= 1 and the bank's error
+    envelope decaying at least at that rate, dM/dt <= -alpha(M)."""
     def margin(t: float) -> float:
-        vals, rates = bank.channel_envelopes(t, v_inf)
-        return min(-r - alpha(m) for m, r in zip(vals, rates))
+        value, rate = error_envelope(bank, t)
+        return -rate - alpha(value)
 
     report = _grid_check("envelope_decay", margin, horizon, n)
     if alpha.rate < 1.0:

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import harness
 from .barrier import verify_cbf_candidate
 from .errors import DomainError
-from .scenario import load_config
+from .scenario import load_config, parse_variant
 
 
 def _add_common(p):
@@ -56,8 +56,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """Every variant spec is parsed and --out created before the first run."""
     scenario = _load(args)
     variants = [v for v in args.variants.split(",") if v.strip()]
+    for spec in variants:
+        parse_variant(scenario, spec)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = harness.compare(scenario, variants)
     harness.write_comparison(result, args.out)
     print(result.table())

@@ -16,7 +16,11 @@ observer part of `sysmodel.closed_loop_step`. Its error has a certified envelope
 `calibrate_envelope` produces coefficients that make the envelope a sound
 upper bound on the error norm for every admissible noise realization and
 every true signal whose second derivative stays within the configured
-bound. Channel envelopes are aggregated with a log-sum-exp smooth maximum.
+bound. Both gravity channels share one observer design, one initial error
+bound and one noise level, so a `DifferentiatorBank` holds one M(t),
+`error_envelope`. The rows and `h_rob` use `DifferentiatorBank.envelope`,
+M + ln(2)/100: the log-sum-exp smooth maximum of the two equal channel
+envelopes at sharpness 100.
 
 A three-point backward difference is included as the naive baseline; it is
 exact on quadratics and badly noise-amplifying, which is the point.
@@ -25,24 +29,29 @@ exact on quadratics and badly noise-amplifying, which is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 from .errors import DomainError
+
+CALIBRATION_SAFETY = 1.25  # factor on every calibrated gain, for quadrature error
 
 
 @dataclass(frozen=True)
 class HgoParams:
     """Observer design coefficients; k1, k2 > 0 keeps the error dynamics
-    Hurwitz for any positive high-gain parameter ell."""
+    Hurwitz for any positive high-gain parameter ell whose k1 ell and
+    k2 ell^2 are finite nonzero floats."""
 
     k1: float = 2.0
     k2: float = 1.0
     ell: float = 50.0
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0 and self.ell > 0.0):
-            raise DomainError("HGO parameters must be positive")
+        if not (self.k1 > 0.0 and self.k2 > 0.0 and 0.0 < self.k1 * self.ell < math.inf
+                and 0.0 < self.k2 * self.ell * self.ell < math.inf):
+            raise DomainError(f"HGO parameters must be positive, with k1 * ell and "
+                              f"k2 * ell^2 finite and nonzero, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -52,73 +61,39 @@ class EnvelopeCoeffs:
     noise_gain: float
 
     def __post_init__(self):
-        if min(self.transient_gain, self.decay_rate, self.noise_gain) < 0.0:
-            raise DomainError("envelope coefficients must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in astuple(self)):
+            raise DomainError(f"envelope coefficients must be finite and >= 0: {self!r}")
 
 
 @dataclass
 class DiffChannel:
-    """Estimator state plus envelope data for one measured channel."""
+    """Estimator state of one measured channel."""
 
     value_est: float = 0.0
     rate_est: float = 0.0
-    e0_bound: float = 0.0
-    coeffs: EnvelopeCoeffs = field(default_factory=lambda: EnvelopeCoeffs(0.0, 1.0, 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DifferentiatorBank:
-    """Channels differentiated separately with one shared observer design."""
+    """The two gravity channels (lateral, normal), differentiated separately
+    with one shared observer design; each channel's error is bounded by the
+    one envelope M(t) of `coeffs`, `e0_bound` and `v_inf`."""
 
     channels: tuple[DiffChannel, ...]
     hgo: HgoParams
-    sharpness: float = 100.0
+    coeffs: EnvelopeCoeffs
+    e0_bound: float
+    v_inf: float
 
     def __post_init__(self):
-        if not self.channels:
-            raise DomainError("bank needs at least one channel")
-        if self.sharpness <= 0.0:
-            raise DomainError("sharpness must be positive")
+        if len(self.channels) != 2:
+            raise DomainError("bank needs one channel per gravity component")
 
-    def channel_envelopes(self, t: float, v_inf: float) -> tuple[list[float], list[float]]:
-        """Per-channel envelope values and rates at t.
-
-        One exp(-decay*t) per channel, in the operation order of
-        `error_envelope`/`error_envelope_rate`, which stay its reference
-        definitions (the results are bit-equal).
-        """
-        if t < 0.0:
-            raise DomainError("envelope is defined for t >= 0")
-        vals = []
-        rates = []
-        for ch in self.channels:
-            c = ch.coeffs
-            decay = math.exp(-c.decay_rate * t)
-            vals.append(c.transient_gain * decay * ch.e0_bound + c.noise_gain * v_inf)
-            rates.append(-c.transient_gain * c.decay_rate * decay * ch.e0_bound)
-        return vals, rates
-
-    def aggregate(self, vals: list[float], rates: list[float]) -> tuple[float, float]:
-        """Smooth maximum of per-channel envelope values and its rate.
-
-        One set of softmax weights, in the operation order of
-        `smooth_max`/`smooth_max_rate`, which stay its reference
-        definitions (the results are bit-equal).
-        """
-        s = self.sharpness
-        m = max(vals)
-        ws = [math.exp(s * (v - m)) for v in vals]
-        total = sum(ws)
-        return (m + math.log(total) / s,
-                sum(w * r for w, r in zip(ws, rates)) / total)
-
-    def envelope(self, t: float, v_inf: float) -> tuple[float, float]:
-        """Aggregated (value, rate) of the smooth maximum over channels at t.
-
-        A caller that also needs the channel envelopes takes
-        `channel_envelopes` once and passes it to `aggregate`.
-        """
-        return self.aggregate(*self.channel_envelopes(t, v_inf))
+    def envelope(self, t: float) -> tuple[float, float]:
+        """Smooth maximum of the two equal channel envelopes at t and its rate,
+        (M + ln(2)/100, dM/dt + 0.0); the + 0.0 makes a zero rate +0.0."""
+        value, rate = error_envelope(self, t)
+        return value + _CHANNEL_MAX_OFFSET, rate + 0.0
 
 
 def hgo_rates(value_est: float, rate_est: float, params: HgoParams,
@@ -131,20 +106,14 @@ def hgo_rates(value_est: float, rate_est: float, params: HgoParams,
             params.k2 * params.ell * params.ell * innov)
 
 
-def error_envelope(channel: DiffChannel, t: float, v_inf: float) -> float:
+def error_envelope(bank: DifferentiatorBank, t: float) -> tuple[float, float]:
+    """The bank's error envelope M(t) and its time derivative (<= 0); one exp."""
     if t < 0.0:
         raise DomainError("envelope is defined for t >= 0")
-    c = channel.coeffs
-    return (c.transient_gain * math.exp(-c.decay_rate * t) * channel.e0_bound
-            + c.noise_gain * v_inf)
-
-
-def error_envelope_rate(channel: DiffChannel, t: float) -> float:
-    """Analytic time derivative of the envelope; always <= 0."""
-    if t < 0.0:
-        raise DomainError("envelope is defined for t >= 0")
-    c = channel.coeffs
-    return -c.transient_gain * c.decay_rate * math.exp(-c.decay_rate * t) * channel.e0_bound
+    c = bank.coeffs
+    decay = math.exp(-c.decay_rate * t)
+    return (c.transient_gain * decay * bank.e0_bound + c.noise_gain * bank.v_inf,
+            -c.transient_gain * c.decay_rate * decay * bank.e0_bound)
 
 
 def smooth_max(values, sharpness: float) -> float:
@@ -163,21 +132,8 @@ def smooth_max(values, sharpness: float) -> float:
     return m + math.log(acc) / sharpness
 
 
-def smooth_max_rate(values, rates, sharpness: float) -> float:
-    """Chain rule through the smooth maximum: convex softmax weights applied
-    to the channel rates."""
-    if sharpness <= 0.0:
-        raise DomainError("sharpness must be positive")
-    vals = list(values)
-    rts = list(rates)
-    if len(vals) != len(rts):
-        raise DomainError("values and rates length mismatch")
-    if not vals:
-        raise DomainError("smooth_max_rate of an empty list")
-    m = max(vals)
-    ws = [math.exp(sharpness * (v - m)) for v in vals]
-    total = sum(ws)
-    return sum(w * r for w, r in zip(ws, rts)) / total
+# log-sum-exp of two equal channel envelopes above their value, at sharpness 100
+_CHANNEL_MAX_OFFSET = smooth_max((0.0, 0.0), 100.0)
 
 
 @dataclass
@@ -243,8 +199,8 @@ def _spectral_norm_2x2(a, b, c, d) -> float:
 
 
 @lru_cache(maxsize=64)
-def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
-                       safety: float = 1.25) -> EnvelopeCoeffs:
+def calibrate_envelope(params: HgoParams, v_inf: float,
+                       curvature_bound: float) -> EnvelopeCoeffs:
     """Envelope coefficients that soundly bound the observer error.
 
     The error e = (value_est - p0, rate_est - p0_dot) obeys the linear
@@ -259,8 +215,8 @@ def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
     the impulse responses, which is the exact worst case over all inputs
     with |v| <= v_inf and |p0_ddot| <= curvature_bound; the curvature share
     is folded into noise_gain, so v_inf = 0 is only admissible for signals
-    with zero curvature bound. Everything is multiplied by `safety` to
-    absorb quadrature error.
+    with zero curvature bound. Everything is multiplied by
+    CALIBRATION_SAFETY to absorb quadrature error.
     """
     if v_inf < 0.0 or curvature_bound < 0.0:
         raise DomainError("bounds must be nonnegative")
@@ -326,13 +282,13 @@ def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
         gp2 += 0.5 * dt * (bp2 + bp2_prev)
         bv1_prev, bv2_prev, bp1_prev, bp2_prev = bv1, bv2, bp1, bp2
 
-    c1 = safety * sup_weighted
+    c1 = CALIBRATION_SAFETY * sup_weighted
     steady1 = gv1 * v_inf + gp1 * curvature_bound
     steady2 = gv2 * v_inf + gp2 * curvature_bound
     steady = math.hypot(steady1, steady2)
     if v_inf > 0.0:
-        c3 = safety * steady / v_inf
+        c3 = CALIBRATION_SAFETY * steady / v_inf
     else:
         # curvature_bound is zero here; keep the noise gain meaningful
-        c3 = safety * math.hypot(gv1, gv2)
+        c3 = CALIBRATION_SAFETY * math.hypot(gv1, gv2)
     return EnvelopeCoeffs(transient_gain=c1, decay_rate=decay, noise_gain=c3)

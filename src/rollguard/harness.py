@@ -9,8 +9,8 @@ against the budget, envelope soundness, QP relaxation events).
 The trace records are the one source of every per-step fact: the summary's
 relaxation count, projected-disturbance maximum, budget soundness and time
 to goal, and the comparison's `budget_row_margin`, are folds over them.
-The loop keeps only what a record does not hold: the per-channel envelope
-audit, the intersample minimum and the abort state.
+The loop keeps only what a record does not hold: the envelope audit, the
+intersample minimum and the abort state.
 
 Integration advances the augmented state (robot plus both observers) one
 substep at a time with `sysmodel.closed_loop_step`, built once per run, and
@@ -19,13 +19,15 @@ Its reference definition is `sysmodel.step_rk4` over the right-hand side
 `sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
 followed by `sysmodel.wrap_angle` on the heading.
 
-Each time-dependent quantity is evaluated once per time point. One
+Each exogenous signal is evaluated once per time point. One
 `sysmodel.exogenous_signals` function per run gives the gravity truth,
 noise and disturbance to the right-hand side, the measurements, the truth
-audits and the intersample truth. Per control step, one per-channel
-envelope pass gives the rows, `h_rob`, the envelope columns and the
-envelope audit; the estimate rates and the budget value are taken once
-for both rows. Every filtered variant builds its rows with the one
+audits and the intersample truth. The bank has one error envelope M(t)
+for both gravity channels. Per control step, `error_envelope` gives M to
+the audit of each channel's error, and `bank.envelope` gives the rows,
+`h_rob` and the envelope columns M + ln(2)/100, the smooth maximum of the
+two equal channel envelopes; the estimate rates and the budget value are
+taken once for both rows. Every filtered variant builds its rows with the one
 formula `barrier.constraint_row` and differs only in the inputs:
 `backward_diff` gives it the measurements and their backward-difference
 rates, the others the observer estimates and their rates; only `envelope`
@@ -47,7 +49,7 @@ from . import qp
 from .barrier import (check_budget_schedule, check_envelope_budget,
                       check_envelope_decay, constraint_row, eval_h, lipschitz_gain,
                       zmp_lateral)
-from .differentiator import BackwardDiffWindow, backward_diff, hgo_rates
+from .differentiator import BackwardDiffWindow, backward_diff, error_envelope, hgo_rates
 from .errors import DomainError, NonFiniteStateError
 from .scenario import BUDGET_ROW_FILTERS, Scenario, parse_variant
 from .sysmodel import ControlInput, RobotState, closed_loop_step, exogenous_signals
@@ -166,11 +168,10 @@ def _scenario_checks(scenario: Scenario, bank) -> dict:
             budget, alpha, scenario.horizon).to_dict()
     if scenario.filter in ("envelope", "envelope_budget"):
         checks["envelope_budget"] = check_envelope_budget(
-            lip, lambda t: bank.envelope(t, scenario.v_inf),
-            budget, alpha, scenario.horizon).to_dict()
+            lip, bank.envelope, budget, alpha, scenario.horizon).to_dict()
     if scenario.filter == "envelope_budget":
         checks["envelope_decay"] = check_envelope_decay(
-            bank, alpha, scenario.horizon, scenario.v_inf).to_dict()
+            bank, alpha, scenario.horizon).to_dict()
     return checks
 
 
@@ -196,7 +197,6 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     box = scenario.input_box()
     goal = (scenario.goal_x, scenario.goal_y)
     gains = (scenario.k_v, scenario.k_omega)
-    v_inf = scenario.v_inf
     # the row inputs a filter does not keep enter the row as zero
     keeps_envelope = scenario.filter == "envelope"
     keeps_budget = scenario.filter in BUDGET_ROW_FILTERS
@@ -236,8 +236,8 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
             u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
 
-            env_vals, env_rates = bank.channel_envelopes(t, v_inf)
-            env_value, env_rate = bank.aggregate(env_vals, env_rates)
+            env_bound = error_envelope(bank, t)[0]
+            env_value, env_rate = bank.envelope(t)
             budget_value = budget.value(t)
 
             if scenario.filter == "none":
@@ -270,10 +270,10 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
             # true value and rate per channel; g cos(phi) = -g_z0 exactly
             rate = terrain.roll_rate(t)
             truth = ((g_y0, -g_z0 * rate), (g_z0, g_y0 * rate))
-            for (p0, p0dot), (e_val, e_rate), bound in zip(
-                    truth, ((est[0], est[1]), (est[2], est[3])), env_vals):
+            for (p0, p0dot), (e_val, e_rate) in zip(
+                    truth, ((est[0], est[1]), (est[2], est[3]))):
                 err = math.hypot(e_val - p0, e_rate - p0dot)
-                if err > bound + 1e-9:
+                if err > env_bound + 1e-9:
                     env_violations += 1
 
             records.append(TraceRecord(
@@ -354,7 +354,7 @@ def budget_row_margin(scenario: Scenario, records: list[TraceRecord]) -> float:
     The two rows share the drift and input terms at the raw estimates, so
     the difference depends on t alone:
         alpha(B(t)) - alpha(lip * M(t)) - lip * M'(t),
-    with B the budget, (M, M') the aggregated envelope and its rate, as the
+    with B the budget, (M, M') `bank.envelope` and its rate, as the
     run recorded them (`budget`, `env_value`, `env_rate`). An empty trace
     gives inf."""
     alpha = scenario.alpha_fn()

@@ -196,15 +196,12 @@ class Scenario:
 
     def make_bank(self) -> DifferentiatorBank:
         """Calibrated two-channel differentiator bank (lateral then normal
-        gravity component); estimates start at zero until the harness seeds
-        them from the first measurement."""
-        coeffs = calibrate_envelope(self.hgo(), self.v_inf, self.pddot_bound)
-        e0 = self.v_inf + self.pdot_bound
+        gravity component) with its one error envelope; estimates start at
+        zero until the harness seeds them from the first measurement."""
         return DifferentiatorBank(
-            channels=(DiffChannel(e0_bound=e0, coeffs=coeffs),
-                      DiffChannel(e0_bound=e0, coeffs=coeffs)),
-            hgo=self.hgo(),
-        )
+            channels=(DiffChannel(), DiffChannel()), hgo=self.hgo(),
+            coeffs=calibrate_envelope(self.hgo(), self.v_inf, self.pddot_bound),
+            e0_bound=self.v_inf + self.pdot_bound, v_inf=self.v_inf)
 
 
 _SCHEMA: dict[str, dict[str, str]] = {

@@ -35,7 +35,7 @@ def row_derivative_gap(scenario, record, which):
     step = closed_loop_step(act, hgo, signals)(u_v, u_omega)
 
     def h_rob(tt, yy):
-        env_value, _ = bank.envelope(tt, calm.v_inf)
+        env_value, _ = bank.envelope(tt)
         return eval_barrier(which, RobotState(*yy[:5]), (yy[5], yy[7]),
                             geom, act, env_value=env_value).h_rob
 
@@ -57,7 +57,7 @@ def row_derivative_gap(scenario, record, which):
     est = (y[5], y[7])
     est_rate = (hgo_rates(y[5], y[6], hgo, meas[0])[0],
                 hgo_rates(y[7], y[8], hgo, meas[1])[0])
-    env_value, env_rate = bank.envelope(t, calm.v_inf)
+    env_value, env_rate = bank.envelope(t)
     be = eval_barrier(which, RobotState(*y[:5]), est, geom, act, est_rate,
                       env_value, env_rate)
     analytic = be.drift + be.input_row[0] * u_v + be.input_row[1] * u_omega
@@ -76,7 +76,7 @@ def budget_row_margin_rebuilt(scenario, records):
         est_value = (rec.est[0], rec.est[2])
         est_rate = (hgo_rates(rec.est[0], rec.est[1], bank.hgo, rec.g_meas[0])[0],
                     hgo_rates(rec.est[2], rec.est[3], bank.hgo, rec.g_meas[1])[0])
-        env_value, env_rate = bank.envelope(rec.t, scenario.v_inf)
+        env_value, env_rate = bank.envelope(rec.t)
         for which in ("h1", "h2"):
             env = constraint_row(which, rec.state, est_value, est_rate,
                                  env_value, env_rate, 0.0, geom, act, alpha)

@@ -12,7 +12,7 @@ from rollguard import harness, qp
 from rollguard.barrier import (AlphaLinear, DisturbanceBudget,
                                check_budget_schedule, check_envelope_budget,
                                eval_h, zmp_lateral)
-from rollguard.differentiator import (DiffChannel, HgoParams,
+from rollguard.differentiator import (DiffChannel, DifferentiatorBank, HgoParams,
                                       calibrate_envelope, error_envelope,
                                       hgo_rates, smooth_max)
 from rollguard.scenario import Scenario
@@ -132,7 +132,8 @@ def test_criterion_5_envelope_soundness_battery(capsys):
     params = HgoParams(2, 1, 50)
     v_inf, curvature, pdot_bound = 0.02, 8.0, 4.5
     coeffs = calibrate_envelope(params, v_inf, curvature)
-    channel = DiffChannel(e0_bound=v_inf + pdot_bound, coeffs=coeffs)
+    bank = DifferentiatorBank((DiffChannel(), DiffChannel()), params, coeffs,
+                              e0_bound=v_inf + pdot_bound, v_inf=v_inf)
     rng = np.random.default_rng(515)
     violations = 0
     checked = 0
@@ -155,7 +156,7 @@ def test_criterion_5_envelope_soundness_battery(capsys):
             t += dt
             if k % 5 == 0:
                 checked += 1
-                if abs(y[1] - p0dot(t)) > error_envelope(channel, t, v_inf):
+                if abs(y[1] - p0dot(t)) > error_envelope(bank, t)[0]:
                     violations += 1
     assert violations == 0
     announce(capsys,
@@ -164,6 +165,8 @@ def test_criterion_5_envelope_soundness_battery(capsys):
 
 
 def test_criterion_6_smooth_max_sandwich(capsys):
+    """smooth_max at sharpness 100 also defines the runtime offset: the bank's
+    envelope is the smooth maximum of its two equal channel envelopes."""
     rng = np.random.default_rng(161)
     lam = 100.0
     worst = 0.0

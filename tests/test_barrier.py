@@ -24,12 +24,11 @@ G27_Z = -9.81 * math.cos(math.radians(27.0))
 BODY = {"mass": 40.0, "inertia_x": 0.8, "inertia_y": 1.1, "inertia_z": 1.4}
 
 
-def make_bank(value_y=0.0, value_z=-9.81, e0=0.0, coeffs=None):
-    coeffs = coeffs or EnvelopeCoeffs(0.0, 1.0, 0.0)
+def make_bank(value_y=0.0, value_z=-9.81, e0=0.0, coeffs=None, v_inf=0.0):
     return DifferentiatorBank(
-        channels=(DiffChannel(value_est=value_y, e0_bound=e0, coeffs=coeffs),
-                  DiffChannel(value_est=value_z, e0_bound=e0, coeffs=coeffs)),
-        hgo=HgoParams(2, 1, 50), sharpness=100.0)
+        channels=(DiffChannel(value_est=value_y), DiffChannel(value_est=value_z)),
+        hgo=HgoParams(2, 1, 50), coeffs=coeffs or EnvelopeCoeffs(0.0, 1.0, 0.0),
+        e0_bound=e0, v_inf=v_inf)
 
 
 class TestZmp:
@@ -185,8 +184,8 @@ class TestRows:
 
     def test_modes_coincide_without_uncertainty(self, geom, actuator, alpha):
         # static gravity, zero noise, zero envelope, zero budget: the row
-        # formulas agree exactly; through the bank the smooth maximum keeps
-        # its documented log(2)/sharpness offset and nothing more
+        # formulas agree exactly; through the bank the smooth maximum of the
+        # two channel envelopes keeps its log(2)/100 offset and nothing more
         st = RobotState(0, 0, 0, -0.4, 1.7)
         est, est_rate = (G27_Y, G27_Z), (0.0, 0.0)
         be = eval_barrier("h1", st, est, geom, actuator, est_rate, 0.0, 0.0)
@@ -201,7 +200,7 @@ class TestRows:
         bud = build_constraint_row("h1", "budget", st, bank, meas, 1.0,
                                    0.0, geom, actuator, alpha,
                                    DisturbanceBudget(0.0, 1.0, 0.0))
-        lse_gap = alpha.rate * 1.25 * math.log(2) / bank.sharpness
+        lse_gap = alpha.rate * 1.25 * math.log(2) / 100.0
         assert env.a == pytest.approx(bud.a)
         assert env.beta == pytest.approx(bud.beta + lse_gap, abs=1e-12)
 
@@ -244,6 +243,17 @@ class TestRows:
                         assert got.beta.hex() == want.hex(), (i, which, inputs)
         # h2 at rest on zero estimates: h_rob and drift are both +0.0
         assert signed_zeros == 1
+
+    def test_v_inf_must_be_the_banks(self, geom, actuator, alpha):
+        st = RobotState(0, 0, 0, 0.5, 1.0)
+        bank = make_bank(0.0, -9.81, v_inf=0.01)
+        for mode in ("envelope", "budget"):
+            with pytest.raises(DomainError, match="differs from the bank"):
+                build_constraint_row("h1", mode, st, bank, (0.0, -9.81), 0.0, 0.05,
+                                     geom, actuator, alpha, DisturbanceBudget())
+        row = build_constraint_row("h1", "envelope", st, bank, (0.0, -9.81), 0.0,
+                                   0.01, geom, actuator, alpha)
+        assert row.a == pytest.approx((2.5, 5.0))
 
     def test_missing_measurements_rejected(self, geom, actuator, alpha):
         with pytest.raises(StaleMeasurementError):
@@ -359,12 +369,12 @@ class TestScheduleChecks:
     def test_envelope_decay_premise(self):
         coeffs = EnvelopeCoeffs(1.0, 5.0, 0.0)
         bank = make_bank(e0=1.0, coeffs=coeffs)
-        ok = check_envelope_decay(bank, AlphaLinear(2.0), 5.0, v_inf=0.0)
+        ok = check_envelope_decay(bank, AlphaLinear(2.0), 5.0)
         assert ok.passed
-        noisy = make_bank(e0=1.0, coeffs=EnvelopeCoeffs(1.0, 5.0, 0.5))
-        bad = check_envelope_decay(noisy, AlphaLinear(2.0), 5.0, v_inf=0.1)
+        noisy = make_bank(e0=1.0, coeffs=EnvelopeCoeffs(1.0, 5.0, 0.5), v_inf=0.1)
+        bad = check_envelope_decay(noisy, AlphaLinear(2.0), 5.0)
         assert not bad.passed
-        small_rate = check_envelope_decay(bank, AlphaLinear(0.9), 5.0, 0.0)
+        small_rate = check_envelope_decay(bank, AlphaLinear(0.9), 5.0)
         assert not small_rate.passed
 
     def test_report_serializes(self, alpha):

@@ -10,10 +10,32 @@ from rollguard.differentiator import (BackwardDiffWindow, DiffChannel,
                                       HgoParams, backward_diff,
                                       calibrate_envelope,
                                       error_dynamics_eigenvalues,
-                                      error_envelope, error_envelope_rate,
-                                      hgo_rates, smooth_max, smooth_max_rate)
+                                      error_envelope, hgo_rates, smooth_max)
 from rollguard.errors import DomainError
 from rollguard.sysmodel import NoiseModel, step_rk4
+
+
+def make_bank(coeffs, e0_bound=0.0, v_inf=0.0):
+    return DifferentiatorBank((DiffChannel(), DiffChannel()), HgoParams(),
+                              coeffs, e0_bound, v_inf)
+
+
+def smooth_max_rate(values, rates, sharpness: float) -> float:
+    """Chain rule through `smooth_max`: convex softmax weights applied to
+    the channel rates. The reference for the rate of
+    `DifferentiatorBank.envelope`, which takes it in closed form."""
+    if sharpness <= 0.0:
+        raise DomainError("sharpness must be positive")
+    vals = list(values)
+    rts = list(rates)
+    if len(vals) != len(rts):
+        raise DomainError("values and rates length mismatch")
+    if not vals:
+        raise DomainError("smooth_max_rate of an empty list")
+    m = max(vals)
+    ws = [math.exp(sharpness * (v - m)) for v in vals]
+    total = sum(ws)
+    return sum(w * r for w, r in zip(ws, rts)) / total
 
 
 class TestHgo:
@@ -44,32 +66,39 @@ class TestHgo:
 
 class TestEnvelope:
     def test_zero_everything(self):
-        ch = DiffChannel(e0_bound=0.0, coeffs=EnvelopeCoeffs(2.0, 1.0, 0.5))
-        assert error_envelope(ch, 0.0, 0.0) == 0.0
-        assert error_envelope(ch, 7.0, 0.0) == 0.0
+        bank = make_bank(EnvelopeCoeffs(2.0, 1.0, 0.5), e0_bound=0.0, v_inf=0.0)
+        assert error_envelope(bank, 0.0)[0] == 0.0
+        assert error_envelope(bank, 7.0)[0] == 0.0
 
     def test_substitution(self):
-        ch = DiffChannel(e0_bound=1.0, coeffs=EnvelopeCoeffs(2.0, 1.0, 0.5))
-        assert error_envelope(ch, 0.0, 0.2) == pytest.approx(2.1)
-        assert error_envelope(ch, 60.0, 0.2) == pytest.approx(0.1)
+        bank = make_bank(EnvelopeCoeffs(2.0, 1.0, 0.5), e0_bound=1.0, v_inf=0.2)
+        assert error_envelope(bank, 0.0)[0] == pytest.approx(2.1)
+        assert error_envelope(bank, 60.0)[0] == pytest.approx(0.1)
 
     def test_rate_substitution(self):
-        ch = DiffChannel(e0_bound=1.0, coeffs=EnvelopeCoeffs(2.0, 1.0, 0.5))
-        assert error_envelope_rate(ch, 0.0) == pytest.approx(-2.0)
-        assert error_envelope_rate(ch, 50.0) <= 0.0
+        bank = make_bank(EnvelopeCoeffs(2.0, 1.0, 0.5), e0_bound=1.0, v_inf=0.2)
+        assert error_envelope(bank, 0.0)[1] == pytest.approx(-2.0)
+        assert error_envelope(bank, 50.0)[1] <= 0.0
 
     def test_rate_matches_central_difference(self):
-        ch = DiffChannel(e0_bound=0.7, coeffs=EnvelopeCoeffs(1.5, 2.3, 0.4))
+        bank = make_bank(EnvelopeCoeffs(1.5, 2.3, 0.4), e0_bound=0.7, v_inf=0.3)
         eps = 1e-4
         for t in (0.1, 0.5, 2.0):
-            fd = (error_envelope(ch, t + eps, 0.3)
-                  - error_envelope(ch, t - eps, 0.3)) / (2 * eps)
-            assert error_envelope_rate(ch, t) == pytest.approx(fd, abs=1e-6)
+            fd = (error_envelope(bank, t + eps)[0]
+                  - error_envelope(bank, t - eps)[0]) / (2 * eps)
+            assert error_envelope(bank, t)[1] == pytest.approx(fd, abs=1e-6)
 
     def test_negative_time_rejected(self):
-        ch = DiffChannel()
+        bank = make_bank(EnvelopeCoeffs(0.0, 1.0, 0.0))
         with pytest.raises(DomainError):
-            error_envelope(ch, -0.1, 0.0)
+            error_envelope(bank, -0.1)
+
+    @pytest.mark.parametrize("coeffs", [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0),
+                                        (1.0, 1.0, math.nan), (math.inf, 1.0, 0.0),
+                                        (1.0, 1.0, math.inf), (-1.0, 1.0, 0.0)])
+    def test_coefficients_must_be_finite_and_nonnegative(self, coeffs):
+        with pytest.raises(DomainError):
+            EnvelopeCoeffs(*coeffs)
 
 
 class TestSmoothMax:
@@ -226,7 +255,7 @@ class TestCalibration:
                                tau=0.004)
             p0 = lambda t: amp * math.sin(omega * t + phase)
             p0dot = lambda t: amp * omega * math.cos(omega * t + phase)
-            ch = DiffChannel(e0_bound=v_inf + pdot_bound, coeffs=coeffs)
+            bank = make_bank(coeffs, e0_bound=v_inf + pdot_bound, v_inf=v_inf)
 
             def rhs(t, yy):
                 return hgo_rates(*yy, params, p0(t) + noise.sample(t)[0])
@@ -238,54 +267,48 @@ class TestCalibration:
                 t += dt
                 if k % 10 == 0:
                     err = abs(y[1] - p0dot(t))
-                    if err > error_envelope(ch, t, v_inf) + 1e-9:
+                    if err > error_envelope(bank, t)[0] + 1e-9:
                         violations += 1
         assert violations == 0
 
 
 def test_bank_envelope_aggregation():
-    coeffs = EnvelopeCoeffs(2.0, 1.0, 0.5)
-    bank = DifferentiatorBank(
-        channels=(DiffChannel(e0_bound=1.0, coeffs=coeffs),
-                  DiffChannel(e0_bound=0.2, coeffs=coeffs)),
-        hgo=HgoParams(2, 1, 50), sharpness=100.0)
-    value, rate = bank.envelope(0.5, 0.1)
-    vals, _ = bank.channel_envelopes(0.5, 0.1)
-    assert max(vals) <= value <= max(vals) + math.log(2) / 100.0
+    bank = make_bank(EnvelopeCoeffs(2.0, 1.0, 0.5), e0_bound=1.0, v_inf=0.1)
+    value, rate = bank.envelope(0.5)
+    bound = error_envelope(bank, 0.5)[0]
+    assert bound <= value <= bound + math.log(2) / 100.0
     assert rate <= 0.0
 
 
 @pytest.mark.parametrize("v_inf", [0.0, 0.01, 0.05])
 def test_bank_envelope_bit_equal_to_reference(v_inf):
-    """The channel pass equals error_envelope/error_envelope_rate per
-    channel, and the aggregated envelope equals smooth_max/smooth_max_rate
-    over them, bit for bit, from t = 0 on, with two channels of different
-    coefficients."""
-    bank = DifferentiatorBank(
-        channels=(DiffChannel(e0_bound=4.51, coeffs=EnvelopeCoeffs(1.9, 45.0, 0.73)),
-                  DiffChannel(e0_bound=0.37, coeffs=EnvelopeCoeffs(3.1, 7.3, 2.9))),
-        hgo=HgoParams(), sharpness=37.0)
-    times = [0.0] + np.random.default_rng(8).exponential(0.3, 300).tolist()
-    for t in times:
-        vals = [error_envelope(ch, t, v_inf) for ch in bank.channels]
-        rates = [error_envelope_rate(ch, t) for ch in bank.channels]
-        want = (smooth_max(vals, bank.sharpness),
-                smooth_max_rate(vals, rates, bank.sharpness))
-        got = bank.envelope(t, v_inf)
-        assert [x.hex() for x in got] == [x.hex() for x in want], t
-        got_vals, got_rates = bank.channel_envelopes(t, v_inf)
-        assert [x.hex() for x in got_vals + got_rates] == \
-            [x.hex() for x in vals + rates], t
+    """The bank's envelope is the smooth maximum at sharpness 100 of its two
+    channels, both bounded by the one error_envelope, and its rate the
+    chain rule through it, bit for bit, from t = 0 on; a zero e0_bound
+    gives the -0.0 rate that the softmax-weighted mean turns into +0.0."""
+    for e0_bound in (4.51, 0.0):
+        bank = make_bank(EnvelopeCoeffs(1.9, 45.0, 0.73), e0_bound, v_inf)
+        times = [0.0] + np.random.default_rng(8).exponential(0.3, 300).tolist()
+        for t in times:
+            bound, bound_rate = error_envelope(bank, t)
+            want = (smooth_max([bound, bound], 100.0),
+                    smooth_max_rate([bound, bound], [bound_rate, bound_rate], 100.0))
+            got = bank.envelope(t)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (e0_bound, t)
+    assert bound_rate.hex() == (-0.0).hex()
+    assert got[1].hex() == (0.0).hex()
 
 
 def test_bank_envelope_rejects_negative_time():
-    bank = DifferentiatorBank(channels=(DiffChannel(),), hgo=HgoParams())
+    bank = make_bank(EnvelopeCoeffs(0.0, 1.0, 0.0), v_inf=0.01)
     with pytest.raises(DomainError):
-        bank.envelope(-1e-9, 0.01)
+        bank.envelope(-1e-9)
     with pytest.raises(DomainError):
-        bank.channel_envelopes(-1e-9, 0.01)
+        error_envelope(bank, -1e-9)
 
 
 def test_bank_requires_channels():
-    with pytest.raises(DomainError):
-        DifferentiatorBank(channels=(), hgo=HgoParams())
+    for channels in ((), (DiffChannel(),), (DiffChannel(),) * 3):
+        with pytest.raises(DomainError, match="one channel per gravity component"):
+            DifferentiatorBank(channels=channels, hgo=HgoParams(),
+                               coeffs=EnvelopeCoeffs(0.0, 1.0, 0.0), e0_bound=0.0, v_inf=0.0)

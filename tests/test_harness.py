@@ -297,7 +297,7 @@ def test_row_wrapper_bit_equal_to_run_rows():
         # as in harness.run
         est_rate = (hgo_rates(est[0], est[1], bank.hgo, meas[0])[0],
                     hgo_rates(est[2], est[3], bank.hgo, meas[1])[0])
-        env_value, env_rate = bank.aggregate(*bank.channel_envelopes(t, sc.v_inf))
+        env_value, env_rate = bank.envelope(t)
         # the inputs each mode keeps, as harness.run passes them
         inputs = {"envelope": (env_value, env_rate, 0.0),
                   "budget": (0.0, 0.0, budget.value(t))}
@@ -593,19 +593,57 @@ class TestCli:
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_unwritable_out_exit_one(self, tmp_path, capsys, monkeypatch, command):
         """An --out that is, or lies under, an existing file is an error,
-        and simulate reports it before it runs the simulation."""
+        reported before the first simulation."""
         blocker = tmp_path / "blocker"
         blocker.write_text("")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before creating the output directory")
+        monkeypatch.setattr(harness, "run", no_run)
         if command == "simulate":
-            def no_run(*args, **kwargs):
-                raise AssertionError("simulated before creating the output directory")
-            monkeypatch.setattr(harness, "run", no_run)
             argv = ["simulate", "--config", ROLLOVER_CFG, "--out", str(blocker)]
         else:
             argv = ["compare", "--config", STATIC_CFG, "--seed", "1", "--variants",
                     "none", "--out", str(blocker / "x")]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("variants", ["envelope,const_margin:wide", "envelope,bogus"])
+    def test_compare_bad_variant_exit_one_before_running(self, tmp_path, capsys,
+                                                          monkeypatch, variants):
+        """Every variant spec is checked before the first run and before
+        --out is created."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking every variant")
+        monkeypatch.setattr(harness, "run", no_run)
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", STATIC_CFG, "--variants", variants,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ell", ["4e-324", "1e-170", "1e160", "1e200", "1e100"])
+    def test_verify_rejects_observer_design_without_finite_error_dynamics(
+            self, tmp_path, capsys, ell):
+        """k1 ell or k2 ell^2 that rounds to zero or overflows (the first
+        four), or a calibration whose transient gain overflows (1e100), is a
+        config error: no NaN or inf envelope reaches a check or an audit."""
+        cfg = tmp_path / "ell.cfg"
+        cfg.write_text(f"[differentiator]\nell = {ell}\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""
+
+    def test_zero_envelope_rate_is_positive_zero(self, tmp_path):
+        """static_slope.cfg has e0_bound = 0: the bank's envelope rate is
+        +0.0 at every step, not the -0.0 of the bare formula."""
+        assert cli.main(["simulate", "--config", STATIC_CFG, "--out", str(tmp_path)]) == 0
+        with (tmp_path / "trace_envelope_budget.csv").open() as fh:
+            next(fh)
+            rates = [row["env_rate"] for row in csv.DictReader(fh)]
+        assert len(rates) == 525 and set(rates) == {"0.0"}
 
     def test_bad_config_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
