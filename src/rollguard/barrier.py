@@ -77,11 +77,20 @@ def zmp_lateral(v: float, omega: float, g_y: float, g_z: float,
     return (v * omega * geom.cg_height - g_y * geom.cg_height) / g_z
 
 
+def h_pair(v: float, omega: float, g_y: float, g_z: float,
+           ratio: float) -> tuple[float, float]:
+    """(h1, h2) at one speed, yaw rate and gravity pair, with `ratio` the
+    geometry's width_ratio; h1 + h2 = -2 * ratio * g_z always."""
+    vw = v * omega
+    rz = ratio * g_z
+    return (vw - rz - g_y, -vw - rz + g_y)
+
+
 def eval_h(which: str, v: float, omega: float, g_y: float, g_z: float,
            geom: GeometryParams) -> float:
-    """Rollover constraint value; h1 + h2 = -2 * width_ratio * g_z always."""
+    """Rollover constraint value: the `which` entry of `h_pair`."""
     sign = _sign_of(which)
-    return sign * v * omega - geom.width_ratio * g_z - sign * g_y
+    return h_pair(v, omega, g_y, g_z, geom.width_ratio)[0 if sign > 0.0 else 1]
 
 
 @dataclass(frozen=True)

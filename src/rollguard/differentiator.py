@@ -35,6 +35,8 @@ from functools import lru_cache
 from .errors import DomainError
 
 CALIBRATION_SAFETY = 1.25  # factor on every calibrated gain, for quadrature error
+# calibration steps, 12000 * fastest / slowest root, ~2 us each; k1 = 16 takes 3.05e6
+CALIBRATION_MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,15 @@ def calibrate_envelope(params: HgoParams, v_inf: float,
     k1l, k2l2 = params.k1 * params.ell, params.k2 * params.ell * params.ell
     a11, a12, a21, a22 = -k1l, 1.0, -k2l2, 0.0
 
+    dt = 0.01 / fastest
+    horizon = 120.0 / slowest
+    if not horizon / dt <= CALIBRATION_MAX_STEPS:
+        raise DomainError(f"observer error roots {fastest / slowest:.4g} times apart "
+                          f"need {horizon / dt:.3g} calibration steps, more than "
+                          f"{CALIBRATION_MAX_STEPS:.0e}")
+
     # exp(A*dt) by plain Taylor series; ||A dt|| is small so this is exact
     # to machine precision.
-    dt = 0.01 / fastest
     e11, e12, e21, e22 = 1.0, 0.0, 0.0, 1.0
     t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
     for n in range(1, 20):
@@ -252,7 +260,6 @@ def calibrate_envelope(params: HgoParams, v_inf: float,
         e21 += t21
         e22 += t22
 
-    horizon = 120.0 / slowest
     steps = int(math.ceil(horizon / dt))
     # transition matrix recursion Phi_{k+1} = exp(A dt) Phi_k
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0

@@ -17,7 +17,8 @@ substep at a time with `sysmodel.closed_loop_step`, built once per run, and
 reads the true constraint after every substep for the intersample minimum.
 Its reference definition is `sysmodel.step_rk4` over the right-hand side
 `sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
-followed by `sysmodel.wrap_angle` on the heading.
+followed by `sysmodel.wrap_angle` on the heading. Every (h1, h2) pair, at
+the truth, at the estimates and after each substep, is `barrier.h_pair`.
 
 Each exogenous signal is evaluated once per time point. One
 `sysmodel.exogenous_signals` function per run gives the gravity truth,
@@ -33,21 +34,22 @@ formula `barrier.constraint_row` and differs only in the inputs:
 rates, the others the observer estimates and their rates; only `envelope`
 passes the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS`
 the budget. A `DomainError` anywhere in a control step ends the run with
-an aborted summary.
+an aborted summary. `write_trace` builds and checks every line in one pass
+before it creates the file.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import qp
 from .barrier import (check_budget_schedule, check_envelope_budget,
-                      check_envelope_decay, constraint_row, eval_h, lipschitz_gain,
+                      check_envelope_decay, constraint_row, h_pair, lipschitz_gain,
                       zmp_lateral)
 from .differentiator import BackwardDiffWindow, backward_diff, error_envelope, hgo_rates
 from .errors import DomainError, NonFiniteStateError
@@ -68,8 +70,7 @@ TRACE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     t: float
     state: RobotState
     est: tuple[float, float, float, float]   # value/rate per channel (gy, gz)
@@ -179,12 +180,6 @@ def _goal_distance(goal: tuple[float, float], state: RobotState) -> float:
     return math.hypot(goal[0] - state.x, goal[1] - state.y)
 
 
-def _h_pair(v: float, omega: float, g_y: float, g_z: float, geom) -> tuple[float, float]:
-    """(h1, h2) at one speed, yaw rate and gravity pair."""
-    return (eval_h("h1", v, omega, g_y, g_z, geom),
-            eval_h("h2", v, omega, g_y, g_z, geom))
-
-
 def run(scenario: Scenario, label: str | None = None) -> RunResult:
     """Simulate one scenario; deterministic given the seed."""
     terrain = scenario.terrain()
@@ -202,6 +197,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     keeps_budget = scenario.filter in BUDGET_ROW_FILTERS
     hgo = bank.hgo
     lip = lipschitz_gain(geom)
+    ratio = geom.width_ratio
 
     period = 1.0 / scenario.control_rate
     n_steps = int(round(scenario.horizon * scenario.control_rate))
@@ -260,21 +256,20 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
             sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
 
-            h_true = _h_pair(state.v, state.omega, g_y0, g_z0, geom)
+            h_true = h_pair(state.v, state.omega, g_y0, g_z0, ratio)
             # h at the estimates, robustified as in eval_barrier
-            rob = tuple(h - lip * env_value
-                        for h in _h_pair(state.v, state.omega, est[0], est[2], geom))
+            margin = lip * env_value
+            h1_est, h2_est = h_pair(state.v, state.omega, est[0], est[2], ratio)
+            rob = (h1_est - margin, h2_est - margin)
 
             proj = abs(state.v * d_om + state.omega * d_v)
 
             # true value and rate per channel; g cos(phi) = -g_z0 exactly
             rate = terrain.roll_rate(t)
-            truth = ((g_y0, -g_z0 * rate), (g_z0, g_y0 * rate))
-            for (p0, p0dot), (e_val, e_rate) in zip(
-                    truth, ((est[0], est[1]), (est[2], est[3]))):
-                err = math.hypot(e_val - p0, e_rate - p0dot)
-                if err > env_bound + 1e-9:
-                    env_violations += 1
+            if math.hypot(est[0] - g_y0, est[1] - -g_z0 * rate) > env_bound + 1e-9:
+                env_violations += 1
+            if math.hypot(est[2] - g_z0, est[3] - g_y0 * rate) > env_bound + 1e-9:
+                env_violations += 1
 
             records.append(TraceRecord(
                 t=t, state=state, est=est,
@@ -291,7 +286,12 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
             for i in range(scenario.substeps):
                 y = step(y, t + i * sub_dt, sub_dt)
                 g_y, g_z = signals(t + (i + 1) * sub_dt)[:2]
-                min_inter = min(min_inter, *_h_pair(y[4], y[3], g_y, g_z, geom))
+                # min()'s update rule, NaN and ties included
+                h1, h2 = h_pair(y[4], y[3], g_y, g_z, ratio)
+                if h1 < min_inter:
+                    min_inter = h1
+                if h2 < min_inter:
+                    min_inter = h2
             aug = y
             t_aug = (k + 1) * period
         except (NonFiniteStateError, DomainError) as exc:
@@ -312,7 +312,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
         # the truth at the final time is undefined
         pass
     else:
-        h1f, h2f = _h_pair(final_state.v, final_state.omega, g_y, g_z, geom)
+        h1f, h2f = h_pair(final_state.v, final_state.omega, g_y, g_z, ratio)
         h1s.append(h1f)
         h2s.append(h2f)
     min_h1 = min(h1s)
@@ -418,25 +418,29 @@ def compare(scenario: Scenario, variants: list[str]) -> ComparisonResult:
 # --- output -----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Trace cell text; str() of a float is its shortest round-trip repr.
-    Only builtin numbers and strings are written, so a foreign scalar type
-    fails here instead of leaking its repr into a float column."""
-    if type(value) in (float, int, str):
-        return str(value)
-    raise TypeError(f"trace cell of type {type(value).__name__} is not a "
-                    f"builtin float, int or str")
+_CELL_TYPES = frozenset((float, int, str))
+
+
+def _trace_line(row) -> str:
+    """The cells as csv.writer writes them: only builtin numbers (str() is
+    the shortest round-trip repr) and text that needs no CSV quoting."""
+    if not _CELL_TYPES.issuperset(map(type, row)):
+        bad = next(type(v).__name__ for v in row if type(v) not in _CELL_TYPES)
+        raise TypeError(f"trace cell of type {bad} is not a builtin float, int or str")
+    line = ",".join(map(str, row))
+    if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+        raise ValueError(f"trace text cell needs CSV quoting: {line!r}")
+    return line
 
 
 def write_trace(records: list[TraceRecord], path) -> None:
-    """Versioned CSV trace; column order is part of the schema."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    """Versioned CSV trace; column order is part of the schema. A bad cell
+    raises before the file is created."""
+    lines = [_trace_line(TRACE_COLUMNS)]
+    lines += [_trace_line(rec.row()) for rec in records]
+    with Path(path).open("w", newline="") as fh:
         fh.write(f"# {TRACE_SCHEMA}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(v) for v in rec.row()])
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def write_summary(summary: RunSummary, path) -> None:

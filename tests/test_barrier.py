@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from rollguard.barrier import (AlphaLinear, CheckReport, DisturbanceBudget,
                                GeometryParams, build_bd_row,
                                build_constraint_row, check_budget_schedule,
                                check_envelope_budget, check_envelope_decay,
-                               constraint_row, eval_barrier, eval_h, lipschitz_gain,
-                               verify_cbf_candidate, zmp_lateral)
+                               constraint_row, eval_barrier, eval_h, h_pair,
+                               lipschitz_gain, verify_cbf_candidate, zmp_lateral)
 from rollguard.differentiator import (DiffChannel, DifferentiatorBank,
                                       EnvelopeCoeffs, HgoParams)
 from rollguard.errors import (DomainError, SingularityError,
@@ -22,6 +24,12 @@ G27_Y = 9.81 * math.sin(math.radians(27.0))
 G27_Z = -9.81 * math.cos(math.radians(27.0))
 # mass (kg) and principal inertias (kg m^2) for the general tip-point oracle
 BODY = {"mass": 40.0, "inertia_x": 0.8, "inertia_y": 1.1, "inertia_z": 1.4}
+
+
+def eval_h_oracle(which, v, omega, g_y, g_z, geom):
+    """eval_h's expression before it delegated to h_pair."""
+    sign = {"h1": 1.0, "h2": -1.0}[which]
+    return sign * v * omega - geom.width_ratio * g_z - sign * g_y
 
 
 def make_bank(value_y=0.0, value_z=-9.81, e0=0.0, coeffs=None, v_inf=0.0):
@@ -101,6 +109,25 @@ class TestEvalH:
     def test_unknown_name(self, geom):
         with pytest.raises(DomainError):
             eval_h("h3", 0, 0, 0, -9.81, geom)
+
+    def test_pair_bit_equal_to_oracle(self, geom):
+        """h_pair and eval_h give the bits of the signed expression, signed
+        zeros, infinities and NaN included."""
+        special = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25)
+        cases = [(v, omega, g_y, g_z, geom)
+                 for v, omega, g_y, g_z in itertools.product(special, repeat=4)]
+        rng = random.Random(17)
+        for _ in range(10_000):
+            scale = 10.0 ** rng.randint(-3, 3)
+            cases.append((*(rng.uniform(-scale, scale) for _ in range(4)),
+                          GeometryParams(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))))
+        for v, omega, g_y, g_z, gm in cases:
+            want = [eval_h_oracle(which, v, omega, g_y, g_z, gm).hex()
+                    for which in ("h1", "h2")]
+            pair = h_pair(v, omega, g_y, g_z, gm.width_ratio)
+            assert [h.hex() for h in pair] == want, (v, omega, g_y, g_z)
+            assert [eval_h(which, v, omega, g_y, g_z, gm).hex()
+                    for which in ("h1", "h2")] == want, (v, omega, g_y, g_z)
 
 
 class TestEvalBarrier:

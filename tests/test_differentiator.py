@@ -232,6 +232,13 @@ class TestCalibration:
         with pytest.raises(DomainError):
             calibrate_envelope(HgoParams(2, 1, 50), v_inf=0.0, curvature_bound=1.0)
 
+    def test_stiff_observer_within_the_step_bound_calibrates(self):
+        """k1 = 16 (roots 254 times apart, 3.05e6 transition steps) stays
+        under CALIBRATION_MAX_STEPS."""
+        coeffs = calibrate_envelope(HgoParams(16, 1, 50), 0.01, 8.0)
+        assert all(math.isfinite(c) and c > 0.0 for c in
+                   (coeffs.transient_gain, coeffs.decay_rate, coeffs.noise_gain))
+
     def test_decay_rate_rule(self):
         coeffs = calibrate_envelope(HgoParams(2, 1, 50), 0.02, 8.0)
         assert coeffs.decay_rate == pytest.approx(45.0, rel=1e-3)

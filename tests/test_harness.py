@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -442,12 +443,60 @@ class TestOutputTypes:
                     if column not in ("qp_status", "qp_active"):
                         float(cell)
 
-    def test_trace_rejects_foreign_scalars(self):
-        assert harness._fmt(0.1) == "0.1"
-        assert harness._fmt(3) == "3"
-        assert harness._fmt("active") == "active"
-        with pytest.raises(TypeError):
-            harness._fmt(np.float64(0.1))
+    def test_trace_rejects_foreign_scalars(self, tmp_path):
+        """A numpy scalar in row 6 fails before the file is created."""
+        records = harness.run(Scenario(filter="none", horizon=0.2)).records
+        records[5] = records[5]._replace(y_zmp=np.float64(records[5].y_zmp))
+        path = tmp_path / "trace.csv"
+        with pytest.raises(TypeError, match="float64"):
+            harness.write_trace(records, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ["h1,h2", 'h1"', "h1\r", "h1\n"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_trace_rejects_text_that_needs_quoting(self, tmp_path, text):
+        """A text cell that CSV would quote fails before the file is
+        created."""
+        records = harness.run(Scenario(filter="none", horizon=0.2)).records
+        records[5] = records[5]._replace(qp_active=text)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError):
+            harness.write_trace(records, path)
+        assert not path.exists()
+
+
+def write_trace_oracle(records, path) -> None:
+    """write_trace before the joined single-pass writer: csv.writer over
+    cells that are checked one by one."""
+    def fmt(value):
+        if type(value) in (float, int, str):
+            return str(value)
+        raise TypeError(f"trace cell of type {type(value).__name__}")
+
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# {harness.TRACE_SCHEMA}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(harness.TRACE_COLUMNS)
+        for rec in records:
+            writer.writerow([fmt(v) for v in rec.row()])
+
+
+@pytest.mark.parametrize("sc", [
+    *(Scenario(filter=name) for name in FILTERS),
+    Scenario(filter="none", tau_v=1e160),
+    Scenario(filter="envelope", v_inf=0.1),
+], ids=[*FILTERS, "tau_v_abort", "envelope_relaxed"])
+def test_write_trace_bytes_match_csv_writer_oracle(tmp_path, sc):
+    """The joined writer gives the bytes of csv.writer: every filter, an
+    aborted run, and a run whose relaxed QP steps write text cells such as
+    `infeasible_relaxed` and `h1+u_v_max`."""
+    res = harness.run(sc)
+    harness.write_trace(res.records, tmp_path / "trace.csv")
+    write_trace_oracle(res.records, tmp_path / "oracle.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    if sc.v_inf == 0.1:
+        texts = {(r.qp_status, r.qp_active) for r in res.records}
+        assert {("infeasible_relaxed", "h1+h2"), ("optimal", "h1+u_v_max")} <= texts
 
 
 class TestConfig:
@@ -634,6 +683,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""
+
+    def test_verify_rejects_observer_too_stiff_to_calibrate(self, tmp_path, capsys):
+        """k1 = 1000 puts the error roots 1e6 times apart: calibrating it
+        would take 1.2e10 transition steps, so the config fails at once."""
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text("[differentiator]\nk1 = 1000\n")
+        start = time.perf_counter()
+        assert cli.main(["verify", "--config", str(cfg)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "times apart" in captured.err
         assert captured.out == ""
 
     def test_zero_envelope_rate_is_positive_zero(self, tmp_path):
