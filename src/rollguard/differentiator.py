@@ -7,8 +7,8 @@ by a high-gain observer
     rate_est_dot  = k2 * ell^2 * (p - value_est)
 
 `hgo_rates` is this right-hand side for one channel, pure over floats: the
-estimate rates of every constraint row, and the reference definition of the
-observer part of `sysmodel.closed_loop_step`. Its error has a certified envelope
+estimate rates of every constraint row, and the reference definition of
+`sysmodel.observer_step`. Its error has a certified envelope
 
     M(t) = transient_gain * exp(-decay_rate * t) * e0_bound
            + noise_gain * v_inf.

@@ -9,31 +9,34 @@ against the budget, envelope soundness, QP relaxation events).
 The trace records are the one source of every per-step fact: the summary's
 relaxation count, projected-disturbance maximum, budget soundness and time
 to goal, and the comparison's `budget_row_margin`, are folds over them.
-The loop keeps only what a record does not hold: the envelope audit, the
-intersample minimum and the abort state.
+The loop keeps only what a record does not hold: the envelope audit count,
+the intersample minimum and the abort state.
 
-Integration advances the augmented state (robot plus both observers) one
-substep at a time with `sysmodel.closed_loop_step`, built once per run, and
-reads the true constraint after every substep for the intersample minimum.
-Its reference definition is `sysmodel.step_rk4` over the right-hand side
+Integration advances the augmented state (robot plus both observers) in
+two halves. The observers read only the measurements, which depend on
+time alone, so `exogenous_track` walks the run's time grid once for
+everything a filter does not change: the `sysmodel.exogenous_signals`
+values at every stage time, each distinct time evaluated once, both
+observers advanced with `sysmodel.observer_step`, and per control step
+the truth, the measurements, the estimates, their `hgo_rates` rates, the
+error envelope M(t) (`error_envelope`, for the audit of each channel's
+error) and `bank.envelope` (the rows, `h_rob` and the envelope columns
+M + ln(2)/100, the smooth maximum of the two equal channel envelopes),
+with the envelope audit. `run` then steps the robot alone with
+`sysmodel.robot_step` on the track's stage signals and reads the true
+constraint after every substep for the intersample minimum. `compare`
+builds one track and hands it to every variant. The two halves'
+reference definition is `sysmodel.step_rk4` over the right-hand side
 `sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
 followed by `sysmodel.wrap_angle` on the heading. Every (h1, h2) pair, at
 the truth, at the estimates and after each substep, is `barrier.h_pair`.
 
-Each exogenous signal is evaluated once per time point. One
-`sysmodel.exogenous_signals` function per run gives the gravity truth,
-noise and disturbance to the right-hand side, the measurements, the truth
-audits and the intersample truth. The bank has one error envelope M(t)
-for both gravity channels. Per control step, `error_envelope` gives M to
-the audit of each channel's error, and `bank.envelope` gives the rows,
-`h_rob` and the envelope columns M + ln(2)/100, the smooth maximum of the
-two equal channel envelopes; the estimate rates and the budget value are
-taken once for both rows. Every filtered variant builds its rows with the one
-formula `barrier.constraint_row` and differs only in the inputs:
-`backward_diff` gives it the measurements and their backward-difference
-rates, the others the observer estimates and their rates; only `envelope`
-passes the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS`
-the budget. A `DomainError` anywhere in a control step ends the run with
+Every filtered variant builds its rows with the one formula
+`barrier.constraint_row` and differs only in the inputs: `backward_diff`
+gives it the measurements and their backward-difference rates, the
+others the observer estimates and their rates; only `envelope` passes
+the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS` the
+budget. A `DomainError` anywhere in a control step ends the run with
 an aborted summary. `write_trace` builds and checks every line in one pass
 before it creates the file.
 """
@@ -44,6 +47,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,10 +55,12 @@ from . import qp
 from .barrier import (check_budget_schedule, check_envelope_budget,
                       check_envelope_decay, constraint_row, h_pair, lipschitz_gain,
                       zmp_lateral)
-from .differentiator import BackwardDiffWindow, backward_diff, error_envelope, hgo_rates
+from .differentiator import (BackwardDiffWindow, DifferentiatorBank, backward_diff,
+                             error_envelope, hgo_rates)
 from .errors import DomainError, NonFiniteStateError
-from .scenario import BUDGET_ROW_FILTERS, Scenario, parse_variant
-from .sysmodel import ControlInput, RobotState, closed_loop_step, exogenous_signals
+from .scenario import BUDGET_ROW_FILTERS, VARIANT_FIELDS, Scenario, parse_variant
+from .sysmodel import (ControlInput, RobotState, exogenous_signals, observer_step,
+                       robot_step)
 
 TRACE_SCHEMA = "rollguard-trace-1"
 SAFETY_TOL = 1e-3  # sampled-data slack on the continuous-time guarantee
@@ -180,37 +186,187 @@ def _goal_distance(goal: tuple[float, float], state: RobotState) -> float:
     return math.hypot(goal[0] - state.x, goal[1] - state.y)
 
 
-def run(scenario: Scenario, label: str | None = None) -> RunResult:
-    """Simulate one scenario; deterministic given the seed."""
+class TrackStep(NamedTuple):
+    """What every filter of one scenario shares at one control step."""
+
+    t: float
+    g_true: tuple[float, float]
+    g_meas: tuple[float, float]
+    dist: tuple[float, float]                # (d_omega, d_v)
+    est: tuple[float, float, float, float]   # observer state, as TraceRecord.est
+    est_rate: tuple[float, float]            # hgo_rates value rates per channel
+    env: tuple[float, float]                 # bank.envelope(t)
+    violations: int                          # channels outside error_envelope
+    substeps: list  # (t_i, s1, s2, s4, s_end) per substep of the period
+
+
+class _Raises:
+    """A track entry whose computation raised: reading it, by unpacking or
+    by a field, raises the same error again, in a fresh exception."""
+
+    __slots__ = ("kind", "message")
+
+    def __init__(self, exc: Exception):
+        self.kind, self.message = type(exc), str(exc)
+
+    def __iter__(self):
+        raise self.kind(self.message)
+
+    def __getattr__(self, name):
+        raise self.kind(self.message)
+
+
+class ExogenousTrack:
+    """The filter-independent part of a run, from `exogenous_track`."""
+
+    def __init__(self, inputs: tuple, bank: DifferentiatorBank, walk):
+        self.inputs = inputs  # `_track_inputs` of the scenario it was built from
+        self.bank = bank
+        self.steps: list = []  # the TrackSteps walked so far
+        self._walk = walk
+
+    def step(self, k: int) -> TrackStep:
+        """The TrackStep of control step k (k = n_steps: the horizon). The
+        walk runs ahead in batches that at least double the steps walked:
+        a run that aborts at step k pays for at most 2k + 1 of them, and a
+        whole run switches to the walk about log2(n_steps) times (walking
+        one step per control step made a lone run about a tenth slower)."""
+        steps = self.steps
+        if k >= len(steps):
+            steps.extend(islice(self._walk, max(k + 1, 2 * len(steps) + 1) - len(steps)))
+        return steps[k]
+
+
+def _track_inputs(scenario: Scenario) -> tuple:
+    """Every field but those a comparison's variants set, by repr, which
+    keeps -0.0 apart from 0.0."""
+    return tuple(repr(getattr(scenario, f.name)) for f in dataclasses.fields(scenario)
+                 if f.name not in VARIANT_FIELDS)
+
+
+def exogenous_track(scenario: Scenario) -> ExogenousTrack:
+    """What depends on time alone, along the run's time grid, walked once
+    and only as far as runs ask for it (`ExogenousTrack.step`).
+
+    Per control step k (t = k * period, and once more at the horizon) a
+    `TrackStep`; per substep i the entry (t_i, s1, s2, s4, s_end): the
+    substep's start time t + i * sub_dt, the `exogenous_signals` values at
+    its RK4 stage times t_i, t_i + sub_dt/2 and t_i + sub_dt, and at the
+    substep's end t + (i + 1) * sub_dt, whose gravity truth the
+    intersample audit reads. The observers advance with
+    `sysmodel.observer_step` on the same signals. Each distinct time is
+    evaluated once: a substep starts where the last one ended, and the
+    stage-4 time and the end time share a value when they are equal.
+
+    The walk stops at the first signal DomainError or non-finite observer
+    state and puts a `_Raises` in the slot it would have filled, in the
+    order a run reads them: the step's signals, a substep's stage 2 or 4
+    (read by `robot_step` right before that stage's check), or its end
+    (read after the robot step, as the non-finite observer state follows
+    the robot's checks). A run that gets there raises it at that point.
+    Only the signals at t = 0 raise here: they seed the estimates.
+    """
+    bank = scenario.make_bank()
     terrain = scenario.terrain()
-    dist = scenario.disturbance()
+    signals = exogenous_signals(terrain, scenario.noise_model(), scenario.disturbance())
+    sig = signals(0.0)
+    return ExogenousTrack(_track_inputs(scenario), bank,
+                          _walk(scenario, bank, terrain.roll_rate, signals, sig))
+
+
+def _walk(scenario: Scenario, bank, roll_rate, signals, sig):
+    """`exogenous_track`'s TrackSteps in order, from the signals at t = 0."""
+    hgo = bank.hgo
+    advance = observer_step(hgo)
+    period = 1.0 / scenario.control_rate
+    n_steps = int(round(scenario.horizon * scenario.control_rate))
+    sub_dt = period / scenario.substeps
+    h2 = 0.5 * sub_dt
+    # estimates start at the first measurement with zero rate; e0_bound in
+    # the bank covers exactly this initialization
+    obs = (sig[0] + sig[2], 0.0, sig[1] + sig[3], 0.0)
+    t_end = 0.0  # the time of sig
+    for k in range(n_steps + 1):
+        t = k * period
+        slot = 0  # what is being computed: 0 the step, 2 or 4 a stage, 5 the end
+        subs: list = []
+        try:
+            if t != t_end:
+                sig = signals(t)
+            g_y0, g_z0, n_y, n_z, d_om, d_v = sig
+            meas = (g_y0 + n_y, g_z0 + n_z)
+            env_bound = error_envelope(bank, t)[0]
+            # true value and rate per channel; g cos(phi) = -g_z0 exactly
+            rate = roll_rate(t)
+            violations = ((math.hypot(obs[0] - g_y0, obs[1] - -g_z0 * rate)
+                           > env_bound + 1e-9)
+                          + (math.hypot(obs[2] - g_z0, obs[3] - g_y0 * rate)
+                             > env_bound + 1e-9))
+            record = TrackStep(
+                t, (g_y0, g_z0), meas, (d_om, d_v), obs,
+                (hgo_rates(obs[0], obs[1], hgo, meas[0])[0],
+                 hgo_rates(obs[2], obs[3], hgo, meas[1])[0]),
+                bank.envelope(t), violations, subs)
+            for i in range(scenario.substeps if k < n_steps else 0):
+                t_i = t + i * sub_dt
+                s1 = sig
+                slot = 2
+                s2 = signals(t_i + h2)
+                slot = 4
+                t4 = t_i + sub_dt
+                s4 = signals(t4)
+                slot = 5
+                obs = advance(obs, t_i, sub_dt, s1, s2, s4)
+                t_end = t + (i + 1) * sub_dt
+                sig = s4 if t_end == t4 else signals(t_end)
+                subs.append((t_i, s1, s2, s4, sig))
+        except (DomainError, NonFiniteStateError) as exc:
+            bad = _Raises(exc)
+            if slot == 0:
+                yield bad
+                return
+            if slot == 2:
+                subs.append((t_i, s1, bad, None, None))
+            elif slot == 4:
+                subs.append((t_i, s1, s2, bad, None))
+            else:
+                subs.append((t_i, s1, s2, s4, bad))
+            yield record
+            return
+        yield record
+
+
+def run(scenario: Scenario, label: str | None = None,
+        track: ExogenousTrack | None = None) -> RunResult:
+    """Simulate one scenario; deterministic given the seed. `track` is the
+    scenario's `exogenous_track`, built here when not given; one built
+    from a scenario that differs in more than `filter` and `budget_floor`
+    raises DomainError."""
+    if track is None:
+        track = exogenous_track(scenario)
+    elif track.inputs != _track_inputs(scenario):
+        raise DomainError("the exogenous track was built from a scenario that "
+                          "differs in more than filter and budget_floor")
     geom = scenario.geometry()
     act = scenario.actuator()
     alpha = scenario.alpha_fn()
     budget = scenario.budget()
-    bank = scenario.make_bank()
     box = scenario.input_box()
     goal = (scenario.goal_x, scenario.goal_y)
     gains = (scenario.k_v, scenario.k_omega)
     # the row inputs a filter does not keep enter the row as zero
     keeps_envelope = scenario.filter == "envelope"
     keeps_budget = scenario.filter in BUDGET_ROW_FILTERS
-    hgo = bank.hgo
     lip = lipschitz_gain(geom)
     ratio = geom.width_ratio
 
     period = 1.0 / scenario.control_rate
     n_steps = int(round(scenario.horizon * scenario.control_rate))
     sub_dt = period / scenario.substeps
-    checks = _scenario_checks(scenario, bank)
+    checks = _scenario_checks(scenario, track.bank)
 
-    signals = exogenous_signals(terrain, scenario.noise_model(), dist)
-    hold = closed_loop_step(act, hgo, signals)
-    g_y0, g_z0, n_y, n_z, _, _ = signals(0.0)
-    # estimates start at the first measurement with zero rate; e0_bound in
-    # the bank covers exactly this initialization
-    aug = (scenario.start_x, scenario.start_y, scenario.start_theta,
-           0.0, 0.0, g_y0 + n_y, 0.0, g_z0 + n_z, 0.0)
+    hold = robot_step(act)
+    robot = (scenario.start_x, scenario.start_y, scenario.start_theta, 0.0, 0.0)
 
     win_y = BackwardDiffWindow(period)
     win_z = BackwardDiffWindow(period)
@@ -220,20 +376,17 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
     env_violations = 0
     aborted = False
     abort_reason = ""
-    t_aug = 0.0  # time of the state in aug; behind t once a step aborts
+    done = 0  # control steps finished; robot holds the state at done * period
 
     for k in range(n_steps):
-        t = k * period
-        state = RobotState(aug[0], aug[1], aug[2], aug[3], aug[4])
-        est = aug[5:]
+        state = RobotState(*robot)
         try:
-            g_y0, g_z0, n_y, n_z, d_om, d_v = signals(t)
-            meas = (g_y0 + n_y, g_z0 + n_z)
+            (t, g_true, meas, (d_om, d_v), est, est_rate, (env_value, env_rate),
+             violations, subs) = track.step(k)
+            g_y0, g_z0 = g_true
 
             u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
 
-            env_bound = error_envelope(bank, t)[0]
-            env_value, env_rate = bank.envelope(t)
             budget_value = budget.value(t)
 
             if scenario.filter == "none":
@@ -246,8 +399,7 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
                     row_rate = (backward_diff(win_y), backward_diff(win_z))
                 else:
                     row_est = (est[0], est[2])
-                    row_rate = (hgo_rates(est[0], est[1], hgo, meas[0])[0],
-                                hgo_rates(est[2], est[3], hgo, meas[1])[0])
+                    row_rate = est_rate
                 row_env = (env_value, env_rate) if keeps_envelope else (0.0, 0.0)
                 row_budget = budget_value if keeps_budget else 0.0
                 rows = tuple(constraint_row(which, state, row_est, row_rate, *row_env,
@@ -264,16 +416,11 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
 
             proj = abs(state.v * d_om + state.omega * d_v)
 
-            # true value and rate per channel; g cos(phi) = -g_z0 exactly
-            rate = terrain.roll_rate(t)
-            if math.hypot(est[0] - g_y0, est[1] - -g_z0 * rate) > env_bound + 1e-9:
-                env_violations += 1
-            if math.hypot(est[2] - g_z0, est[3] - g_y0 * rate) > env_bound + 1e-9:
-                env_violations += 1
+            env_violations += violations
 
             records.append(TraceRecord(
                 t=t, state=state, est=est,
-                g_true=(g_y0, g_z0), g_meas=meas,
+                g_true=g_true, g_meas=meas,
                 u_nom=(u_nom.u_v, u_nom.u_omega), u_star=sol.u,
                 h_true=h_true, h_rob=rob,
                 y_zmp=zmp_lateral(state.v, state.omega, g_y0, g_z0, geom),
@@ -282,18 +429,18 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
                 qp_status=sol.status, qp_active="+".join(sol.active)))
 
             step = hold(*sol.u)
-            y = aug
-            for i in range(scenario.substeps):
-                y = step(y, t + i * sub_dt, sub_dt)
-                g_y, g_z = signals(t + (i + 1) * sub_dt)[:2]
+            r = robot
+            for t_i, s1, s2, s4, s_end in subs:
+                r = step(r, t_i, sub_dt, s1, s2, s4)
+                g_y, g_z, _, _, _, _ = s_end
                 # min()'s update rule, NaN and ties included
-                h1, h2 = h_pair(y[4], y[3], g_y, g_z, ratio)
+                h1, h2 = h_pair(r[4], r[3], g_y, g_z, ratio)
                 if h1 < min_inter:
                     min_inter = h1
                 if h2 < min_inter:
                     min_inter = h2
-            aug = y
-            t_aug = (k + 1) * period
+            robot = r
+            done = k + 1
         except (NonFiniteStateError, DomainError) as exc:
             # a singular tip point or a roll outside the upright regime, a
             # mid-stage overflow (a domain error from the dynamics input
@@ -302,11 +449,12 @@ def run(scenario: Scenario, label: str | None = None) -> RunResult:
             abort_reason = str(exc)
             break
 
-    final_state = RobotState(aug[0], aug[1], aug[2], aug[3], aug[4])
+    final_state = RobotState(*robot)
+    t_aug = done * period
     h1s = [r.h_true[0] for r in records]
     h2s = [r.h_true[1] for r in records]
     try:
-        g_y, g_z = signals(t_aug)[:2]
+        g_y, g_z = track.step(done).g_true
     except DomainError:
         # the roll has left the upright regime (the run aborted on it) and
         # the truth at the final time is undefined
@@ -395,14 +543,15 @@ def compare(scenario: Scenario, variants: list[str]) -> ComparisonResult:
     settings; the seed and therefore every exogenous signal is shared."""
     results = {}
     base_label = scenario.filter
-    base = run(scenario, label=base_label)
+    track = exogenous_track(scenario)
+    base = run(scenario, label=base_label, track=track)
     results[base_label] = base
     labels = {base_label: scenario}
     for spec in variants:
         vlabel, vscenario = parse_variant(scenario, spec)
         if vlabel in results:
             continue
-        results[vlabel] = run(vscenario, label=vlabel)
+        results[vlabel] = run(vscenario, label=vlabel, track=track)
         labels[vlabel] = vscenario
 
     extras = {}

@@ -271,6 +271,10 @@ def load_config(path) -> Scenario:
     return Scenario(**values)
 
 
+# the fields a variant spec sets; a comparison's variants share every other
+VARIANT_FIELDS = ("filter", "budget_floor")
+
+
 def parse_variant(scenario: Scenario, spec: str) -> tuple[str, Scenario]:
     """Variant spec 'filter' or 'filter:budget_floor' applied on top of a
     base scenario; everything else (seed, signals) is shared."""

@@ -9,21 +9,23 @@ State ordering used throughout: (x, y, theta, omega, v)
     omega_dot = -tau_omega * omega + tau_omega * u_omega + d_omega
     v_dot     = -tau_v * v + tau_v * u_v + d_v
 
-A run advances the augmented 9-state (robot plus two high-gain observers)
-with `closed_loop_step`, built once per run: one classical RK4 step of the
-closed loop, written out on nine floats. Its reference definition is
-`step_rk4` over the right-hand side made of `eval_dynamics` here and two
-`differentiator.hgo_rates` calls, followed by `wrap_angle` on the heading;
-the step repeats that composition's float operations in order and is
+The augmented 9-state (robot plus two high-gain observers) advances in
+two halves that share one set of stage signals: `robot_step` over the
+five robot states and `observer_step` over the four observer states, each
+one classical RK4 step written out on named floats. The observers read
+only the measurements, which depend on time alone, so one observer
+trajectory serves every filter of a scenario (`harness.exogenous_track`).
+Their composition's reference definition is `step_rk4` over the
+right-hand side made of `eval_dynamics` here and two
+`differentiator.hgo_rates` calls, followed by `wrap_angle` on the
+heading; the two halves repeat its float operations in order and are
 bit-equal to it.
 
 Everything that depends on time alone (true gravity components, noise and
-disturbance) comes from one per-run function built by `exogenous_signals`.
-Its reference definitions are `gravity_at`, for the gravity truth and the
-noise, and `DisturbanceModel.sample`. It keeps a one-entry memo of its
-last time point, so it is stateful: build one per run and share it only
-within that run. Every other function here is pure, and independent
-scenarios can run concurrently.
+disturbance) comes from the function built by `exogenous_signals`. Its
+reference definitions are `gravity_at`, for the gravity truth and the
+noise, and `DisturbanceModel.sample`. Every function here is pure, and
+independent scenarios can run concurrently.
 """
 
 from __future__ import annotations
@@ -231,74 +233,59 @@ def eval_dynamics(state: RobotState, u: ControlInput, params: ActuatorParams,
 
 
 def exogenous_signals(terrain: TerrainProfile, noise, dist: DisturbanceModel):
-    """Time-only inputs of one run, built once per run.
+    """Time-only inputs of one run.
 
     Returns `signals(t) -> (g_y0, g_z0, n_y, n_z, d_omega, d_v)`: the true
     body-frame gravity components, the measurement noise and the two
     disturbances at t. `signals(t)[:4]` is bit-equal to
     `gravity_at(t, terrain, noise)` and `signals(t)[4:]` to
     `dist.sample(t)`, and a roll outside the upright regime raises the
-    same DomainError.
-
-    The last result is kept and returned again only for a bit-equal t: the
-    two midpoint stages of one RK4 step share a time, and the end of one
-    substep is usually the start of the next. The memo lives in this
-    closure alone, so nothing is shared between runs.
+    same DomainError. It is pure: it keeps no state between calls.
     """
     roll, g = terrain.roll, terrain.gravity
     sample = noise.sample
     d_omega, d_v = dist.d_omega, dist.d_v
-    sin, cos, copysign = math.sin, math.cos, math.copysign
+    sin, cos = math.sin, math.cos
     half_pi = 0.5 * math.pi
-    last_t = math.nan  # equal to no float
-    last = None
 
     def signals(t: float) -> tuple[float, float, float, float, float, float]:
-        nonlocal last_t, last
-        # 0.0 == -0.0, but the signals at the two may differ in sign
-        if t == last_t and (t or copysign(1.0, t) == copysign(1.0, last_t)):
-            return last
         phi = roll(t)
         if abs(phi) >= half_pi:
             raise DomainError(f"terrain roll {phi} rad leaves the upright regime")
         ny, nz = sample(t)
-        last = (g * sin(phi), -g * cos(phi), ny, nz, d_omega(t), d_v(t))
-        last_t = t
-        return last
+        return (g * sin(phi), -g * cos(phi), ny, nz, d_omega(t), d_v(t))
 
     return signals
 
 
-def closed_loop_step(act: ActuatorParams, hgo, signals):
-    """One RK4 step of one run's augmented closed loop, built once per run.
+def robot_step(act: ActuatorParams):
+    """One RK4 step of the five robot states, built once per run.
 
-    The augmented state is the flat 9-tuple (x, y, theta, omega, v,
-    est_gy, rate_gy, est_gz, rate_gz): the robot plus one high-gain
-    observer (`hgo`, an `HgoParams`) per measured gravity channel, each
-    driven by its noisy measurement. `signals` is the run's
-    `exogenous_signals` function. The result is `hold(u_v, u_omega)`,
-    which returns `step(y, t, dt)` for that input held over a control
-    period: one classical RK4 step from `y` at time `t`, returning the
-    9-tuple at `t + dt` with the heading wrapped to (-pi, pi]. Every
-    `step` of one run shares `signals` and its memo.
+    Returns `hold(u_v, u_omega)`, which returns `step(r, t, dt, s1, s2, s4)`
+    for that input held over a control period: one classical RK4 step of
+    r = (x, y, theta, omega, v) from time t, returning the 5-tuple at
+    t + dt with the heading wrapped to (-pi, pi]. s1, s2 and s4 are the
+    run's `exogenous_signals` values at the stage times t, t + dt/2 and
+    t + dt; the step reads only their disturbances, and stage 3 shares
+    stage 2's.
 
-    Its reference definition is `step_rk4` over the right-hand side
-    `eval_dynamics` (with the disturbance) plus two
-    `differentiator.hgo_rates` calls on the measurements, followed by
-    `wrap_angle` on the heading. `step` writes that composition out on
-    nine named floats, without stage lists or a call per stage; every
-    float operation happens in the reference's order, so the result is
-    bit-equal, and each check raises the same error: a non-finite held
-    input (from `hold`, which the reference rejects at the first stage), a
-    non-finite robot state or disturbance at any stage, a non-finite
-    result and `dt <= 0`. The two midpoint stages share one
-    `signals(t + dt/2)` value, as the reference does through the memo.
+    Its reference definition is `step_rk4` over `eval_dynamics` with the
+    disturbance, followed by `wrap_angle` on the heading. `step` writes
+    that composition out on five named floats; every float operation
+    happens in the reference's order, so the result is bit-equal, and each
+    check raises the same error: a non-finite held input (from `hold`,
+    which the reference rejects at the first stage), a non-finite state or
+    disturbance at any stage, a non-finite result and `dt <= 0`. Each
+    stage unpacks its signals right before its check, where the reference
+    evaluates them, so signals that raise when unpacked raise in the
+    reference's place. Together with `observer_step` on the same signals
+    it is one RK4 step of the augmented closed loop (robot plus both
+    observers): the robot does not feed the observers, and the observers
+    do not feed the robot within a step.
     """
     tau_v, tau_omega = act.tau_v, act.tau_omega
     # -tau * state parses as (-tau) * state, so the negations are exact
     neg_tau_v, neg_tau_omega = -tau_v, -tau_omega
-    k1l = hgo.k1 * hgo.ell
-    k2l2 = hgo.k2 * hgo.ell * hgo.ell
     sin, cos, ceil, isfinite = math.sin, math.cos, math.ceil, math.isfinite
     pi = math.pi
     two_pi = 2.0 * math.pi
@@ -310,70 +297,52 @@ def closed_loop_step(act: ActuatorParams, hgo, signals):
         in_omega = tau_omega * u_omega
         in_v = tau_v * u_v
 
-        def step(y, t: float, dt: float) -> tuple[float, ...]:
+        def step(r, t: float, dt: float, s1, s2, s4) -> tuple[float, ...]:
             if dt <= 0.0:
                 raise DomainError("dt must be positive")
-            x, p, th, w, v, ey, ry, ez, rz = y
+            x, p, th, w, v = r
             h2 = 0.5 * dt
 
-            # stage 1 at (t, y)
-            g_y0, g_z0, ny, nz, dw, dv = signals(t)
+            # stage 1 at (t, r)
+            _, _, _, _, dw, dv = s1
             if not (isfinite(x) and isfinite(p) and isfinite(th) and isfinite(w)
                     and isfinite(v) and isfinite(dw) and isfinite(dv)):
                 raise DomainError("non-finite dynamics input")
-            iy = (g_y0 + ny) - ey
-            iz = (g_z0 + nz) - ez
             a0, a1, a2 = v * cos(th), v * sin(th), w
             a3 = neg_tau_omega * w + in_omega + dw
             a4 = neg_tau_v * v + in_v + dv
-            a5, a6 = ry + k1l * iy, k2l2 * iy
-            a7, a8 = rz + k1l * iz, k2l2 * iz
 
             # stages 2 and 3 at t + dt/2 share one signals value
             x2, p2, th2 = x + h2 * a0, p + h2 * a1, th + h2 * a2
             w2, v2 = w + h2 * a3, v + h2 * a4
-            ey2, ry2, ez2, rz2 = ey + h2 * a5, ry + h2 * a6, ez + h2 * a7, rz + h2 * a8
-            g_y0, g_z0, ny, nz, dw, dv = signals(t + h2)
+            _, _, _, _, dw, dv = s2
             if not (isfinite(x2) and isfinite(p2) and isfinite(th2) and isfinite(w2)
                     and isfinite(v2) and isfinite(dw) and isfinite(dv)):
                 raise DomainError("non-finite dynamics input")
-            my, mz = g_y0 + ny, g_z0 + nz
-            iy, iz = my - ey2, mz - ez2
             b0, b1, b2 = v2 * cos(th2), v2 * sin(th2), w2
             b3 = neg_tau_omega * w2 + in_omega + dw
             b4 = neg_tau_v * v2 + in_v + dv
-            b5, b6 = ry2 + k1l * iy, k2l2 * iy
-            b7, b8 = rz2 + k1l * iz, k2l2 * iz
 
             x3, p3, th3 = x + h2 * b0, p + h2 * b1, th + h2 * b2
             w3, v3 = w + h2 * b3, v + h2 * b4
-            ey3, ry3, ez3, rz3 = ey + h2 * b5, ry + h2 * b6, ez + h2 * b7, rz + h2 * b8
             # the disturbances were checked in stage 2
             if not (isfinite(x3) and isfinite(p3) and isfinite(th3) and isfinite(w3)
                     and isfinite(v3)):
                 raise DomainError("non-finite dynamics input")
-            iy, iz = my - ey3, mz - ez3
             c0, c1, c2 = v3 * cos(th3), v3 * sin(th3), w3
             c3 = neg_tau_omega * w3 + in_omega + dw
             c4 = neg_tau_v * v3 + in_v + dv
-            c5, c6 = ry3 + k1l * iy, k2l2 * iy
-            c7, c8 = rz3 + k1l * iz, k2l2 * iz
 
             # stage 4 at t + dt
             x4, p4, th4 = x + dt * c0, p + dt * c1, th + dt * c2
             w4, v4 = w + dt * c3, v + dt * c4
-            ey4, ry4, ez4, rz4 = ey + dt * c5, ry + dt * c6, ez + dt * c7, rz + dt * c8
-            g_y0, g_z0, ny, nz, dw, dv = signals(t + dt)
+            _, _, _, _, dw, dv = s4
             if not (isfinite(x4) and isfinite(p4) and isfinite(th4) and isfinite(w4)
                     and isfinite(v4) and isfinite(dw) and isfinite(dv)):
                 raise DomainError("non-finite dynamics input")
-            iy = (g_y0 + ny) - ey4
-            iz = (g_z0 + nz) - ez4
             d0, d1, d2 = v4 * cos(th4), v4 * sin(th4), w4
             d3 = neg_tau_omega * w4 + in_omega + dw
             d4 = neg_tau_v * v4 + in_v + dv
-            d5, d6 = ry4 + k1l * iy, k2l2 * iy
-            d7, d8 = rz4 + k1l * iz, k2l2 * iz
 
             sixth = dt / 6.0
             x = x + sixth * (a0 + 2.0 * (b0 + c0) + d0)
@@ -381,18 +350,75 @@ def closed_loop_step(act: ActuatorParams, hgo, signals):
             th = th + sixth * (a2 + 2.0 * (b2 + c2) + d2)
             w = w + sixth * (a3 + 2.0 * (b3 + c3) + d3)
             v = v + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-            ey = ey + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-            ry = ry + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-            ez = ez + sixth * (a7 + 2.0 * (b7 + c7) + d7)
-            rz = rz + sixth * (a8 + 2.0 * (b8 + c8) + d8)
             if not (isfinite(x) and isfinite(p) and isfinite(th) and isfinite(w)
-                    and isfinite(v) and isfinite(ey) and isfinite(ry)
-                    and isfinite(ez) and isfinite(rz)):
+                    and isfinite(v)):
                 raise NonFiniteStateError(f"non-finite state after step at t={t}")
             # the heading through wrap_angle's expression
-            return (x, p, th - two_pi * ceil((th - pi) / two_pi), w, v, ey, ry, ez, rz)
+            return (x, p, th - two_pi * ceil((th - pi) / two_pi), w, v)
         return step
     return hold
+
+
+def observer_step(hgo):
+    """One RK4 step of the two high-gain observers, built once per run.
+
+    Returns `step(o, t, dt, s1, s2, s4)`: one classical RK4 step of
+    o = (est_gy, rate_gy, est_gz, rate_gz), one observer (`hgo`, an
+    `HgoParams`) per gravity channel, each driven by its noisy measurement
+    g + n from the run's `exogenous_signals` values at the stage times t,
+    t + dt/2 and t + dt. It returns the 4-tuple at t + dt.
+
+    Its reference definition is `step_rk4` over two
+    `differentiator.hgo_rates` calls on the measurements; `step` repeats
+    their float operations in order, so the result is bit-equal. It raises
+    `robot_step`'s errors for `dt <= 0` and a non-finite result; the
+    observer state is no dynamics input, so its stages are not checked.
+    """
+    k1l = hgo.k1 * hgo.ell
+    k2l2 = hgo.k2 * hgo.ell * hgo.ell
+    isfinite = math.isfinite
+
+    def step(o, t: float, dt: float, s1, s2, s4) -> tuple[float, ...]:
+        if dt <= 0.0:
+            raise DomainError("dt must be positive")
+        ey, ry, ez, rz = o
+        h2 = 0.5 * dt
+
+        g_y0, g_z0, ny, nz, _, _ = s1
+        iy = (g_y0 + ny) - ey
+        iz = (g_z0 + nz) - ez
+        a5, a6 = ry + k1l * iy, k2l2 * iy
+        a7, a8 = rz + k1l * iz, k2l2 * iz
+
+        # stages 2 and 3 share one measurement
+        ey2, ry2, ez2, rz2 = ey + h2 * a5, ry + h2 * a6, ez + h2 * a7, rz + h2 * a8
+        g_y0, g_z0, ny, nz, _, _ = s2
+        my, mz = g_y0 + ny, g_z0 + nz
+        iy, iz = my - ey2, mz - ez2
+        b5, b6 = ry2 + k1l * iy, k2l2 * iy
+        b7, b8 = rz2 + k1l * iz, k2l2 * iz
+
+        ey3, ry3, ez3, rz3 = ey + h2 * b5, ry + h2 * b6, ez + h2 * b7, rz + h2 * b8
+        iy, iz = my - ey3, mz - ez3
+        c5, c6 = ry3 + k1l * iy, k2l2 * iy
+        c7, c8 = rz3 + k1l * iz, k2l2 * iz
+
+        ey4, ry4, ez4, rz4 = ey + dt * c5, ry + dt * c6, ez + dt * c7, rz + dt * c8
+        g_y0, g_z0, ny, nz, _, _ = s4
+        iy = (g_y0 + ny) - ey4
+        iz = (g_z0 + nz) - ez4
+        d5, d6 = ry4 + k1l * iy, k2l2 * iy
+        d7, d8 = rz4 + k1l * iz, k2l2 * iz
+
+        sixth = dt / 6.0
+        ey = ey + sixth * (a5 + 2.0 * (b5 + c5) + d5)
+        ry = ry + sixth * (a6 + 2.0 * (b6 + c6) + d6)
+        ez = ez + sixth * (a7 + 2.0 * (b7 + c7) + d7)
+        rz = rz + sixth * (a8 + 2.0 * (b8 + c8) + d8)
+        if not (isfinite(ey) and isfinite(ry) and isfinite(ez) and isfinite(rz)):
+            raise NonFiniteStateError(f"non-finite state after step at t={t}")
+        return (ey, ry, ez, rz)
+    return step
 
 
 def step_rk4(y: Sequence[float], t: float, dt: float,

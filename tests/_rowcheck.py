@@ -4,9 +4,9 @@
 derivative: it propagates the augmented closed loop (without disturbance,
 input held) from recorded states and compares d/dt of the robustified
 constraint against the analytic drift + input_row . u. The flow is the
-one `harness.run` integrates: `sysmodel.closed_loop_step` on the run's
-`exogenous_signals`, which also give the measurements, on the scenario
-without disturbance.
+one `harness.run` integrates, by its reference definition
+`_stepref.reference_closed_loop_step` on the run's `exogenous_signals`,
+which also give the measurements, on the scenario without disturbance.
 
 `budget_row_margin_rebuilt` rebuilds the envelope row and the budget row
 of both constraints at every trace record, the reference for the closed
@@ -17,7 +17,9 @@ import math
 
 from rollguard.barrier import constraint_row, eval_barrier
 from rollguard.differentiator import hgo_rates
-from rollguard.sysmodel import RobotState, closed_loop_step, exogenous_signals
+from rollguard.sysmodel import RobotState, exogenous_signals
+
+from _stepref import reference_closed_loop_step
 
 
 def row_derivative_gap(scenario, record, which):
@@ -32,7 +34,7 @@ def row_derivative_gap(scenario, record, which):
     u_v, u_omega = record.u_star
     period = 1.0 / calm.control_rate
     signals = exogenous_signals(calm.terrain(), calm.noise_model(), calm.disturbance())
-    step = closed_loop_step(act, hgo, signals)(u_v, u_omega)
+    step = reference_closed_loop_step(act, hgo, signals)(u_v, u_omega)
 
     def h_rob(tt, yy):
         env_value, _ = bank.envelope(tt)

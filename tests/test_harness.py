@@ -18,7 +18,7 @@ from rollguard.scenario import Scenario, load_config, parse_variant
 from rollguard.sysmodel import RobotState, constant_roll, smooth_ramp_roll
 
 from _rowcheck import budget_row_margin_rebuilt
-from _stepref import reference_closed_loop_step
+from _stepref import reference_observer_step, reference_robot_step
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ROLLOVER_CFG = str(CONFIGS / "rollover_slope.cfg")
@@ -314,37 +314,199 @@ def test_row_wrapper_bit_equal_to_run_rows():
                     [x.hex() for x in (*want.a, want.beta)], (mode, which)
 
 
+def _mid_period_abort(monkeypatch):
+    """A roll that leaves the upright regime inside a control period."""
+    monkeypatch.setattr(Scenario, "terrain", lambda self: smooth_ramp_roll(
+        math.radians(95.0), 0.0, 1.3, self.gravity))
+
+
+def _output_bytes(res, tmp_path, name):
+    harness.write_trace(res.records, tmp_path / f"trace_{name}.csv")
+    harness.write_summary(res.summary, tmp_path / f"summary_{name}.json")
+    return [(tmp_path / f"{kind}_{name}.{ext}").read_bytes()
+            for kind, ext in (("trace", "csv"), ("summary", "json"))]
+
+
 @pytest.mark.parametrize("case", [*FILTERS, "tau_v_abort", "mid_period_abort"])
 def test_run_bit_equal_with_reference_step(tmp_path, monkeypatch, case):
-    """harness.run with the shipped closed_loop_step writes the same trace
-    and summary bytes as with its reference definition (step_rk4 over
-    eval_dynamics plus two hgo_rates calls, then wrap_angle): the five
-    filters, an overflow abort, and a roll that leaves the upright regime
-    inside a control period, where the minimum of the substeps finished
-    before the abort must stay in the summary."""
+    """harness.run with the shipped robot and observer steps writes the
+    same trace and summary bytes as with both derived from their reference
+    definition (step_rk4 over eval_dynamics plus two hgo_rates calls, then
+    wrap_angle): the five filters, an overflow abort, and a roll that
+    leaves the upright regime inside a control period, where the minimum
+    of the substeps finished before the abort must stay in the summary."""
     if case == "tau_v_abort":
         sc = Scenario(filter="none", tau_v=1e160, horizon=1.0)
     elif case == "mid_period_abort":
-        monkeypatch.setattr(Scenario, "terrain", lambda self: smooth_ramp_roll(
-            math.radians(95.0), 0.0, 1.3, self.gravity))
+        _mid_period_abort(monkeypatch)
         sc = Scenario(filter="none", horizon=2.0)
     else:
         sc = Scenario(filter=case, horizon=2.0)
     shipped = harness.run(sc)
-    monkeypatch.setattr(harness, "closed_loop_step", reference_closed_loop_step)
+    monkeypatch.setattr(harness, "robot_step", reference_robot_step)
+    monkeypatch.setattr(harness, "observer_step", reference_observer_step)
     reference = harness.run(sc)
-    written = {}
-    for name, res in (("shipped", shipped), ("reference", reference)):
-        harness.write_trace(res.records, tmp_path / f"trace_{name}.csv")
-        harness.write_summary(res.summary, tmp_path / f"summary_{name}.json")
-        written[name] = [(tmp_path / f"{kind}_{name}.{ext}").read_bytes()
-                         for kind, ext in (("trace", "csv"), ("summary", "json"))]
-    assert written["shipped"] == written["reference"]
+    assert _output_bytes(shipped, tmp_path, "shipped") == \
+        _output_bytes(reference, tmp_path, "reference")
     s = shipped.summary
     assert s.aborted == (case in ("tau_v_abort", "mid_period_abort"))
     if case == "mid_period_abort":
         assert "upright regime" in s.abort_reason
         assert s.min_h_true_intersample < s.min_h_true
+
+
+class TestTrack:
+    @staticmethod
+    def _differing(sc: Scenario):
+        """One scenario per field other than filter and budget_floor, each
+        differing from sc in that field alone, plus -0.0 for a 0.0."""
+        for f in dataclasses.fields(sc):
+            if f.name in ("filter", "budget_floor"):
+                continue
+            value = getattr(sc, f.name)
+            if f.type == "int":
+                other = value + 1
+            elif f.type == "float":
+                other = math.nextafter(value, math.inf)
+            else:
+                other = {"ramp": "constant", "sinusoid": "none"}[value]
+            yield f.name, dataclasses.replace(sc, **{f.name: other})
+        yield "-0.0", dataclasses.replace(sc, start_x=-0.0)
+
+    def test_run_rejects_a_track_of_another_scenario(self, monkeypatch):
+        """A track built from a scenario that differs in any field but
+        filter and budget_floor fails before the run integrates."""
+        sc = Scenario(horizon=0.5)
+        assert sc.start_x == 0.0
+        track = harness.exogenous_track(sc)
+
+        def no_integration(act):
+            raise AssertionError("the run integrated")
+
+        monkeypatch.setattr(harness, "robot_step", no_integration)
+        checked = []
+        for name, other in self._differing(sc):
+            with pytest.raises(DomainError, match="exogenous track"):
+                harness.run(other, track=track)
+            checked.append(name)
+        assert len(checked) == len(dataclasses.fields(sc)) - 1
+        monkeypatch.undo()
+        variant = dataclasses.replace(sc, filter="const_margin", budget_floor=0.9)
+        assert harness.run(variant, track=track).summary.n_steps == 25
+
+    @staticmethod
+    def _fails_at(monkeypatch, t_bad):
+        """The default terrain, out of the upright regime at t_bad alone."""
+        make = Scenario.terrain
+
+        def terrain(self):
+            profile = make(self)
+            return dataclasses.replace(
+                profile, roll=lambda t: 2.0 if t == t_bad else profile.roll(t))
+        monkeypatch.setattr(Scenario, "terrain", terrain)
+
+    @staticmethod
+    def _grid_times(sc):
+        """(k, i, stage-2, stage-4 and end time) of every substep."""
+        period = 1.0 / sc.control_rate
+        sub_dt = period / sc.substeps
+        for k in range(int(round(sc.horizon * sc.control_rate))):
+            t = k * period
+            for i in range(sc.substeps):
+                t_i = t + i * sub_dt
+                yield k, i, t_i + 0.5 * sub_dt, t_i + sub_dt, t + (i + 1) * sub_dt
+
+    @pytest.mark.parametrize("where", ["stage_2", "stage_4", "stage_4_not_end",
+                                       "end_not_stage_4", "top_not_end",
+                                       "observer_before_end"])
+    def test_records_the_first_failure_where_a_run_reads_it(self, monkeypatch, where):
+        """The walk stops at the first failure in the order of one fused
+        RK4 step per substep and puts it in the slot a run reads at that
+        point: a step's signals, a substep's stage 2 or stage 4 signals, or
+        its end, where a non-finite observer state comes first. A time
+        shared by two slots (a stage-4 time equal to the end time, an end
+        time equal to the next step's time) fails in the first."""
+        sc = Scenario(filter="none", horizon=1.0)
+        grid = list(self._grid_times(sc))
+        # the first substep whose stage-4 time is one ulp off its end time
+        k_off, i_off, _, t4_off, end_off = next(g for g in grid if g[3] != g[4])
+        reason = "upright regime"
+        if where in ("stage_2", "stage_4"):
+            k, i, slot = 7, 2, {"stage_2": 2, "stage_4": 3}[where]
+            t_bad = grid[4 * k + i][slot]
+        elif where == "stage_4_not_end":
+            k, i, slot, t_bad = k_off, i_off, 3, t4_off
+        elif where == "end_not_stage_4":
+            k, i, slot, t_bad = k_off, i_off, 4, end_off
+        elif where == "top_not_end":
+            k = next(j for j in range(1, 50) if j * 0.02 != grid[4 * j - 1][4])
+            i, slot, t_bad = None, None, k * 0.02
+        else:
+            # the measurements blow the observers up from stage 2 of the
+            # substep whose end signals fail
+            k, i, slot, t_bad = k_off, i_off, 4, end_off
+            t_i = k * 0.02 + i * 0.005
+            sample = sysmodel.NoiseModel.sample
+            monkeypatch.setattr(sysmodel.NoiseModel, "sample", lambda self, t: (
+                (1e306, 1e306) if t > t_i else sample(self, t)))
+            reason = f"non-finite state after step at t={t_i}"
+        self._fails_at(monkeypatch, t_bad)
+        track = harness.exogenous_track(sc)
+        assert all(type(track.step(j)) is harness.TrackStep for j in range(k))
+        with pytest.raises(IndexError):
+            track.step(k + 1)
+        if slot is None:
+            bad = track.step(k)
+        else:
+            assert len(track.step(k).substeps) == i + 1
+            last = track.step(k).substeps[i]
+            assert [type(x) is harness._Raises for x in last] == \
+                [j == slot for j in range(5)], last
+            bad = last[slot]
+        with pytest.raises((DomainError, harness.NonFiniteStateError), match=reason):
+            list(bad)
+        s = harness.run(sc).summary
+        assert s.aborted and reason in s.abort_reason
+        assert s.n_steps == (k if slot is None else k + 1)
+
+    def test_signals_at_start_raise(self, monkeypatch):
+        """The signals at t = 0 seed the estimates: their error leaves the
+        track and the run, as no step has started."""
+        self._fails_at(monkeypatch, 0.0)
+        with pytest.raises(DomainError, match="upright regime"):
+            harness.exogenous_track(Scenario(horizon=0.5))
+        with pytest.raises(DomainError, match="upright regime"):
+            harness.run(Scenario(horizon=0.5))
+
+    def test_walks_only_as_far_as_asked(self, monkeypatch):
+        """A run that aborts at its first step walks one step of the track,
+        and the next run on it walks on from there, to the horizon."""
+        sc = Scenario(filter="none", horizon=1.0)
+        track = harness.exogenous_track(sc)
+        assert track.steps == []
+
+        def abort(*args):
+            raise DomainError("abort at the first step")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "nominal_control", abort)
+            assert harness.run(sc, track=track).summary.n_steps == 0
+        assert len(track.steps) == 1
+        lone = harness.run(sc)
+        shared = harness.run(sc, track=track)
+        assert len(track.steps) == 51
+        assert shared.records == lone.records and shared.summary == lone.summary
+
+    def test_run_uses_the_given_track(self, monkeypatch):
+        """A run given a track builds none of its own."""
+        sc = Scenario(horizon=0.5)
+        track = harness.exogenous_track(sc)
+
+        def no_track(scenario):
+            raise AssertionError("the run built a track")
+
+        monkeypatch.setattr(harness, "exogenous_track", no_track)
+        assert harness.run(sc, track=track).summary.n_steps == 25
 
 
 class TestCompare:
@@ -385,6 +547,38 @@ class TestCompare:
         assert math.isfinite(want)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert harness.budget_row_margin(sc, []) == math.inf
+
+    @pytest.mark.parametrize("case", ["rollover-1", "rollover-7", "static-1",
+                                      "static-7", "mid_period_abort"])
+    def test_each_variant_equals_its_lone_run(self, tmp_path, monkeypatch, case):
+        """Each variant of a comparison, which shares one exogenous track,
+        writes the trace and summary bytes of its lone run: both shipped
+        configs at seeds 1 and 7, and a roll that leaves the upright regime
+        inside a control period, where every variant aborts at the same
+        step with the same reason and keeps the substeps it finished."""
+        if case == "mid_period_abort":
+            _mid_period_abort(monkeypatch)
+            sc = Scenario(filter="none", horizon=2.0)
+        else:
+            config, seed = case.split("-")
+            cfg = ROLLOVER_CFG if config == "rollover" else STATIC_CFG
+            sc = dataclasses.replace(load_config(cfg), seed=int(seed))
+        specs = [*FILTERS, "const_margin:0.9"]
+        result = harness.compare(sc, specs)
+        assert len(result.results) == 6
+        for spec in specs:
+            label, vscenario = parse_variant(sc, spec)
+            lone = harness.run(vscenario, label=label)
+            assert _output_bytes(result.results[label], tmp_path, f"compare_{label}") == \
+                _output_bytes(lone, tmp_path, f"lone_{label}"), label
+        summaries = [res.summary for res in result.results.values()]
+        if case == "mid_period_abort":
+            assert len({(s.n_steps, s.abort_reason) for s in summaries}) == 1
+            for s in summaries:
+                assert s.aborted and "upright regime" in s.abort_reason
+                assert s.min_h_true_intersample < s.min_h_true
+        else:
+            assert not any(s.aborted for s in summaries)
 
     def test_outputs_written(self, tmp_path):
         result = harness.compare(Scenario(filter="none", horizon=0.5),

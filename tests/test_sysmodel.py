@@ -8,13 +8,12 @@ from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
-                                RobotState, TerrainProfile, closed_loop_step,
-                                constant_roll, eval_dynamics,
-                                exogenous_signals, gravity_at,
+                                RobotState, TerrainProfile, constant_roll, eval_dynamics,
+                                exogenous_signals, gravity_at, observer_step, robot_step,
                                 sinusoid_disturbance, smooth_ramp_roll, step_rk4,
                                 wrap_angle)
 
-from _stepref import reference_closed_loop_step, reference_rhs
+from _stepref import reference_closed_loop_step, reference_rhs, reference_robot_step
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -184,6 +183,24 @@ def _parts(rng):
             sc.disturbance(), sc.horizon)
 
 
+def composed_step(act, hgo, signals):
+    """The shipped halves as one augmented step, with
+    `reference_closed_loop_step`'s signature: `robot_step` on y[:5], then
+    `observer_step` on y[5:], both on `signals` at the stage times t,
+    t + dt/2 and t + dt, as `harness.exogenous_track` hands them out."""
+    move_of = robot_step(act)
+    observe = observer_step(hgo)
+
+    def hold(u_v, u_omega):
+        move = move_of(u_v, u_omega)
+
+        def step(y, t, dt):
+            stages = (signals(t), signals(t + 0.5 * dt), signals(t + dt))
+            return move(y[:5], t, dt, *stages) + observe(y[5:], t, dt, *stages)
+        return step
+    return hold
+
+
 def _outcome(call):
     """The bits of call()'s result, or the type and text of what it raised."""
     try:
@@ -193,11 +210,11 @@ def _outcome(call):
 
 
 class TestClosedLoopRhs:
-    """The closed-loop right-hand side, on a run's memoized signals, against
-    the model written out by hand: eval_dynamics on the disturbance plus two
+    """The closed-loop right-hand side, on a run's signals, against the
+    model written out by hand: eval_dynamics on the disturbance plus two
     hgo_rates calls on g sin(phi) + n_y and -g cos(phi) + n_z, bit for bit.
-    Each stage of the shipped step evaluates this field, and its reference
-    integrates it."""
+    Each stage of the shipped robot and observer steps evaluates this
+    field, and their reference integrates it."""
 
     @staticmethod
     def _hold(parts):
@@ -234,8 +251,9 @@ class TestClosedLoopRhs:
     @pytest.mark.parametrize("where", range(7))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, where, bad):
-        """The hand-written model, the right-hand side and the shipped step,
-        whose first stage evaluates it at (t, y), raise the same error."""
+        """The hand-written model, the right-hand side and the composed
+        shipped step, whose first stage evaluates it at (t, y), raise the
+        same error."""
         parts = _parts(np.random.default_rng(5))
         act, hgo, terrain, noise, dist, _ = parts
         u = [0.5, -0.2]
@@ -244,7 +262,7 @@ class TestClosedLoopRhs:
             y[where] = bad
         else:
             u[where - 5] = bad
-        shipped = closed_loop_step(act, hgo, exogenous_signals(terrain, noise, dist))
+        shipped = composed_step(act, hgo, exogenous_signals(terrain, noise, dist))
         outcomes = {_outcome(lambda: self._reference(parts, u, 0.3, y)),
                     _outcome(lambda: self._hold(parts)(*u)(0.3, y)),
                     _outcome(lambda: shipped(*u)(y, 0.3, 0.02))}
@@ -252,7 +270,8 @@ class TestClosedLoopRhs:
 
 
 class TestClosedLoopStep:
-    """The unrolled step a run integrates against its reference definition,
+    """The two unrolled halves a run integrates, `robot_step` composed with
+    the track's `observer_step`, against their reference definition,
     step_rk4 over eval_dynamics plus two hgo_rates calls, then wrap_angle,
     bit for bit: the same results and the same errors."""
 
@@ -261,12 +280,12 @@ class TestClosedLoopStep:
 
     @staticmethod
     def _holds(parts, dist=None):
-        """(shipped, reference) holds: the shipped step on the run's memoized
-        signals, the reference on their plain definitions, without a memo."""
+        """(shipped, reference) holds: the composed shipped halves on the
+        run's signals, the reference on their plain definitions."""
         act, hgo, terrain, noise, run_dist, _ = parts
         dist = run_dist if dist is None else dist
         plain = lambda t: (*gravity_at(t, terrain, noise), *dist.sample(t))
-        return [closed_loop_step(act, hgo, exogenous_signals(terrain, noise, dist)),
+        return [composed_step(act, hgo, exogenous_signals(terrain, noise, dist)),
                 reference_closed_loop_step(act, hgo, plain)]
 
     def _both(self, parts, u, y, t, dt, dist=None):
@@ -304,7 +323,8 @@ class TestClosedLoopStep:
 
     def test_memo_bit_equal_on_repeated_times(self):
         """Times that repeat, interleave and come back, through two held
-        inputs of one run, which share one signals memo."""
+        inputs of one run, which share one signals function: the step
+        keeps no state between calls."""
         rng = np.random.default_rng(77)
         for _ in range(5):
             parts = _parts(rng)
@@ -326,8 +346,8 @@ class TestClosedLoopStep:
     @pytest.mark.parametrize("where", range(2))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_held_input(self, where, bad):
-        """The shipped step rejects the input in `hold`, the reference at its
-        first stage, with the same error."""
+        """The shipped robot step rejects the input in `hold`, the reference
+        at its first stage, with the same error."""
         parts = _parts(np.random.default_rng(5))
         u = [0.5, -0.2]
         u[where] = bad
@@ -387,6 +407,39 @@ class TestClosedLoopStep:
             assert self._both(parts, (0.5, -0.2), self.Y, 0.3, dt) == \
                 (DomainError, "dt must be positive")
 
+    @pytest.mark.parametrize("raising, overrides, want", [
+        # the stage-2 signals raise before the stage-2 input is checked
+        (1, {0: 1.79e308, 2: 0.0, 4: 1e307}, "upright"),
+        # the stage-2 signals raise before the stage-4 input overflows
+        (1, {0: 1.79e308, 2: 0.0, 4: 2e306}, "upright"),
+        # the stage-2 input overflows before the stage-4 signals raise
+        (2, {0: 1.79e308, 2: 0.0, 4: 1e307}, "non-finite dynamics input"),
+        # stages 1 to 3 pass, then the stage-4 signals raise
+        (2, {0: 1.79e308, 2: 0.0, 4: 2e306}, "upright"),
+    ], ids=["s2_before_stage_2", "s2_before_stage_4", "stage_2_before_s4", "s4"])
+    def test_signals_read_at_their_stage(self, raising, overrides, want):
+        """Stage signals that raise when read (as a track entry past a
+        signal error does) raise where the reference reads them: after the
+        checks of the earlier stages, before the check of their own."""
+        class Raising:
+            def __iter__(self):
+                raise DomainError("terrain roll 2.0 rad leaves the upright regime")
+
+        sc = Scenario()
+        parts = (sc.actuator(), sc.hgo(), sc.terrain(), sc.noise_model(),
+                 sc.disturbance(), sc.horizon)
+        t, dt = 0.3, 0.5
+        signals = exogenous_signals(*parts[2:5])
+        stages = [signals(t), signals(t + 0.5 * dt), signals(t + dt)]
+        stages[raising] = Raising()
+        r = list(self.Y[:5])
+        for i, value in overrides.items():
+            r[i] = value
+        got, ref = [_outcome(lambda: make(sc.actuator())(0.5, -0.2)(r, t, dt, *stages))
+                    for make in (robot_step, reference_robot_step)]
+        assert got == ref
+        assert got[0] is DomainError and want in got[1]
+
 
 class TestExogenousSignals:
     @staticmethod
@@ -395,12 +448,13 @@ class TestExogenousSignals:
 
     @pytest.mark.parametrize("terrain", [
         smooth_ramp_roll(math.radians(27.0), 0.1, 1.5),
-        # odd in t: the gravity truth at -0.0 and 0.0 differs in sign, so
-        # the memo must keep the two times apart
+        # odd in t: the gravity truth at -0.0 and 0.0 differs in sign
         TerrainProfile(roll=lambda t: 0.3 * math.sin(t),
                        roll_rate=lambda t: 0.3 * math.cos(t)),
     ], ids=["ramp", "odd"])
     def test_bit_equal_to_reference_with_memo(self, terrain):
+        """Repeated, interleaved and signed-zero times: the signals keep no
+        memo, so each call is bit-equal to the plain definitions."""
         noise = NoiseModel(0.05, 50.0, 2.0, seed=4)
         dist = sinusoid_disturbance(0.3, 0.12, 0.15, 0.08)
         signals = exogenous_signals(terrain, noise, dist)
