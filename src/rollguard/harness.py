@@ -25,11 +25,12 @@ M + ln(2)/100, the smooth maximum of the two equal channel envelopes),
 with the envelope audit. `run` then steps the robot alone with
 `sysmodel.robot_step` on the track's stage signals and reads the true
 constraint after every substep for the intersample minimum. `compare`
-builds one track and hands it to every variant. The two halves'
-reference definition is `sysmodel.step_rk4` over the right-hand side
-`sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
-followed by `sysmodel.wrap_angle` on the heading. Every (h1, h2) pair, at
-the truth, at the estimates and after each substep, is `barrier.h_pair`.
+walks one track before its first variant and hands it to every variant.
+The two halves' reference definition is `sysmodel.step_rk4` over the
+right-hand side `sysmodel.eval_dynamics` plus two
+`differentiator.hgo_rates` calls, followed by `sysmodel.wrap_angle` on
+the heading. Every (h1, h2) pair, at the truth, at the estimates and
+after each substep, is `barrier.h_pair`.
 
 Every filtered variant builds its rows with the one formula
 `barrier.constraint_row` and differs only in the inputs: `backward_diff`
@@ -47,7 +48,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -197,7 +197,7 @@ class TrackStep(NamedTuple):
     est_rate: tuple[float, float]            # hgo_rates value rates per channel
     env: tuple[float, float]                 # bank.envelope(t)
     violations: int                          # channels outside error_envelope
-    substeps: list  # (t_i, s1, s2, s4, s_end) per substep of the period
+    substeps: list  # [t_i, s1, s2, s4, s_end] per substep of the period
 
 
 class _Raises:
@@ -216,25 +216,12 @@ class _Raises:
         raise self.kind(self.message)
 
 
-class ExogenousTrack:
+class ExogenousTrack(NamedTuple):
     """The filter-independent part of a run, from `exogenous_track`."""
 
-    def __init__(self, inputs: tuple, bank: DifferentiatorBank, walk):
-        self.inputs = inputs  # `_track_inputs` of the scenario it was built from
-        self.bank = bank
-        self.steps: list = []  # the TrackSteps walked so far
-        self._walk = walk
-
-    def step(self, k: int) -> TrackStep:
-        """The TrackStep of control step k (k = n_steps: the horizon). The
-        walk runs ahead in batches that at least double the steps walked:
-        a run that aborts at step k pays for at most 2k + 1 of them, and a
-        whole run switches to the walk about log2(n_steps) times (walking
-        one step per control step made a lone run about a tenth slower)."""
-        steps = self.steps
-        if k >= len(steps):
-            steps.extend(islice(self._walk, max(k + 1, 2 * len(steps) + 1) - len(steps)))
-        return steps[k]
+    inputs: tuple  # `_track_inputs` of the scenario it was built from
+    bank: DifferentiatorBank
+    steps: list  # a TrackStep per control step and at the horizon
 
 
 def _track_inputs(scenario: Scenario) -> tuple:
@@ -245,11 +232,10 @@ def _track_inputs(scenario: Scenario) -> tuple:
 
 
 def exogenous_track(scenario: Scenario) -> ExogenousTrack:
-    """What depends on time alone, along the run's time grid, walked once
-    and only as far as runs ask for it (`ExogenousTrack.step`).
+    """What depends on time alone, walked once along the run's time grid.
 
     Per control step k (t = k * period, and once more at the horizon) a
-    `TrackStep`; per substep i the entry (t_i, s1, s2, s4, s_end): the
+    `TrackStep`; per substep i the entry [t_i, s1, s2, s4, s_end]: the
     substep's start time t + i * sub_dt, the `exogenous_signals` values at
     its RK4 stage times t_i, t_i + sub_dt/2 and t_i + sub_dt, and at the
     substep's end t + (i + 1) * sub_dt, whose gravity truth the
@@ -259,38 +245,32 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     stage-4 time and the end time share a value when they are equal.
 
     The walk stops at the first signal DomainError or non-finite observer
-    state and puts a `_Raises` in the slot it would have filled, in the
-    order a run reads them: the step's signals, a substep's stage 2 or 4
-    (read by `robot_step` right before that stage's check), or its end
-    (read after the robot step, as the non-finite observer state follows
-    the robot's checks). A run that gets there raises it at that point.
-    Only the signals at t = 0 raise here: they seed the estimates.
+    state and puts a `_Raises` in the slot a run reads at that point: in
+    place of the step when its signals fail, else in the failing substep's
+    entry, which is filled in read order (its stage-2 and stage-4 signals,
+    read by `robot_step` right before that stage's check, then its end,
+    read after the robot step, as the non-finite observer state follows
+    the robot's checks), with None in the slots after it. A run that gets
+    there raises it at that point. Only the signals at t = 0 raise here:
+    they seed the estimates.
     """
     bank = scenario.make_bank()
-    terrain = scenario.terrain()
-    signals = exogenous_signals(terrain, scenario.noise_model(), scenario.disturbance())
-    sig = signals(0.0)
-    return ExogenousTrack(_track_inputs(scenario), bank,
-                          _walk(scenario, bank, terrain.roll_rate, signals, sig))
-
-
-def _walk(scenario: Scenario, bank, roll_rate, signals, sig):
-    """`exogenous_track`'s TrackSteps in order, from the signals at t = 0."""
     hgo = bank.hgo
+    terrain = scenario.terrain()
+    roll_rate = terrain.roll_rate
+    signals = exogenous_signals(terrain, scenario.noise_model(), scenario.disturbance())
     advance = observer_step(hgo)
-    period = 1.0 / scenario.control_rate
-    n_steps = int(round(scenario.horizon * scenario.control_rate))
-    sub_dt = period / scenario.substeps
+    period, n_steps, sub_dt = scenario.grid()
     h2 = 0.5 * sub_dt
+    sig = signals(0.0)
     # estimates start at the first measurement with zero rate; e0_bound in
     # the bank covers exactly this initialization
     obs = (sig[0] + sig[2], 0.0, sig[1] + sig[3], 0.0)
     t_end = 0.0  # the time of sig
-    for k in range(n_steps + 1):
-        t = k * period
-        slot = 0  # what is being computed: 0 the step, 2 or 4 a stage, 5 the end
-        subs: list = []
-        try:
+    steps: list = []
+    try:
+        for k in range(n_steps + 1):
+            t = k * period
             if t != t_end:
                 sig = signals(t)
             g_y0, g_z0, n_y, n_z, d_om, d_v = sig
@@ -302,38 +282,30 @@ def _walk(scenario: Scenario, bank, roll_rate, signals, sig):
                            > env_bound + 1e-9)
                           + (math.hypot(obs[2] - g_z0, obs[3] - g_y0 * rate)
                              > env_bound + 1e-9))
-            record = TrackStep(
+            subs: list = []
+            steps.append(TrackStep(
                 t, (g_y0, g_z0), meas, (d_om, d_v), obs,
                 (hgo_rates(obs[0], obs[1], hgo, meas[0])[0],
                  hgo_rates(obs[2], obs[3], hgo, meas[1])[0]),
-                bank.envelope(t), violations, subs)
+                bank.envelope(t), violations, subs))
             for i in range(scenario.substeps if k < n_steps else 0):
                 t_i = t + i * sub_dt
-                s1 = sig
-                slot = 2
-                s2 = signals(t_i + h2)
-                slot = 4
+                entry = [t_i, sig]
+                subs.append(entry)
+                entry.append(signals(t_i + h2))
                 t4 = t_i + sub_dt
-                s4 = signals(t4)
-                slot = 5
-                obs = advance(obs, t_i, sub_dt, s1, s2, s4)
+                entry.append(signals(t4))
+                obs = advance(obs, t_i, sub_dt, sig, entry[2], entry[3])
                 t_end = t + (i + 1) * sub_dt
-                sig = s4 if t_end == t4 else signals(t_end)
-                subs.append((t_i, s1, s2, s4, sig))
-        except (DomainError, NonFiniteStateError) as exc:
-            bad = _Raises(exc)
-            if slot == 0:
-                yield bad
-                return
-            if slot == 2:
-                subs.append((t_i, s1, bad, None, None))
-            elif slot == 4:
-                subs.append((t_i, s1, s2, bad, None))
-            else:
-                subs.append((t_i, s1, s2, s4, bad))
-            yield record
-            return
-        yield record
+                sig = entry[3] if t_end == t4 else signals(t_end)
+                entry.append(sig)
+    except (DomainError, NonFiniteStateError) as exc:
+        bad = _Raises(exc)
+        if len(steps) == k:  # the step's own signals
+            steps.append(bad)
+        else:  # the next slot of the substep's entry
+            entry += [bad, None, None][:5 - len(entry)]
+    return ExogenousTrack(_track_inputs(scenario), bank, steps)
 
 
 def run(scenario: Scenario, label: str | None = None,
@@ -360,9 +332,7 @@ def run(scenario: Scenario, label: str | None = None,
     lip = lipschitz_gain(geom)
     ratio = geom.width_ratio
 
-    period = 1.0 / scenario.control_rate
-    n_steps = int(round(scenario.horizon * scenario.control_rate))
-    sub_dt = period / scenario.substeps
+    period, n_steps, sub_dt = scenario.grid()
     checks = _scenario_checks(scenario, track.bank)
 
     hold = robot_step(act)
@@ -382,7 +352,7 @@ def run(scenario: Scenario, label: str | None = None,
         state = RobotState(*robot)
         try:
             (t, g_true, meas, (d_om, d_v), est, est_rate, (env_value, env_rate),
-             violations, subs) = track.step(k)
+             violations, subs) = track.steps[k]
             g_y0, g_z0 = g_true
 
             u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
@@ -454,7 +424,7 @@ def run(scenario: Scenario, label: str | None = None,
     h1s = [r.h_true[0] for r in records]
     h2s = [r.h_true[1] for r in records]
     try:
-        g_y, g_z = track.step(done).g_true
+        g_y, g_z = track.steps[done].g_true
     except DomainError:
         # the roll has left the upright regime (the run aborted on it) and
         # the truth at the final time is undefined

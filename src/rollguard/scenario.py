@@ -110,6 +110,23 @@ class Scenario:
             raise DomainError(f"unknown terrain profile {self.terrain_profile!r}")
         if self.disturbance_kind not in ("none", "sinusoid"):
             raise DomainError(f"unknown disturbance kind {self.disturbance_kind!r}")
+        if self.disturbance_kind == "sinusoid":
+            # math.sin raises on an infinite argument. 2 pi f t + phase is
+            # monotone in t, so it is finite at every time of the run's grid
+            # when it is finite at the largest: the horizon, or the last
+            # substep's stage-4 or end time, computed as the harness does
+            period, n_steps, sub_dt = self.grid()
+            t_last = (n_steps - 1) * period
+            t_max = max(n_steps * period, t_last + (self.substeps - 1) * sub_dt + sub_dt,
+                        t_last + self.substeps * sub_dt)
+            for name in ("omega", "v"):
+                freq = getattr(self, f"dist_{name}_freq")
+                phase = getattr(self, f"dist_{name}_phase")
+                arg = 2.0 * math.pi * freq * t_max + phase
+                if not math.isfinite(arg):
+                    raise DomainError(f"disturbance {name}_freq {freq} and {name}_phase "
+                                      f"{phase} give the sine argument {arg} at "
+                                      f"t = {t_max}")
         # the component validators (positive geometry, actuator, observer,
         # alpha and ramp duration; nonnegative budget, whichever filter
         # reads it) fire here, not inside a run
@@ -153,6 +170,12 @@ class Scenario:
                               "curvature residual")
 
     # --- builders -------------------------------------------------------
+
+    def grid(self) -> tuple[float, int, float]:
+        """The run's time grid: (control period, control steps, substep
+        length); control step k starts at k * period."""
+        period = 1.0 / self.control_rate
+        return period, int(round(self.horizon * self.control_rate)), period / self.substeps
 
     def terrain(self) -> TerrainProfile:
         roll = math.radians(self.roll_deg)

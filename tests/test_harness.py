@@ -451,15 +451,14 @@ class TestTrack:
                 (1e306, 1e306) if t > t_i else sample(self, t)))
             reason = f"non-finite state after step at t={t_i}"
         self._fails_at(monkeypatch, t_bad)
-        track = harness.exogenous_track(sc)
-        assert all(type(track.step(j)) is harness.TrackStep for j in range(k))
-        with pytest.raises(IndexError):
-            track.step(k + 1)
+        steps = harness.exogenous_track(sc).steps
+        assert all(type(steps[j]) is harness.TrackStep for j in range(k))
+        assert len(steps) == k + 1
         if slot is None:
-            bad = track.step(k)
+            bad = steps[k]
         else:
-            assert len(track.step(k).substeps) == i + 1
-            last = track.step(k).substeps[i]
+            assert len(steps[k].substeps) == i + 1
+            last = steps[k].substeps[i]
             assert [type(x) is harness._Raises for x in last] == \
                 [j == slot for j in range(5)], last
             bad = last[slot]
@@ -477,25 +476,6 @@ class TestTrack:
             harness.exogenous_track(Scenario(horizon=0.5))
         with pytest.raises(DomainError, match="upright regime"):
             harness.run(Scenario(horizon=0.5))
-
-    def test_walks_only_as_far_as_asked(self, monkeypatch):
-        """A run that aborts at its first step walks one step of the track,
-        and the next run on it walks on from there, to the horizon."""
-        sc = Scenario(filter="none", horizon=1.0)
-        track = harness.exogenous_track(sc)
-        assert track.steps == []
-
-        def abort(*args):
-            raise DomainError("abort at the first step")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(harness, "nominal_control", abort)
-            assert harness.run(sc, track=track).summary.n_steps == 0
-        assert len(track.steps) == 1
-        lone = harness.run(sc)
-        shared = harness.run(sc, track=track)
-        assert len(track.steps) == 51
-        assert shared.records == lone.records and shared.summary == lone.summary
 
     def test_run_uses_the_given_track(self, monkeypatch):
         """A run given a track builds none of its own."""
@@ -579,6 +559,21 @@ class TestCompare:
                 assert s.min_h_true_intersample < s.min_h_true
         else:
             assert not any(s.aborted for s in summaries)
+
+    def test_every_run_gets_the_whole_track(self, monkeypatch):
+        """`compare` walks the track to the horizon before its first run,
+        so no variant's run pays for the shared walk."""
+        sc = Scenario(filter="none", horizon=1.0)
+        lone_run = harness.run
+        lengths = []
+
+        def run(scenario, label=None, track=None):
+            lengths.append(len(track.steps))
+            return lone_run(scenario, label, track)
+
+        monkeypatch.setattr(harness, "run", run)
+        harness.compare(sc, ["envelope", "const_margin:0.9"])
+        assert lengths == [51, 51, 51]
 
     def test_outputs_written(self, tmp_path):
         result = harness.compare(Scenario(filter="none", horizon=0.5),
@@ -758,11 +753,22 @@ class TestConfig:
         {"terrain_profile": "constant", "roll_deg": 89.999999},
         {"roll_deg": -89.999999}, {"seed": -1}, {"v_inf": 1e308},
         {"substeps": 2.5}, {"seed": 1.5}, {"seed": np.int64(3)}, {"seed": True},
-        {"substeps": True},
+        {"substeps": True}, {"dist_omega_freq": 1e308}, {"dist_v_freq": 1e308},
+        {"dist_omega_freq": -1e308}, {"dist_v_freq": 1e307},
+        {"dist_v_freq": 1e306, "dist_v_phase": 1.7e308},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_bad_scenario_rejected(self, fields):
         with pytest.raises(DomainError):
             Scenario(**fields)
+
+    def test_sine_argument_checked_on_the_runs_times(self):
+        """The sine arguments are checked up to the run's last time only,
+        and not at all without a sinusoid disturbance."""
+        assert Scenario(disturbance_kind="none", dist_omega_freq=1e308).horizon == 10.5
+        with pytest.raises(DomainError, match="sine argument"):
+            Scenario(dist_omega_freq=1e307)
+        sc = Scenario(horizon=0.5, dist_omega_freq=1e307, dist_v_freq=-1e307)
+        assert harness.run(sc).summary.n_steps == 25
 
     def test_noise_free_scenario_needs_zero_curvature_bound(self):
         assert Scenario(v_inf=0.0, pddot_bound=0.0).v_inf == 0.0
@@ -925,7 +931,10 @@ class TestCli:
                                       "[filter]\nname = %(x)s\n",
                                       b"\xff\xfe[run]\nseed=3\n",
                                       "[DEFAULT]\nseed = 3\nwarp = 9\n",
-                                      "[DEFAULT]\nseed = 3\n[run]\nhorizon = 2\n"],
+                                      "[DEFAULT]\nseed = 3\n[run]\nhorizon = 2\n",
+                                      "[disturbance]\nomega_freq = 1e308\n",
+                                      "[disturbance]\nv_freq = 1e308\n",
+                                      "[disturbance]\nv_freq = 1e306\nv_phase = 1.7e308\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
                                   "roll_95", "gravity_0", "empty_box",
                                   "roll_singular", "const_margin_alpha_half",
@@ -934,7 +943,8 @@ class TestCli:
                                   "repeated_key", "repeated_section",
                                   "key_without_value", "interpolation",
                                   "not_utf8", "default_section_typo",
-                                  "default_section_merged"])
+                                  "default_section_merged", "omega_freq_overflow",
+                                  "v_freq_overflow", "v_phase_overflow"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
