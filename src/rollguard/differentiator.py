@@ -218,7 +218,8 @@ def calibrate_envelope(params: HgoParams, v_inf: float,
     with |v| <= v_inf and |p0_ddot| <= curvature_bound; the curvature share
     is folded into noise_gain, so v_inf = 0 is only admissible for signals
     with zero curvature bound. Everything is multiplied by
-    CALIBRATION_SAFETY to absorb quadrature error.
+    CALIBRATION_SAFETY to absorb quadrature error. The quadrature depends
+    on the design alone and runs once per design (`_error_quadrature`).
     """
     if v_inf < 0.0 or curvature_bound < 0.0:
         raise DomainError("bounds must be nonnegative")
@@ -227,6 +228,24 @@ def calibrate_envelope(params: HgoParams, v_inf: float,
             "v_inf = 0 leaves no envelope term to absorb the curvature "
             "residual; set a positive v_inf or a zero curvature bound")
 
+    decay, sup_weighted, gv1, gv2, gp1, gp2 = _error_quadrature(params)
+    c1 = CALIBRATION_SAFETY * sup_weighted
+    steady1 = gv1 * v_inf + gp1 * curvature_bound
+    steady2 = gv2 * v_inf + gp2 * curvature_bound
+    steady = math.hypot(steady1, steady2)
+    if v_inf > 0.0:
+        c3 = CALIBRATION_SAFETY * steady / v_inf
+    else:
+        # curvature_bound is zero here; keep the noise gain meaningful
+        c3 = CALIBRATION_SAFETY * math.hypot(gv1, gv2)
+    return EnvelopeCoeffs(transient_gain=c1, decay_rate=decay, noise_gain=c3)
+
+
+@lru_cache(maxsize=64)
+def _error_quadrature(params: HgoParams) -> tuple[float, ...]:
+    """The noise-independent part of `calibrate_envelope` for one design:
+    (decay_rate, sup_t ||exp(At)|| e^(decay*t), and the L1 norms of the
+    impulse responses, gv1, gv2 from B_v and gp1, gp2 from B_p)."""
     eigs = error_dynamics_eigenvalues(params)
     slowest = min(-eig.real for eig in eigs)
     fastest = max(-eig.real for eig in eigs)
@@ -288,14 +307,4 @@ def calibrate_envelope(params: HgoParams, v_inf: float,
         gp1 += 0.5 * dt * (bp1 + bp1_prev)
         gp2 += 0.5 * dt * (bp2 + bp2_prev)
         bv1_prev, bv2_prev, bp1_prev, bp2_prev = bv1, bv2, bp1, bp2
-
-    c1 = CALIBRATION_SAFETY * sup_weighted
-    steady1 = gv1 * v_inf + gp1 * curvature_bound
-    steady2 = gv2 * v_inf + gp2 * curvature_bound
-    steady = math.hypot(steady1, steady2)
-    if v_inf > 0.0:
-        c3 = CALIBRATION_SAFETY * steady / v_inf
-    else:
-        # curvature_bound is zero here; keep the noise gain meaningful
-        c3 = CALIBRATION_SAFETY * math.hypot(gv1, gv2)
-    return EnvelopeCoeffs(transient_gain=c1, decay_rate=decay, noise_gain=c3)
+    return decay, sup_weighted, gv1, gv2, gp1, gp2

@@ -16,8 +16,9 @@ Integration advances the augmented state (robot plus both observers) in
 two halves. The observers read only the measurements, which depend on
 time alone, so `exogenous_track` walks the run's time grid once for
 everything a filter does not change: the `sysmodel.exogenous_signals`
-values at every stage time, each distinct time evaluated once, both
-observers advanced with `sysmodel.observer_step`, and per control step
+values at every stage time, each distinct time evaluated once and kept
+per substep in one tuple (t_i, s1, s2, s4, s_end), both observers
+advanced with `sysmodel.observer_step`, and per control step
 the truth, the measurements, the estimates, their `hgo_rates` rates, the
 error envelope M(t) (`error_envelope`, for the audit of each channel's
 error) and `bank.envelope` (the rows, `h_rob` and the envelope columns
@@ -157,9 +158,17 @@ def nominal_control(state: RobotState, goal: tuple[float, float],
     u_v = k_v * d_g
     u_omega = k_omega * dy / d_g - k_omega * math.sin(state.theta)
     if box is not None:
+        # min(max(u, lo), hi) written as the comparisons max and min make,
+        # so NaN and tied zeros come out the same
         (v_lo, w_lo), (v_hi, w_hi) = box
-        u_v = min(max(u_v, v_lo), v_hi)
-        u_omega = min(max(u_omega, w_lo), w_hi)
+        if v_lo > u_v:
+            u_v = v_lo
+        if v_hi < u_v:
+            u_v = v_hi
+        if w_lo > u_omega:
+            u_omega = w_lo
+        if w_hi < u_omega:
+            u_omega = w_hi
     return ControlInput(u_v, u_omega)
 
 
@@ -197,7 +206,7 @@ class TrackStep(NamedTuple):
     est_rate: tuple[float, float]            # hgo_rates value rates per channel
     env: tuple[float, float]                 # bank.envelope(t)
     violations: int                          # channels outside error_envelope
-    substeps: list  # [t_i, s1, s2, s4, s_end] per substep of the period
+    substeps: list  # a (t_i, s1, s2, s4, s_end) tuple per substep of the period
 
 
 class _Raises:
@@ -235,7 +244,7 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     """What depends on time alone, walked once along the run's time grid.
 
     Per control step k (t = k * period, and once more at the horizon) a
-    `TrackStep`; per substep i the entry [t_i, s1, s2, s4, s_end]: the
+    `TrackStep`; per substep i the tuple (t_i, s1, s2, s4, s_end): the
     substep's start time t + i * sub_dt, the `exogenous_signals` values at
     its RK4 stage times t_i, t_i + sub_dt/2 and t_i + sub_dt, and at the
     substep's end t + (i + 1) * sub_dt, whose gravity truth the
@@ -290,21 +299,22 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
                 bank.envelope(t), violations, subs))
             for i in range(scenario.substeps if k < n_steps else 0):
                 t_i = t + i * sub_dt
-                entry = [t_i, sig]
-                subs.append(entry)
-                entry.append(signals(t_i + h2))
+                s2 = s4 = None  # the slots read so far, for a failing entry
+                s2 = signals(t_i + h2)
                 t4 = t_i + sub_dt
-                entry.append(signals(t4))
-                obs = advance(obs, t_i, sub_dt, sig, entry[2], entry[3])
+                s4 = signals(t4)
+                obs = advance(obs, t_i, sub_dt, sig, s2, s4)
                 t_end = t + (i + 1) * sub_dt
-                sig = entry[3] if t_end == t4 else signals(t_end)
-                entry.append(sig)
+                s_end = s4 if t_end == t4 else signals(t_end)
+                subs.append((t_i, sig, s2, s4, s_end))
+                sig = s_end
     except (DomainError, NonFiniteStateError) as exc:
         bad = _Raises(exc)
         if len(steps) == k:  # the step's own signals
             steps.append(bad)
-        else:  # the next slot of the substep's entry
-            entry += [bad, None, None][:5 - len(entry)]
+        else:  # the failing substep's entry, up to its first unread slot
+            read = [t_i, sig] + [s for s in (s2, s4) if s is not None]
+            subs.append(tuple(read + [bad, None, None][:5 - len(read)]))
     return ExogenousTrack(_track_inputs(scenario), bank, steps)
 
 
@@ -370,11 +380,13 @@ def run(scenario: Scenario, label: str | None = None,
                 else:
                     row_est = (est[0], est[2])
                     row_rate = est_rate
-                row_env = (env_value, env_rate) if keeps_envelope else (0.0, 0.0)
+                row_env, row_env_rate = ((env_value, env_rate) if keeps_envelope
+                                         else (0.0, 0.0))
                 row_budget = budget_value if keeps_budget else 0.0
-                rows = tuple(constraint_row(which, state, row_est, row_rate, *row_env,
-                                            row_budget, geom, act, alpha)
-                             for which in ("h1", "h2"))
+                rows = (constraint_row("h1", state, row_est, row_rate, row_env,
+                                       row_env_rate, row_budget, geom, act, alpha),
+                        constraint_row("h2", state, row_est, row_rate, row_env,
+                                       row_env_rate, row_budget, geom, act, alpha))
 
             sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
 

@@ -104,6 +104,14 @@ class Scenario:
                               f"got {self.roll_deg}")
         if self.substeps < 1:
             raise DomainError("substeps must be at least 1")
+        try:
+            period, n_steps, sub_dt = self.grid()
+        except OverflowError:
+            # an infinite horizon * control_rate, or substeps past the float
+            # range: the grid has no step count or no substep length
+            raise DomainError(f"horizon {self.horizon}, control_rate "
+                              f"{self.control_rate} and substeps give no finite "
+                              f"time grid") from None
         if self.filter not in FILTERS:
             raise DomainError(f"unknown filter {self.filter!r}; choose from {FILTERS}")
         if self.terrain_profile not in ("ramp", "constant"):
@@ -115,7 +123,6 @@ class Scenario:
             # monotone in t, so it is finite at every time of the run's grid
             # when it is finite at the largest: the horizon, or the last
             # substep's stage-4 or end time, computed as the harness does
-            period, n_steps, sub_dt = self.grid()
             t_last = (n_steps - 1) * period
             t_max = max(n_steps * period, t_last + (self.substeps - 1) * sub_dt + sub_dt,
                         t_last + self.substeps * sub_dt)

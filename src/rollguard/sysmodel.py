@@ -12,9 +12,11 @@ State ordering used throughout: (x, y, theta, omega, v)
 The augmented 9-state (robot plus two high-gain observers) advances in
 two halves that share one set of stage signals: `robot_step` over the
 five robot states and `observer_step` over the four observer states, each
-one classical RK4 step written out on named floats. The observers read
-only the measurements, which depend on time alone, so one observer
-trajectory serves every filter of a scenario (`harness.exogenous_track`).
+one classical RK4 step written out on named floats; `robot_step` checks
+each stage's dynamics inputs with one finiteness test of their sum. The
+observers read only the measurements, which depend on time alone, so one
+observer trajectory serves every filter of a scenario
+(`harness.exogenous_track`).
 Their composition's reference definition is `step_rk4` over the
 right-hand side made of `eval_dynamics` here and two
 `differentiator.hgo_rates` calls, followed by `wrap_angle` on the
@@ -159,7 +161,12 @@ class NoiseModel:
         self._n = n
 
     def sample(self, t: float) -> tuple[float, float]:
-        k = min(max(int(t / self.period), 0), self._n - 1)
+        # the period of t clamped to the stored ones, as min(max(k, 0), n - 1)
+        k = int(t / self.period)
+        if k < 0:
+            k = 0
+        elif k >= self._n:
+            k = self._n - 1
         w = math.exp(-(t - k * self.period) / self.tau)
         ty, tz = self._targets[k]
         sy, sz = self._states[k]
@@ -258,6 +265,10 @@ def exogenous_signals(terrain: TerrainProfile, noise, dist: DisturbanceModel):
     return signals
 
 
+def _all_finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def robot_step(act: ActuatorParams):
     """One RK4 step of the five robot states, built once per run.
 
@@ -278,10 +289,13 @@ def robot_step(act: ActuatorParams):
     disturbance at any stage, a non-finite result and `dt <= 0`. Each
     stage unpacks its signals right before its check, where the reference
     evaluates them, so signals that raise when unpacked raise in the
-    reference's place. Together with `observer_step` on the same signals
-    it is one RK4 step of the augmented closed loop (robot plus both
-    observers): the robot does not feed the observers, and the observers
-    do not feed the robot within a step.
+    reference's place. Each check makes one `isfinite` test, of the sum of
+    the values it checks, and tests them one by one only when the sum is
+    not finite: a finite sum has only finite terms, and a sum that
+    overflows from finite terms passes. Together with `observer_step` on
+    the same signals it is one RK4 step of the augmented closed loop
+    (robot plus both observers): the robot does not feed the observers,
+    and the observers do not feed the robot within a step.
     """
     tau_v, tau_omega = act.tau_v, act.tau_omega
     # -tau * state parses as (-tau) * state, so the negations are exact
@@ -305,8 +319,8 @@ def robot_step(act: ActuatorParams):
 
             # stage 1 at (t, r)
             _, _, _, _, dw, dv = s1
-            if not (isfinite(x) and isfinite(p) and isfinite(th) and isfinite(w)
-                    and isfinite(v) and isfinite(dw) and isfinite(dv)):
+            if not isfinite(x + p + th + w + v + dw + dv) and \
+                    not _all_finite(x, p, th, w, v, dw, dv):
                 raise DomainError("non-finite dynamics input")
             a0, a1, a2 = v * cos(th), v * sin(th), w
             a3 = neg_tau_omega * w + in_omega + dw
@@ -316,8 +330,8 @@ def robot_step(act: ActuatorParams):
             x2, p2, th2 = x + h2 * a0, p + h2 * a1, th + h2 * a2
             w2, v2 = w + h2 * a3, v + h2 * a4
             _, _, _, _, dw, dv = s2
-            if not (isfinite(x2) and isfinite(p2) and isfinite(th2) and isfinite(w2)
-                    and isfinite(v2) and isfinite(dw) and isfinite(dv)):
+            if not isfinite(x2 + p2 + th2 + w2 + v2 + dw + dv) and \
+                    not _all_finite(x2, p2, th2, w2, v2, dw, dv):
                 raise DomainError("non-finite dynamics input")
             b0, b1, b2 = v2 * cos(th2), v2 * sin(th2), w2
             b3 = neg_tau_omega * w2 + in_omega + dw
@@ -326,8 +340,8 @@ def robot_step(act: ActuatorParams):
             x3, p3, th3 = x + h2 * b0, p + h2 * b1, th + h2 * b2
             w3, v3 = w + h2 * b3, v + h2 * b4
             # the disturbances were checked in stage 2
-            if not (isfinite(x3) and isfinite(p3) and isfinite(th3) and isfinite(w3)
-                    and isfinite(v3)):
+            if not isfinite(x3 + p3 + th3 + w3 + v3) and \
+                    not _all_finite(x3, p3, th3, w3, v3):
                 raise DomainError("non-finite dynamics input")
             c0, c1, c2 = v3 * cos(th3), v3 * sin(th3), w3
             c3 = neg_tau_omega * w3 + in_omega + dw
@@ -337,8 +351,8 @@ def robot_step(act: ActuatorParams):
             x4, p4, th4 = x + dt * c0, p + dt * c1, th + dt * c2
             w4, v4 = w + dt * c3, v + dt * c4
             _, _, _, _, dw, dv = s4
-            if not (isfinite(x4) and isfinite(p4) and isfinite(th4) and isfinite(w4)
-                    and isfinite(v4) and isfinite(dw) and isfinite(dv)):
+            if not isfinite(x4 + p4 + th4 + w4 + v4 + dw + dv) and \
+                    not _all_finite(x4, p4, th4, w4, v4, dw, dv):
                 raise DomainError("non-finite dynamics input")
             d0, d1, d2 = v4 * cos(th4), v4 * sin(th4), w4
             d3 = neg_tau_omega * w4 + in_omega + dw
@@ -350,8 +364,7 @@ def robot_step(act: ActuatorParams):
             th = th + sixth * (a2 + 2.0 * (b2 + c2) + d2)
             w = w + sixth * (a3 + 2.0 * (b3 + c3) + d3)
             v = v + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-            if not (isfinite(x) and isfinite(p) and isfinite(th) and isfinite(w)
-                    and isfinite(v)):
+            if not isfinite(x + p + th + w + v) and not _all_finite(x, p, th, w, v):
                 raise NonFiniteStateError(f"non-finite state after step at t={t}")
             # the heading through wrap_angle's expression
             return (x, p, th - two_pi * ceil((th - pi) / two_pi), w, v)

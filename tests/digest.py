@@ -7,7 +7,10 @@ seeds 0-19 with v_inf 0.05, every filter's tau_v = 1e160 overflow abort,
 `rollguard compare` of all filters on both shipped configs at seeds 1 and
 7, and `rollguard verify` on both configs. The digest covers each trace
 and summary file, each comparison output file, and the stdout and exit
-code of every CLI call. A change that keeps the outputs byte-identical
+code of every CLI call. The runs of one (seed, v_inf) point go through
+one `harness.compare`, whose variants equal their lone runs
+(`TestCompare::test_each_variant_equals_its_lone_run`), so each track is
+walked once. A change that keeps the outputs byte-identical
 prints the same digest before and after. pytest does not collect this
 file (its name does not start with `test_`).
 """
@@ -31,15 +34,23 @@ from rollguard.scenario import FILTERS, Scenario  # noqa: E402
 CONFIGS = [ROOT / "configs" / name for name in ("rollover_slope.cfg", "static_slope.cfg")]
 
 
-def _scenarios():
+def _points():
+    """(key suffix, base scenario) per point of the set; every filter runs
+    at each point, keyed f"{filter}{suffix}"."""
     for seed in (1, 7):
-        for name in FILTERS:
-            yield f"{name}@0.01/{seed}", Scenario(filter=name, v_inf=0.01, seed=seed)
+        yield f"@0.01/{seed}", Scenario(v_inf=0.01, seed=seed)
     for seed in range(20):
+        yield f"@0.05/{seed}", Scenario(v_inf=0.05, seed=seed)
+    yield "/tau_v_abort", Scenario(tau_v=1e160)
+
+
+def _runs():
+    """(key, run result) for every filter at every point, in the hash
+    order."""
+    for suffix, base in _points():
+        result = harness.compare(base, list(FILTERS))
         for name in FILTERS:
-            yield f"{name}@0.05/{seed}", Scenario(filter=name, v_inf=0.05, seed=seed)
-    for name in FILTERS:
-        yield f"{name}/tau_v_abort", Scenario(filter=name, tau_v=1e160)
+            yield f"{name}{suffix}", result.results[name]
 
 
 def _cli(argv) -> bytes:
@@ -58,8 +69,7 @@ def digest() -> str:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for key, sc in _scenarios():
-            res = harness.run(sc)
+        for key, res in _runs():
             harness.write_trace(res.records, tmp / "trace.csv")
             harness.write_summary(res.summary, tmp / "summary.json")
             add(f"{key}/trace", (tmp / "trace.csv").read_bytes())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollguard import differentiator
 from rollguard.differentiator import (BackwardDiffWindow, DiffChannel,
                                       DifferentiatorBank, EnvelopeCoeffs,
                                       HgoParams, backward_diff,
@@ -238,6 +239,30 @@ class TestCalibration:
         coeffs = calibrate_envelope(HgoParams(16, 1, 50), 0.01, 8.0)
         assert all(math.isfinite(c) and c > 0.0 for c in
                    (coeffs.transient_gain, coeffs.decay_rate, coeffs.noise_gain))
+
+    def test_known_coefficients(self):
+        """Pins the calibration of the default design: the bits must not
+        move when the quadrature is reorganised."""
+        want = {(0.01, 8.0): (230.01753991968005, 45.0, 86.00857536472208),
+                (0.05, 8.0): (230.01753991968005, 45.0, 54.011361970659735),
+                (0.0, 0.0): (230.01753991968005, 45.0, 46.013011940268846)}
+        for (v_inf, curvature), coeffs in want.items():
+            got = calibrate_envelope(HgoParams(), v_inf, curvature)
+            assert (got.transient_gain, got.decay_rate, got.noise_gain) == coeffs
+
+    def test_quadrature_once_per_design(self):
+        """Two noise levels of one design are two calibrations on one run of
+        the noise-independent quadrature."""
+        params = HgoParams(2.5, 1.5, 31.0)  # a design no other test calibrates
+        quadrature = differentiator._error_quadrature
+        before = quadrature.cache_info()
+        first = calibrate_envelope(params, 0.01, 8.0)
+        second = calibrate_envelope(params, 0.05, 8.0)
+        after = quadrature.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert first.transient_gain == second.transient_gain
+        assert first.decay_rate == second.decay_rate
+        assert first.noise_gain != second.noise_gain
 
     def test_decay_rate_rule(self):
         coeffs = calibrate_envelope(HgoParams(2, 1, 50), 0.02, 8.0)

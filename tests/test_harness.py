@@ -761,6 +761,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             Scenario(**fields)
 
+    @pytest.mark.parametrize("kind", ["sinusoid", "none"])
+    @pytest.mark.parametrize("fields", [
+        {"control_rate": 1e308}, {"horizon": 1e300, "control_rate": 1e10},
+        {"substeps": 10 ** 400}], ids=["rate_1e308", "horizon_1e300", "substeps_1e400"])
+    def test_grid_without_finite_step_count_rejected(self, kind, fields):
+        """horizon * control_rate overflows, or substeps lies past the float
+        range: the grid has no step count or no substep length, so the
+        scenario fails at construction, with or without the sinusoid whose
+        check reads the grid."""
+        with pytest.raises(DomainError, match="no finite time grid"):
+            Scenario(disturbance_kind=kind, **fields)
+
     def test_sine_argument_checked_on_the_runs_times(self):
         """The sine arguments are checked up to the run's last time only,
         and not at all without a sinusoid disturbance."""
@@ -896,6 +908,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "times apart" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("extra", ["", "[disturbance]\nkind = none\n"],
+                             ids=["sinusoid", "no_disturbance"])
+    def test_config_without_finite_grid_exit_one(self, tmp_path, capsys, command, extra):
+        """A control rate whose step count overflows is a config error: no
+        traceback and no checks run on the scenario."""
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("[run]\ncontrol_rate = 1e308\n" + extra)
+        argv = [command, "--config", str(cfg)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite time grid" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_zero_envelope_rate_is_positive_zero(self, tmp_path):
         """static_slope.cfg has e0_bound = 0: the bank's envelope rate is

@@ -441,6 +441,72 @@ class TestClosedLoopStep:
         assert got[0] is DomainError and want in got[1]
 
 
+class TestRobotStepFiniteness:
+    """`robot_step` tests each stage's values with one `isfinite` of their
+    sum, and one by one only when the sum is not finite; the reference,
+    `reference_robot_step`, tests every value. The two must agree: the
+    same result on finite states whose stage sums overflow, and the same
+    error wherever a non-finite value appears."""
+
+    T, DT = 0.3, 0.005
+    R = (0.1, 0.2, 0.3, 0.4, 0.5)
+    HUGE = (1e308, 1e308, 0.3, 0.4, 0.5)  # every stage sum overflows to inf
+    SIG = (0.0, -9.81, 0.0, 0.0, 0.1, -0.1)
+    NON_FINITE = (DomainError, "non-finite dynamics input")
+
+    def _both(self, r, u=(0.5, -0.2), stages=None):
+        act = ActuatorParams(5.0, 5.0)
+        stages = stages or (self.SIG,) * 3
+        return [_outcome(lambda: make(act)(*u)(r, self.T, self.DT, *stages))
+                for make in (robot_step, reference_robot_step)]
+
+    @pytest.mark.parametrize("r", [
+        HUGE, (-1e308, -1e308, 0.3, 0.4, 0.5), (1.7e308, 1.7e308, -3.1, 0.4, 0.5),
+        (1e308, 1e308, 1e308, 0.4, 0.5), (1e308, -1e308, 0.3, 0.4, 0.5)],
+        ids=["x_p_1e308", "x_p_-1e308", "x_p_1.7e308", "x_p_th_1e308", "x_-p"])
+    def test_overflowing_sum_of_finite_states(self, r):
+        got, want = self._both(r)
+        assert got == want
+        assert all(math.isfinite(float.fromhex(h)) for h in got)
+
+    @pytest.mark.parametrize("base", ["R", "HUGE"])
+    @pytest.mark.parametrize("slot", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state(self, base, slot, bad):
+        r = list(getattr(self, base))
+        r[slot] = bad
+        got, want = self._both(r)
+        assert got == want == self.NON_FINITE
+
+    @pytest.mark.parametrize("stage", range(3), ids=["s1", "s2", "s4"])
+    @pytest.mark.parametrize("channel", [4, 5], ids=["d_omega", "d_v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_disturbance(self, stage, channel, bad):
+        stages = [self.SIG] * 3
+        sig = list(self.SIG)
+        sig[channel] = bad
+        stages[stage] = tuple(sig)
+        for r in (self.R, self.HUGE):
+            got, want = self._both(r, stages=stages)
+            assert got == want == self.NON_FINITE
+
+    @pytest.mark.parametrize("where", range(2), ids=["u_v", "u_omega"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_held_input(self, where, bad):
+        u = [0.5, -0.2]
+        u[where] = bad
+        for r in (self.R, self.HUGE):
+            got, want = self._both(r, u=u)
+            assert got == want == self.NON_FINITE
+
+    def test_result_overflow(self):
+        """Finite stages whose RK4 combination overflows (6 v at v = 3e307)
+        raise the reference's NonFiniteStateError."""
+        got, want = self._both((0.0, 0.0, 0.0, 0.0, 3e307))
+        assert got == want
+        assert got[0] is NonFiniteStateError
+
+
 class TestExogenousSignals:
     @staticmethod
     def _reference(terrain, noise, dist, t):
@@ -495,6 +561,36 @@ class TestNoiseModel:
             got = noise.sample(t)
             assert [type(x) for x in got] == [float, float]
             assert _bits(got) == _bits(want)
+
+    def test_period_index_bit_equal_to_clamp_oracle(self):
+        """`sample` against the period index written as
+        min(max(int(t / period), 0), n - 1): negative times, both zeros,
+        each period boundary and its neighbouring floats, and times past
+        the last stored period, bit for bit, errors included."""
+        noise = NoiseModel(0.05, 50.0, 1.0, seed=5, tau=0.004)
+        period, n = noise.period, noise._n
+
+        def oracle(t):
+            k = min(max(int(t / period), 0), n - 1)
+            w = math.exp(-(t - k * period) / noise.tau)
+            ty, tz = noise._targets[k]
+            sy, sz = noise._states[k]
+            return (ty + (sy - ty) * w, tz + (sz - tz) * w)
+
+        def outcome(call, t):
+            try:
+                return _bits(call(t))
+            except (ValueError, OverflowError) as exc:
+                return (type(exc), str(exc))
+
+        times = [-10.0, -1.0, -0.02, -1e-300, -5e-324, -0.0, 0.0, 5e-324,
+                 2.0, 50.0, 1e6, 1e300, math.inf, -math.inf, math.nan]
+        for k in range(n + 3):
+            edge = k * period
+            times += [math.nextafter(edge, -math.inf), edge,
+                      math.nextafter(edge, math.inf)]
+        for t in times:
+            assert outcome(noise.sample, t) == outcome(oracle, t), t
 
     def test_known_answer_seed_11(self):
         """Pins the noise realization: Python keeps random.Random's stream
