@@ -192,6 +192,37 @@ def error_dynamics_eigenvalues(params: HgoParams) -> tuple[complex, complex]:
     return complex(-0.5 * b, im), complex(-0.5 * b, -im)
 
 
+def rk4_amplification(z: complex) -> float:
+    """|R(z)| for classical RK4, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the
+    factor by which one step of size dt scales a linear mode e^(lambda t),
+    at z = lambda dt (Hairer & Wanner, Solving ODEs II, section IV.2). It
+    is inf or nan where R overflows."""
+    r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    return math.hypot(r.real, r.imag)
+
+
+def check_rk4_resolves(params: HgoParams, dt: float) -> None:
+    """Raise DomainError unless RK4 steps of size dt damp each observer
+    error mode at least as fast as the calibrated envelope assumes: for
+    both roots lambda, |R(lambda dt)| <= exp(-decay_rate dt), with
+    decay_rate 0.9 of the slowest root as in `calibrate_envelope`. The
+    envelope bounds the continuous-time observer; this is a necessary
+    condition for its transient term to bound the integrated one."""
+    eigs = error_dynamics_eigenvalues(params)
+    decay = 0.9 * min(-eig.real for eig in eigs)
+    bound = math.exp(-decay * dt)
+    for eig in eigs:
+        amp = rk4_amplification(eig * dt)
+        if not math.isfinite(amp):
+            raise DomainError(f"observer error root {eig} overflows RK4's stability "
+                              f"function at the substep {dt} s")
+        if amp > bound:
+            raise DomainError(f"observer error root {eig} is not resolved by RK4 at "
+                              f"the substep {dt} s: one substep keeps {amp:.6g} of "
+                              f"its mode, more than the envelope's "
+                              f"exp(-decay_rate * substep) = {bound:.6g}")
+
+
 def _spectral_norm_2x2(a, b, c, d) -> float:
     # largest singular value of [[a, b], [c, d]]
     fro2 = a * a + b * b + c * c + d * d

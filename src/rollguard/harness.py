@@ -15,8 +15,9 @@ the intersample minimum and the abort state.
 Integration advances the augmented state (robot plus both observers) in
 two halves. The observers read only the measurements, which depend on
 time alone, so `exogenous_track` walks the run's time grid once for
-everything a filter does not change: the `sysmodel.exogenous_signals`
-values at every stage time, each distinct time evaluated once and kept
+everything a filter does not change: the values of the run's one
+sampler, `sysmodel.exogenous_signals`, at every stage time, each distinct
+time evaluated once and kept
 per substep in one tuple (t_i, s1, s2, s4, s_end), both observers
 advanced with `sysmodel.observer_step`, and per control step
 the truth, the measurements, the estimates, their `hgo_rates` rates, the
@@ -31,7 +32,12 @@ The two halves' reference definition is `sysmodel.step_rk4` over the
 right-hand side `sysmodel.eval_dynamics` plus two
 `differentiator.hgo_rates` calls, followed by `sysmodel.wrap_angle` on
 the heading. Every (h1, h2) pair, at the truth, at the estimates and
-after each substep, is `barrier.h_pair`.
+after each substep, is `barrier.h_pair`. The control loop builds no
+frozen dataclass outside the safety filter: the robot state is a
+`sysmodel.RobotState` named tuple, each `TraceRecord` is built
+positionally, and the per-scenario lookups (filter kind, goal radius,
+the budget schedule, the QP solver and the track's steps) are read once
+per run.
 
 Every filtered variant builds its rows with the one formula
 `barrier.constraint_row` and differs only in the inputs: `backward_diff`
@@ -332,15 +338,19 @@ def run(scenario: Scenario, label: str | None = None,
     geom = scenario.geometry()
     act = scenario.actuator()
     alpha = scenario.alpha_fn()
-    budget = scenario.budget()
+    budget_at = scenario.budget().value
     box = scenario.input_box()
     goal = (scenario.goal_x, scenario.goal_y)
     gains = (scenario.k_v, scenario.k_omega)
+    goal_radius = scenario.goal_radius
+    kind = scenario.filter
     # the row inputs a filter does not keep enter the row as zero
-    keeps_envelope = scenario.filter == "envelope"
-    keeps_budget = scenario.filter in BUDGET_ROW_FILTERS
+    keeps_envelope = kind == "envelope"
+    keeps_budget = kind in BUDGET_ROW_FILTERS
     lip = lipschitz_gain(geom)
     ratio = geom.width_ratio
+    solve, problem = qp.solve, qp.QpProblem
+    steps = track.steps
 
     period, n_steps, sub_dt = scenario.grid()
     checks = _scenario_checks(scenario, track.bank)
@@ -359,20 +369,21 @@ def run(scenario: Scenario, label: str | None = None,
     done = 0  # control steps finished; robot holds the state at done * period
 
     for k in range(n_steps):
-        state = RobotState(*robot)
+        state = RobotState._make(robot)
         try:
             (t, g_true, meas, (d_om, d_v), est, est_rate, (env_value, env_rate),
-             violations, subs) = track.steps[k]
+             violations, subs) = steps[k]
             g_y0, g_z0 = g_true
+            v, omega = state.v, state.omega
 
-            u_nom = nominal_control(state, goal, gains, box, scenario.goal_radius)
+            u_nom = tuple(nominal_control(state, goal, gains, box, goal_radius))
 
-            budget_value = budget.value(t)
+            budget_value = budget_at(t)
 
-            if scenario.filter == "none":
+            if kind == "none":
                 rows = ()
             else:
-                if scenario.filter == "backward_diff":
+                if kind == "backward_diff":
                     win_y.push(meas[0])
                     win_z.push(meas[1])
                     row_est = meas
@@ -388,29 +399,23 @@ def run(scenario: Scenario, label: str | None = None,
                         constraint_row("h2", state, row_est, row_rate, row_env,
                                        row_env_rate, row_budget, geom, act, alpha))
 
-            sol = qp.solve(qp.QpProblem((u_nom.u_v, u_nom.u_omega), rows, *box))
+            sol = solve(problem(u_nom, rows, *box))
+            u_star = sol.u
 
-            h_true = h_pair(state.v, state.omega, g_y0, g_z0, ratio)
             # h at the estimates, robustified as in eval_barrier
             margin = lip * env_value
-            h1_est, h2_est = h_pair(state.v, state.omega, est[0], est[2], ratio)
-            rob = (h1_est - margin, h2_est - margin)
-
-            proj = abs(state.v * d_om + state.omega * d_v)
+            h1_est, h2_est = h_pair(v, omega, est[0], est[2], ratio)
 
             env_violations += violations
 
             records.append(TraceRecord(
-                t=t, state=state, est=est,
-                g_true=g_true, g_meas=meas,
-                u_nom=(u_nom.u_v, u_nom.u_omega), u_star=sol.u,
-                h_true=h_true, h_rob=rob,
-                y_zmp=zmp_lateral(state.v, state.omega, g_y0, g_z0, geom),
-                env_value=env_value, env_rate=env_rate,
-                budget=budget_value, proj_disturbance=proj,
-                qp_status=sol.status, qp_active="+".join(sol.active)))
+                t, state, est, g_true, meas, u_nom, u_star,
+                h_pair(v, omega, g_y0, g_z0, ratio), (h1_est - margin, h2_est - margin),
+                zmp_lateral(v, omega, g_y0, g_z0, geom), env_value, env_rate,
+                budget_value, abs(v * d_om + omega * d_v), sol.status,
+                "+".join(sol.active)))
 
-            step = hold(*sol.u)
+            step = hold(*u_star)
             r = robot
             for t_i, s1, s2, s4, s_end in subs:
                 r = step(r, t_i, sub_dt, s1, s2, s4)
@@ -431,12 +436,12 @@ def run(scenario: Scenario, label: str | None = None,
             abort_reason = str(exc)
             break
 
-    final_state = RobotState(*robot)
+    final_state = RobotState._make(robot)
     t_aug = done * period
     h1s = [r.h_true[0] for r in records]
     h2s = [r.h_true[1] for r in records]
     try:
-        g_y, g_z = track.steps[done].g_true
+        g_y, g_z = steps[done].g_true
     except DomainError:
         # the roll has left the upright regime (the run aborted on it) and
         # the truth at the final time is undefined
@@ -451,8 +456,8 @@ def run(scenario: Scenario, label: str | None = None,
     # the last good state has no record when the run ended or a step
     # aborted before appending one; the fallback pairs it with its own time
     time_to_goal = next((r.t for r in records
-                         if _goal_distance(goal, r.state) <= scenario.goal_radius), None)
-    if time_to_goal is None and final_distance <= scenario.goal_radius:
+                         if _goal_distance(goal, r.state) <= goal_radius), None)
+    if time_to_goal is None and final_distance <= goal_radius:
         time_to_goal = t_aug
 
     summary = RunSummary(

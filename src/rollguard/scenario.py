@@ -9,18 +9,22 @@ import math
 from dataclasses import dataclass
 
 from .barrier import (TIP_POINT_SINGULAR_BAND, AlphaLinear, DisturbanceBudget,
-                      GeometryParams)
+                      GeometryParams, lipschitz_gain)
 from .differentiator import (DiffChannel, DifferentiatorBank, HgoParams,
-                             calibrate_envelope)
+                             calibrate_envelope, check_rk4_resolves, error_envelope)
 from .errors import DomainError
-from .sysmodel import (ActuatorParams, DisturbanceModel, NoiseModel,
-                       TerrainProfile, constant_roll, no_disturbance,
-                       sinusoid_disturbance, smooth_ramp_roll)
+from .sysmodel import ActuatorParams, DisturbanceModel, NoiseModel, TerrainProfile
 
 FILTERS = ("none", "backward_diff", "const_margin", "envelope", "envelope_budget")
 # filters whose row carries the disturbance budget; the row is sufficient
 # only at a linear alpha rate >= 1
 BUDGET_ROW_FILTERS = ("const_margin", "envelope_budget")
+# substeps one run may take, n_steps * substeps. A run holds its whole
+# exogenous track and trace in memory: about 0.56 KB of track per substep
+# (0.93 KB at one substep per step) plus 0.73 KB of trace records per
+# control step (tracemalloc, CPython 3.11), so one run stays under about
+# 0.85 GB; at the default 4 substeps it admits 2 500 s at 50 Hz
+MAX_RUN_SUBSTEPS = 500_000
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,18 @@ class Scenario:
             raise DomainError(f"horizon {self.horizon}, control_rate "
                               f"{self.control_rate} and substeps give no finite "
                               f"time grid") from None
+        if n_steps * self.substeps > MAX_RUN_SUBSTEPS:
+            raise DomainError(f"horizon {self.horizon} at control_rate "
+                              f"{self.control_rate} gives "
+                              f"{self.horizon * self.control_rate:.4g} control steps "
+                              f"of {self.substeps} substeps, more than "
+                              f"{MAX_RUN_SUBSTEPS} substeps per run")
         if self.filter not in FILTERS:
             raise DomainError(f"unknown filter {self.filter!r}; choose from {FILTERS}")
-        if self.terrain_profile not in ("ramp", "constant"):
-            raise DomainError(f"unknown terrain profile {self.terrain_profile!r}")
-        if self.disturbance_kind not in ("none", "sinusoid"):
-            raise DomainError(f"unknown disturbance kind {self.disturbance_kind!r}")
+        # the terrain and disturbance records check their kinds and the
+        # ramp duration
+        self.terrain()
+        self.disturbance()
         if self.disturbance_kind == "sinusoid":
             # math.sin raises on an infinite argument. 2 pi f t + phase is
             # monotone in t, so it is finite at every time of the run's grid
@@ -134,22 +144,34 @@ class Scenario:
                     raise DomainError(f"disturbance {name}_freq {freq} and {name}_phase "
                                       f"{phase} give the sine argument {arg} at "
                                       f"t = {t_max}")
-        # the component validators (positive geometry, actuator, observer,
-        # alpha and ramp duration; nonnegative budget, whichever filter
-        # reads it) fire here, not inside a run
-        self.terrain()
+        # the component validators (positive geometry, actuator, observer
+        # and alpha; nonnegative budget, whichever filter reads it) fire
+        # here, not inside a run. The run integrates the observers with RK4
+        # at sub_dt, which must resolve their error dynamics
         self.geometry()
         self.actuator()
-        self.hgo()
+        check_rk4_resolves(self.hgo(), sub_dt)
         self.alpha_fn()
         if self.filter in BUDGET_ROW_FILTERS and self.alpha < 1.0:
             raise DomainError(f"filter {self.filter!r} requires alpha >= 1, "
                               f"got {self.alpha}")
         DisturbanceBudget(self.budget_initial, self.budget_decay, self.budget_floor)
+        # the rows and the schedule checks take alpha times the budget and
+        # the budget's rate, initial * decay at t = 0
+        if not math.isfinite(self.alpha * (self.budget_initial + self.budget_floor)
+                             + self.budget_initial * self.budget_decay):
+            raise DomainError(f"alpha {self.alpha} and the budget (initial "
+                              f"{self.budget_initial}, decay {self.budget_decay}, "
+                              f"floor {self.budget_floor}) overflow the rows")
         if self.u_v_min > self.u_v_max or self.u_omega_min > self.u_omega_max:
             raise DomainError("input box is empty")
         if self.gravity <= 0.0:
             raise DomainError(f"gravity must be positive, got {self.gravity}")
+        # h1 + h2 = -2 * width_ratio * g_z, so every h overflows with it
+        if not math.isfinite(2.0 * self.geometry().width_ratio * self.gravity):
+            raise DomainError(f"half_width {self.half_width} over cg_height "
+                              f"{self.cg_height} at gravity {self.gravity} overflows "
+                              f"the rollover constraints")
         # the steepest roll of either profile is roll_deg itself
         g_z = -self.gravity * math.cos(math.radians(self.roll_deg))
         if abs(g_z) < TIP_POINT_SINGULAR_BAND:
@@ -185,21 +207,17 @@ class Scenario:
         return period, int(round(self.horizon * self.control_rate)), period / self.substeps
 
     def terrain(self) -> TerrainProfile:
-        roll = math.radians(self.roll_deg)
-        if self.terrain_profile == "constant":
-            return constant_roll(roll, self.gravity)
-        return smooth_ramp_roll(roll, self.ramp_start, self.ramp_duration, self.gravity)
+        return TerrainProfile(self.terrain_profile, math.radians(self.roll_deg),
+                              self.ramp_start, self.ramp_duration, self.gravity)
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel(self.v_inf, self.control_rate, self.horizon,
                           self.seed, self.noise_tau)
 
     def disturbance(self) -> DisturbanceModel:
-        if self.disturbance_kind == "none":
-            return no_disturbance()
-        return sinusoid_disturbance(self.dist_omega_amp, self.dist_omega_freq,
-                                    self.dist_v_amp, self.dist_v_freq,
-                                    self.dist_omega_phase, self.dist_v_phase)
+        return DisturbanceModel(self.disturbance_kind, self.dist_omega_amp,
+                                self.dist_omega_freq, self.dist_v_amp, self.dist_v_freq,
+                                self.dist_omega_phase, self.dist_v_phase)
 
     def geometry(self) -> GeometryParams:
         return GeometryParams(self.half_width, self.cg_height)
@@ -228,10 +246,19 @@ class Scenario:
         """Calibrated two-channel differentiator bank (lateral then normal
         gravity component) with its one error envelope; estimates start at
         zero until the harness seeds them from the first measurement."""
-        return DifferentiatorBank(
+        bank = DifferentiatorBank(
             channels=(DiffChannel(), DiffChannel()), hgo=self.hgo(),
             coeffs=calibrate_envelope(self.hgo(), self.v_inf, self.pddot_bound),
             e0_bound=self.v_inf + self.pdot_bound, v_inf=self.v_inf)
+        # the rows and the checks take alpha(lip * M) + lip * dM/dt, largest
+        # in size at t = 0
+        value, rate = error_envelope(bank, 0.0)
+        lip = lipschitz_gain(self.geometry())
+        if not math.isfinite(self.alpha * lip * value + lip * rate):
+            raise DomainError(f"the error envelope at t = 0, {value} with rate {rate}, "
+                              f"overflows the rows at alpha {self.alpha}; lower "
+                              f"pdot_bound or v_inf")
+        return bank
 
 
 _SCHEMA: dict[str, dict[str, str]] = {

@@ -24,10 +24,14 @@ heading; the two halves repeat its float operations in order and are
 bit-equal to it.
 
 Everything that depends on time alone (true gravity components, noise and
-disturbance) comes from the function built by `exogenous_signals`. Its
-reference definitions are `gravity_at`, for the gravity truth and the
-noise, and `DisturbanceModel.sample`. Every function here is pure, and
-independent scenarios can run concurrently.
+disturbance) comes from the one sampler built by `exogenous_signals`,
+written out on named floats from the parameter records `TerrainProfile`
+and `DisturbanceModel` and from `NoiseModel`'s stored targets and states.
+Its reference definitions are `gravity_at` with `NoiseModel.sample`, for
+the gravity truth and the noise, and `DisturbanceModel.sample`; the
+sampler is bit-equal to them and raises their errors at the same calls.
+`RobotState` and `ControlInput` are named tuples. Every function here is
+pure, and independent scenarios can run concurrently.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NonFiniteStateError
 
@@ -47,8 +51,7 @@ def wrap_angle(theta: float) -> float:
     return theta - 2.0 * math.pi * math.ceil((theta - math.pi) / (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class RobotState:
+class RobotState(NamedTuple):
     """Planar pose plus yaw rate and forward speed."""
 
     x: float
@@ -58,8 +61,7 @@ class RobotState:
     v: float      # m/s
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     u_v: float      # commanded speed, m/s
     u_omega: float  # commanded yaw rate, rad/s
 
@@ -78,45 +80,46 @@ class ActuatorParams:
 
 @dataclass(frozen=True)
 class TerrainProfile:
-    """Body roll imposed by the slope as a function of time.
+    """Body roll imposed by the slope as a function of time, as the record
+    of its parameters. Kind "constant" holds `angle` throughout; kind
+    "ramp" is 0 until `start`, rises to `angle` over [start, start +
+    duration] along a quintic smoothstep, so the ramp is twice continuously
+    differentiable, and holds `angle` after it.
 
-    `roll` must stay within (-pi/2, pi/2) over the horizon and be
-    continuously differentiable within each piece; `roll_rate` is its
-    analytic derivative (used only for post-hoc audits, never by the
+    `roll` must stay within (-pi/2, pi/2) over the horizon; `roll_rate` is
+    its analytic derivative (used only for post-hoc audits, never by the
     controller).
     """
 
-    roll: Callable[[float], float]
-    roll_rate: Callable[[float], float]
+    kind: str  # ramp | constant
+    angle: float
+    start: float = 0.0
+    duration: float = 1.0
     gravity: float = GRAVITY
 
+    def __post_init__(self):
+        if self.kind not in ("ramp", "constant"):
+            raise DomainError(f"unknown terrain profile {self.kind!r}")
+        if self.kind == "ramp" and self.duration <= 0.0:
+            raise DomainError("ramp duration must be positive")
 
-def constant_roll(angle: float, gravity: float = GRAVITY) -> TerrainProfile:
-    return TerrainProfile(roll=lambda t: angle, roll_rate=lambda t: 0.0, gravity=gravity)
-
-
-def smooth_ramp_roll(angle: float, start: float, duration: float,
-                     gravity: float = GRAVITY) -> TerrainProfile:
-    """Roll ramping 0 -> angle over [start, start+duration] along a quintic
-    smoothstep, so the ramp is twice continuously differentiable."""
-    if duration <= 0.0:
-        raise DomainError("ramp duration must be positive")
-
-    def roll(t: float) -> float:
-        u = (t - start) / duration
+    def roll(self, t: float) -> float:
+        if self.kind == "constant":
+            return self.angle
+        u = (t - self.start) / self.duration
         if u <= 0.0:
             return 0.0
         if u >= 1.0:
-            return angle
-        return angle * (u * u * u * (10.0 + u * (-15.0 + 6.0 * u)))
+            return self.angle
+        return self.angle * (u * u * u * (10.0 + u * (-15.0 + 6.0 * u)))
 
-    def roll_rate(t: float) -> float:
-        u = (t - start) / duration
+    def roll_rate(self, t: float) -> float:
+        if self.kind == "constant":
+            return 0.0
+        u = (t - self.start) / self.duration
         if u <= 0.0 or u >= 1.0:
             return 0.0
-        return angle * 30.0 * u * u * (1.0 + u * (-2.0 + u)) / duration
-
-    return TerrainProfile(roll=roll, roll_rate=roll_rate, gravity=gravity)
+        return self.angle * 30.0 * u * u * (1.0 + u * (-2.0 + u)) / self.duration
 
 
 class NoiseModel:
@@ -175,32 +178,35 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class DisturbanceModel:
-    """Additive disturbances on the omega_dot and v_dot channels with
-    per-channel envelopes. Position and heading carry no disturbance: they
-    do not enter the rollover constraints, so the projected effect of any
-    disturbance on safety is fully captured by these two channels."""
+    """Additive disturbances on the omega_dot and v_dot channels, as the
+    record of their parameters: none (kind "none"), or one sinusoid per
+    channel, amp * sin(2 pi freq t + phase) (kind "sinusoid"). Position and
+    heading carry no disturbance: they do not enter the rollover
+    constraints, so the projected effect of any disturbance on safety is
+    fully captured by these two channels."""
 
-    d_omega: Callable[[float], float]
-    d_v: Callable[[float], float]
+    kind: str = "none"  # none | sinusoid
+    omega_amp: float = 0.0
+    omega_freq: float = 0.0
+    v_amp: float = 0.0
+    v_freq: float = 0.0
+    omega_phase: float = 0.0
+    v_phase: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("none", "sinusoid"):
+            raise DomainError(f"unknown disturbance kind {self.kind!r}")
 
     def sample(self, t: float) -> tuple[float, float]:
-        return (self.d_omega(t), self.d_v(t))
+        if self.kind == "none":
+            return (0.0, 0.0)
+        return (self.omega_amp * math.sin(2.0 * math.pi * self.omega_freq * t
+                                          + self.omega_phase),
+                self.v_amp * math.sin(2.0 * math.pi * self.v_freq * t + self.v_phase))
 
 
-def no_disturbance() -> DisturbanceModel:
-    zero = lambda t: 0.0
-    return DisturbanceModel(zero, zero)
-
-
-def sinusoid_disturbance(omega_amp: float, omega_freq: float,
-                         v_amp: float, v_freq: float,
-                         omega_phase: float = 0.0, v_phase: float = 0.0) -> DisturbanceModel:
-    wo = 2.0 * math.pi * omega_freq
-    wv = 2.0 * math.pi * v_freq
-    return DisturbanceModel(
-        d_omega=lambda t: omega_amp * math.sin(wo * t + omega_phase),
-        d_v=lambda t: v_amp * math.sin(wv * t + v_phase),
-    )
+def _upright_error(phi: float) -> DomainError:
+    return DomainError(f"terrain roll {phi} rad leaves the upright regime")
 
 
 def gravity_at(t: float, profile: TerrainProfile,
@@ -215,7 +221,7 @@ def gravity_at(t: float, profile: TerrainProfile,
     """
     phi = profile.roll(t)
     if abs(phi) >= 0.5 * math.pi:
-        raise DomainError(f"terrain roll {phi} rad leaves the upright regime")
+        raise _upright_error(phi)
     g = profile.gravity
     n_y, n_z = (0.0, 0.0) if noise is None else noise.sample(t)
     return (g * math.sin(phi), -g * math.cos(phi), n_y, n_z)
@@ -239,28 +245,65 @@ def eval_dynamics(state: RobotState, u: ControlInput, params: ActuatorParams,
     )
 
 
-def exogenous_signals(terrain: TerrainProfile, noise, dist: DisturbanceModel):
-    """Time-only inputs of one run.
+def exogenous_signals(terrain: TerrainProfile, noise: NoiseModel,
+                      dist: DisturbanceModel):
+    """Time-only inputs of one run, as one sampler built once per run.
 
     Returns `signals(t) -> (g_y0, g_z0, n_y, n_z, d_omega, d_v)`: the true
     body-frame gravity components, the measurement noise and the two
-    disturbances at t. `signals(t)[:4]` is bit-equal to
-    `gravity_at(t, terrain, noise)` and `signals(t)[4:]` to
-    `dist.sample(t)`, and a roll outside the upright regime raises the
-    same DomainError. It is pure: it keeps no state between calls.
+    disturbances at t. Its reference definitions are `gravity_at(t,
+    terrain, noise)` for the first four and `dist.sample(t)` for the last
+    two. `signals` writes them out on named floats: the gravity pair of
+    each constant piece of the roll (before the ramp, after it, and the
+    constant profile) is computed here once, the noise reads `noise`'s
+    stored targets and states with its one `exp`, and both sines are
+    inline. Every float operation happens in the references' order, so each
+    value is bit-equal to theirs, and a roll outside the upright regime
+    raises the same DomainError at the same call, before the noise is
+    read. It is pure: it keeps no state between calls.
     """
-    roll, g = terrain.roll, terrain.gravity
-    sample = noise.sample
-    d_omega, d_v = dist.d_omega, dist.d_v
-    sin, cos = math.sin, math.cos
+    g = terrain.gravity
+    sin, cos, exp = math.sin, math.cos, math.exp
     half_pi = 0.5 * math.pi
+    ramp = terrain.kind == "ramp"
+    angle, start, duration = terrain.angle, terrain.start, terrain.duration
+    # the pair of a constant piece, None where its roll is not upright
+    before = (g * sin(0.0), -g * cos(0.0))
+    after = None if abs(angle) >= half_pi else (g * sin(angle), -g * cos(angle))
+    period, tau, n = noise.period, noise.tau, noise._n
+    targets, states = noise._targets, noise._states
+    sinusoid = dist.kind == "sinusoid"
+    w_omega = 2.0 * math.pi * dist.omega_freq
+    w_v = 2.0 * math.pi * dist.v_freq
+    a_omega, ph_omega = dist.omega_amp, dist.omega_phase
+    a_v, ph_v = dist.v_amp, dist.v_phase
 
     def signals(t: float) -> tuple[float, float, float, float, float, float]:
-        phi = roll(t)
-        if abs(phi) >= half_pi:
-            raise DomainError(f"terrain roll {phi} rad leaves the upright regime")
-        ny, nz = sample(t)
-        return (g * sin(phi), -g * cos(phi), ny, nz, d_omega(t), d_v(t))
+        u = (t - start) / duration if ramp else 1.0
+        if u <= 0.0:
+            g_y0, g_z0 = before
+        elif u >= 1.0:
+            if after is None:
+                raise _upright_error(angle)
+            g_y0, g_z0 = after
+        else:
+            phi = angle * (u * u * u * (10.0 + u * (-15.0 + 6.0 * u)))
+            if abs(phi) >= half_pi:
+                raise _upright_error(phi)
+            g_y0, g_z0 = g * sin(phi), -g * cos(phi)
+        # NoiseModel.sample
+        k = int(t / period)
+        if k < 0:
+            k = 0
+        elif k >= n:
+            k = n - 1
+        w = exp(-(t - k * period) / tau)
+        ty, tz = targets[k]
+        sy, sz = states[k]
+        if sinusoid:
+            return (g_y0, g_z0, ty + (sy - ty) * w, tz + (sz - tz) * w,
+                    a_omega * sin(w_omega * t + ph_omega), a_v * sin(w_v * t + ph_v))
+        return (g_y0, g_z0, ty + (sy - ty) * w, tz + (sz - tz) * w, 0.0, 0.0)
 
     return signals
 

@@ -9,9 +9,10 @@ from rollguard import differentiator
 from rollguard.differentiator import (BackwardDiffWindow, DiffChannel,
                                       DifferentiatorBank, EnvelopeCoeffs,
                                       HgoParams, backward_diff,
-                                      calibrate_envelope,
+                                      calibrate_envelope, check_rk4_resolves,
                                       error_dynamics_eigenvalues,
-                                      error_envelope, hgo_rates, smooth_max)
+                                      error_envelope, hgo_rates, rk4_amplification,
+                                      smooth_max)
 from rollguard.errors import DomainError
 from rollguard.sysmodel import NoiseModel, step_rk4
 
@@ -302,6 +303,45 @@ class TestCalibration:
                     if err > error_envelope(bank, t)[0] + 1e-9:
                         violations += 1
         assert violations == 0
+
+
+class TestRk4Resolution:
+    """The load-time condition that RK4 at the run's substep damps each
+    observer error mode at least as fast as the envelope assumes."""
+
+    def test_stability_function(self):
+        # R is e^z to fourth order, and one RK4 step of y' = lambda y
+        for z in (-1e-3, -0.1, 0.25j, complex(-0.2, 0.3)):
+            assert abs(rk4_amplification(z) - abs(np.exp(z))) <= abs(z) ** 5
+        lam, dt = -37.0, 0.01
+        y = step_rk4((1.0,), 0.0, dt, lambda t, yy: (lam * yy[0],))[0]
+        assert rk4_amplification(lam * dt) == pytest.approx(abs(y), rel=1e-15)
+        # the real stability interval ends near z = -2.785
+        assert rk4_amplification(-2.78) < 1.0 < rk4_amplification(-2.79)
+
+    def test_critically_damped_bound_at_the_default_substep(self):
+        """(s + ell)^2 at sub_dt = 5 ms: resolved up to ell about 281."""
+        check_rk4_resolves(HgoParams(2, 1, 281.0), 0.005)
+        for ell in (282.0, 550.0, 1000.0):
+            with pytest.raises(DomainError, match="not resolved by RK4"):
+                check_rk4_resolves(HgoParams(2, 1, ell), 0.005)
+        # a shorter substep resolves it again
+        check_rk4_resolves(HgoParams(2, 1, 550.0), 0.0025)
+
+    def test_non_finite_stability_function_is_a_domain_error(self):
+        """At ell = 1e100 R overflows; the check says so instead of raising
+        OverflowError or comparing inf."""
+        for params in (HgoParams(2, 1, 1e100), HgoParams(1, 1, 1e100)):
+            with pytest.raises(DomainError, match="overflows"):
+                check_rk4_resolves(params, 0.005)
+
+    def test_admits_every_design_of_the_test_ranges(self):
+        """The random designs the tests draw (k1 0.5-4, k2 0.2-3, ell
+        5-90) stay admitted at the default substep."""
+        for k1 in np.linspace(0.5, 4.0, 15):
+            for k2 in np.linspace(0.2, 3.0, 15):
+                for ell in np.linspace(5.0, 90.0, 18):
+                    check_rk4_resolves(HgoParams(float(k1), float(k2), float(ell)), 0.005)
 
 
 def test_bank_envelope_aggregation():

@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rollguard import cli, harness, sysmodel
+from rollguard import cli, harness
+from rollguard import scenario as scenario_module
 from rollguard.barrier import build_constraint_row, constraint_row
 from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError
 from rollguard.scenario import Scenario, load_config, parse_variant
-from rollguard.sysmodel import RobotState, constant_roll, smooth_ramp_roll
+from rollguard.sysmodel import RobotState, TerrainProfile
 
 from _rowcheck import budget_row_margin_rebuilt
 from _stepref import reference_observer_step, reference_robot_step
@@ -126,8 +127,8 @@ class TestRun:
     def test_terrain_leaving_upright_regime_aborts(self, monkeypatch):
         # no Scenario field reaches a roll beyond 90 degrees, so the
         # terrain is swapped: the ramp passes 90 degrees at about 0.64 s
-        monkeypatch.setattr(Scenario, "terrain", lambda self: smooth_ramp_roll(
-            math.radians(120.0), 0.0, 1.0, self.gravity))
+        monkeypatch.setattr(Scenario, "terrain", lambda self: TerrainProfile(
+            "ramp", math.radians(120.0), 0.0, 1.0, self.gravity))
         res = harness.run(Scenario(horizon=2.0))
         s = res.summary
         assert s.aborted and not s.safe
@@ -138,8 +139,8 @@ class TestRun:
 
     def test_singular_tip_point_aborts(self, monkeypatch):
         # |g_z| = 9.81e-8: upright, but inside the tip-point singular band
-        monkeypatch.setattr(Scenario, "terrain", lambda self: constant_roll(
-            math.acos(1e-8), self.gravity))
+        monkeypatch.setattr(Scenario, "terrain", lambda self: TerrainProfile(
+            "constant", math.acos(1e-8), gravity=self.gravity))
         res = harness.run(Scenario(horizon=0.5))
         s = res.summary
         assert s.aborted and not s.safe
@@ -148,42 +149,36 @@ class TestRun:
         assert math.isfinite(s.min_h_true)
 
     def test_signals_evaluated_once_per_time_point(self, monkeypatch):
-        """One flagship run evaluates the terrain roll and the noise at
-        most 3 * substeps + 1 times per control step: once per distinct
-        time point of the step (RK4 midpoint and end per substep, the
-        step start), not once per use."""
-        counts = {"roll": 0, "sample": 0}
-        make_terrain = Scenario.terrain
+        """One flagship run evaluates its sampler, which reads the terrain
+        roll and the noise once per call, at most 3 * substeps + 1 times
+        per control step: once per distinct time point of the step (RK4
+        midpoint and end per substep, the step start), not once per use."""
+        calls = 0
+        make_sampler = harness.exogenous_signals
 
-        def counted_terrain(self):
-            profile = make_terrain(self)
+        def counted_sampler(terrain, noise, dist):
+            signals = make_sampler(terrain, noise, dist)
 
-            def roll(t):
-                counts["roll"] += 1
-                return profile.roll(t)
-            return dataclasses.replace(profile, roll=roll)
-
-        sample = sysmodel.NoiseModel.sample
-
-        def counted_sample(self, t):
-            counts["sample"] += 1
-            return sample(self, t)
+            def counted(t):
+                nonlocal calls
+                calls += 1
+                return signals(t)
+            return counted
 
         flagship = Scenario()
-        monkeypatch.setattr(Scenario, "terrain", counted_terrain)
-        monkeypatch.setattr(sysmodel.NoiseModel, "sample", counted_sample)
+        monkeypatch.setattr(harness, "exogenous_signals", counted_sampler)
         res = harness.run(flagship)
         steps = res.summary.n_steps
         assert steps == 525 and not res.summary.aborted
-        limit = 3 * flagship.substeps + 1
-        assert counts["roll"] <= limit * steps, counts
-        assert counts["sample"] <= limit * steps, counts
+        assert 0 < calls <= (3 * flagship.substeps + 1) * steps, calls
 
     def test_verdict_counts_intersample_dip(self):
         """At a 2 Hz control rate a 2 Hz yaw disturbance is sampled at the
         same phase every step: h stays positive at the steps and dips
-        below zero between them. The verdict reads the intersample truth."""
-        sc = Scenario(filter="none", control_rate=2.0, dist_omega_freq=2.0,
+        below zero between them. The verdict reads the intersample truth.
+        100 substeps keep the substep at the default 5 ms, which the
+        default observer design needs."""
+        sc = Scenario(filter="none", control_rate=2.0, substeps=100, dist_omega_freq=2.0,
                       dist_omega_amp=5.0, dist_omega_phase=3.14, roll_deg=15.0,
                       horizon=4.0)
         s = harness.run(sc).summary
@@ -316,8 +311,8 @@ def test_row_wrapper_bit_equal_to_run_rows():
 
 def _mid_period_abort(monkeypatch):
     """A roll that leaves the upright regime inside a control period."""
-    monkeypatch.setattr(Scenario, "terrain", lambda self: smooth_ramp_roll(
-        math.radians(95.0), 0.0, 1.3, self.gravity))
+    monkeypatch.setattr(Scenario, "terrain", lambda self: TerrainProfile(
+        "ramp", math.radians(95.0), 0.0, 1.3, self.gravity))
 
 
 def _output_bytes(res, tmp_path, name):
@@ -395,15 +390,23 @@ class TestTrack:
         assert harness.run(variant, track=track).summary.n_steps == 25
 
     @staticmethod
-    def _fails_at(monkeypatch, t_bad):
-        """The default terrain, out of the upright regime at t_bad alone."""
-        make = Scenario.terrain
+    def _fails_at(monkeypatch, t_bad, blow_up_after=None):
+        """The run's sampler, out of the upright regime at t_bad alone, with
+        measurements of 1e306 after `blow_up_after` when it is given."""
+        make_sampler = harness.exogenous_signals
 
-        def terrain(self):
-            profile = make(self)
-            return dataclasses.replace(
-                profile, roll=lambda t: 2.0 if t == t_bad else profile.roll(t))
-        monkeypatch.setattr(Scenario, "terrain", terrain)
+        def sampler(terrain, noise, dist):
+            signals = make_sampler(terrain, noise, dist)
+
+            def failing(t):
+                if t == t_bad:
+                    raise DomainError("terrain roll 2.0 rad leaves the upright regime")
+                g_y0, g_z0, n_y, n_z, d_omega, d_v = signals(t)
+                if blow_up_after is not None and t > blow_up_after:
+                    n_y = n_z = 1e306
+                return (g_y0, g_z0, n_y, n_z, d_omega, d_v)
+            return failing
+        monkeypatch.setattr(harness, "exogenous_signals", sampler)
 
     @staticmethod
     def _grid_times(sc):
@@ -446,11 +449,9 @@ class TestTrack:
             # substep whose end signals fail
             k, i, slot, t_bad = k_off, i_off, 4, end_off
             t_i = k * 0.02 + i * 0.005
-            sample = sysmodel.NoiseModel.sample
-            monkeypatch.setattr(sysmodel.NoiseModel, "sample", lambda self, t: (
-                (1e306, 1e306) if t > t_i else sample(self, t)))
             reason = f"non-finite state after step at t={t_i}"
-        self._fails_at(monkeypatch, t_bad)
+        self._fails_at(monkeypatch, t_bad,
+                       t_i if where == "observer_before_end" else None)
         steps = harness.exogenous_track(sc).steps
         assert all(type(steps[j]) is harness.TrackStep for j in range(k))
         assert len(steps) == k + 1
@@ -487,6 +488,30 @@ class TestTrack:
 
         monkeypatch.setattr(harness, "exogenous_track", no_track)
         assert harness.run(sc, track=track).summary.n_steps == 25
+
+
+@pytest.mark.parametrize("k1, k2", [(2.0, 1.0), (1.0, 1.0), (3.0, 1.0)],
+                         ids=["critical", "complex", "real"])
+def test_envelope_holds_for_designs_near_the_rk4_bound(k1, k2):
+    """Observer designs just inside the load-time RK4 bound, integrated at
+    the run's own 5 ms substep, stay inside their envelope: 0 violations
+    over three seeds at two noise levels. The largest admitted ell is
+    found by bisection on the check itself (about 281, 274 and 196)."""
+    lo, hi = 1.0, 1e4
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        try:
+            Scenario(hgo_k1=k1, hgo_k2=k2, hgo_ell=mid, horizon=0.5)
+            lo = mid
+        except DomainError:
+            hi = mid
+    assert 150.0 < lo < 300.0
+    violations = 0
+    for seed in (1, 2, 3):
+        for v_inf in (0.01, 0.05):
+            sc = Scenario(hgo_k1=k1, hgo_k2=k2, hgo_ell=0.999 * lo, seed=seed, v_inf=v_inf)
+            violations += sum(s.violations for s in harness.exogenous_track(sc).steps)
+    assert violations == 0
 
 
 class TestCompare:
@@ -782,6 +807,36 @@ class TestConfig:
         sc = Scenario(horizon=0.5, dist_omega_freq=1e307, dist_v_freq=-1e307)
         assert harness.run(sc).summary.n_steps == 25
 
+    @pytest.mark.parametrize("fields", [
+        {"horizon": 1e20}, {"horizon": 1e300}, {"control_rate": 1e20},
+        {"horizon": 2500.02}, {"substeps": 200_000, "horizon": 1.0}],
+        ids=["horizon_1e20", "horizon_1e300", "rate_1e20", "horizon_2500.02",
+             "substeps_2e5"])
+    def test_run_work_bounded_at_load(self, fields):
+        """A grid of more than MAX_RUN_SUBSTEPS substeps fails at
+        construction, before any track or noise is built."""
+        with pytest.raises(DomainError, match="substeps per run"):
+            Scenario(**fields)
+
+    def test_run_work_bound_admits_its_limit(self):
+        limit = scenario_module.MAX_RUN_SUBSTEPS
+        sc = Scenario(horizon=limit / (4 * 50.0))
+        assert sc.grid()[1] * sc.substeps == limit
+
+    @pytest.mark.parametrize("fields", [
+        {"half_width": 1e308}, {"cg_height": 4e-324},
+        {"budget_floor": 1e308}, {"budget_initial": 1e308},
+        {"budget_initial": 1e200, "budget_decay": 1e200}])
+    def test_overflowing_row_inputs_rejected_at_load(self, fields):
+        """A geometry ratio or a budget whose scaling in the rows
+        overflows would write inf constraint values and check margins."""
+        with pytest.raises(DomainError, match="overflow"):
+            Scenario(**fields)
+
+    def test_overflowing_envelope_rejected_with_the_bank(self):
+        with pytest.raises(DomainError, match="error envelope"):
+            Scenario(pdot_bound=1e308).make_bank()
+
     def test_noise_free_scenario_needs_zero_curvature_bound(self):
         assert Scenario(v_inf=0.0, pddot_bound=0.0).v_inf == 0.0
 
@@ -898,10 +953,12 @@ class TestCli:
         assert captured.out == ""
 
     def test_verify_rejects_observer_too_stiff_to_calibrate(self, tmp_path, capsys):
-        """k1 = 1000 puts the error roots 1e6 times apart: calibrating it
-        would take 1.2e10 transition steps, so the config fails at once."""
+        """k1 = 10, k2 = 0.04 puts the error roots (about -499.8 and -0.2)
+        2 500 times apart: calibrating it would take 3e7 transition steps,
+        so the config fails at once. RK4 at the run's substep resolves both
+        roots, so the load-time check admits the design."""
         cfg = tmp_path / "stiff.cfg"
-        cfg.write_text("[differentiator]\nk1 = 1000\n")
+        cfg.write_text("[differentiator]\nk1 = 10\nk2 = 0.04\n")
         start = time.perf_counter()
         assert cli.main(["verify", "--config", str(cfg)]) == 1
         assert time.perf_counter() - start < 1.0
@@ -925,6 +982,42 @@ class TestCli:
         assert captured.err.startswith("error: ") and "finite time grid" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "simulate", "compare"])
+    @pytest.mark.parametrize("text", ["[run]\nhorizon = 1e20\n", "[run]\nhorizon = 1e300\n",
+                                      "[run]\ncontrol_rate = 1e20\n"],
+                             ids=["horizon_1e20", "horizon_1e300", "rate_1e20"])
+    def test_unbounded_run_exit_one(self, tmp_path, capsys, command, text):
+        """A grid past MAX_RUN_SUBSTEPS is a config error for every command;
+        the load fails first, so no command starts the work."""
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(text)
+        with pytest.raises(DomainError, match="substeps per run"):
+            load_config(cfg)
+        argv = [command, "--config", str(cfg)]
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "out")]
+        if command == "compare":
+            argv += ["--variants", "none"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_observer_unresolved_by_the_substep_exit_one(self, tmp_path, capsys, command):
+        """ell = 550: RK4 at 5 ms keeps 0.95 of the error mode per substep
+        where the envelope assumes 0.084; the run would read 676 envelope
+        violations and an unsafe verdict that is an integration failure."""
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text("[differentiator]\nell = 550\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not resolved by RK4" in captured.err
+        assert captured.out == ""
 
     def test_zero_envelope_rate_is_positive_zero(self, tmp_path):
         """static_slope.cfg has e0_bound = 0: the bank's envelope rate is

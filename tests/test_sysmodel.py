@@ -8,10 +8,9 @@ from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
-                                RobotState, TerrainProfile, constant_roll, eval_dynamics,
+                                RobotState, TerrainProfile, eval_dynamics,
                                 exogenous_signals, gravity_at, observer_step, robot_step,
-                                sinusoid_disturbance, smooth_ramp_roll, step_rk4,
-                                wrap_angle)
+                                step_rk4, wrap_angle)
 
 from _stepref import reference_closed_loop_step, reference_rhs, reference_robot_step
 
@@ -84,34 +83,34 @@ class TestDynamics:
 
 class TestGravity:
     def test_flat_ground(self):
-        assert gravity_at(0.0, constant_roll(0.0)) == (0.0, -9.81, 0.0, 0.0)
+        assert gravity_at(0.0, TerrainProfile("constant", 0.0)) == (0.0, -9.81, 0.0, 0.0)
 
     def test_slope_trig(self):
-        g_y0, g_z0, _, _ = gravity_at(0.0, constant_roll(math.radians(27.0)))
+        g_y0, g_z0, _, _ = gravity_at(0.0, TerrainProfile("constant", math.radians(27.0)))
         assert g_y0 == pytest.approx(9.81 * math.sin(math.radians(27.0)))
         assert g_z0 == pytest.approx(-9.81 * math.cos(math.radians(27.0)))
         assert g_y0 == pytest.approx(4.4536, abs=1e-4)
         assert g_z0 == pytest.approx(-8.7408, abs=1e-4)
 
     def test_additive_noise(self):
-        g_y0, g_z0, n_y, n_z = gravity_at(0.0, constant_roll(0.0),
+        g_y0, g_z0, n_y, n_z = gravity_at(0.0, TerrainProfile("constant", 0.0),
                                           ConstantNoise(0.1, 0.1))
         assert (g_y0, g_z0, n_y, n_z) == (0.0, -9.81, 0.1, 0.1)
         assert g_y0 + n_y == pytest.approx(0.1)
         assert g_z0 + n_z == pytest.approx(-9.71)
 
     def test_magnitude_preserved(self):
-        profile = smooth_ramp_roll(math.radians(27.0), 0.0, 2.0)
+        profile = TerrainProfile("ramp", math.radians(27.0), 0.0, 2.0)
         for t in np.linspace(0.0, 3.0, 200):
             g_y0, g_z0, _, _ = gravity_at(t, profile)
             assert g_y0 ** 2 + g_z0 ** 2 == pytest.approx(9.81 ** 2, abs=1e-12)
 
     def test_upright_regime_guard(self):
         with pytest.raises(DomainError):
-            gravity_at(0.0, constant_roll(math.radians(95.0)))
+            gravity_at(0.0, TerrainProfile("constant", math.radians(95.0)))
 
     def test_ramp_rate_matches_finite_difference(self):
-        profile = smooth_ramp_roll(math.radians(27.0), 0.5, 2.0)
+        profile = TerrainProfile("ramp", math.radians(27.0), 0.5, 2.0)
         eps = 1e-6
         for t in [0.7, 1.2, 1.9, 2.3]:
             fd = (profile.roll(t + eps) - profile.roll(t - eps)) / (2 * eps)
@@ -279,18 +278,18 @@ class TestClosedLoopStep:
     NON_FINITE = "non-finite dynamics input"
 
     @staticmethod
-    def _holds(parts, dist=None):
+    def _holds(parts, signals=None):
         """(shipped, reference) holds: the composed shipped halves on the
-        run's signals, the reference on their plain definitions."""
-        act, hgo, terrain, noise, run_dist, _ = parts
-        dist = run_dist if dist is None else dist
+        run's sampler, the reference on its plain definitions; both on
+        `signals` when it is given."""
+        act, hgo, terrain, noise, dist, _ = parts
         plain = lambda t: (*gravity_at(t, terrain, noise), *dist.sample(t))
-        return [composed_step(act, hgo, exogenous_signals(terrain, noise, dist)),
-                reference_closed_loop_step(act, hgo, plain)]
+        return [composed_step(act, hgo, signals or exogenous_signals(terrain, noise, dist)),
+                reference_closed_loop_step(act, hgo, signals or plain)]
 
-    def _both(self, parts, u, y, t, dt, dist=None):
+    def _both(self, parts, u, y, t, dt, signals=None):
         got, want = [_outcome(lambda: hold(*u)(y, t, dt))
-                     for hold in self._holds(parts, dist)]
+                     for hold in self._holds(parts, signals)]
         assert got == want
         return got
 
@@ -369,14 +368,21 @@ class TestClosedLoopStep:
     def test_non_finite_disturbance(self, stage, offset, channel, bad):
         """The disturbance turns non-finite from t + offset * dt on, so the
         first stage whose time reaches it rejects it (stage 3 shares the
-        time of stage 2)."""
+        time of stage 2). The value enters through the stage signals, on
+        the run's sampler with both disturbances set to 0.1 before t_bad."""
         parts = _parts(np.random.default_rng(5))
+        act, hgo, terrain, noise, dist, _ = parts
         t, dt = 0.3, 0.02
         t_bad = t + offset * dt
-        bad_signal = lambda s: bad if s >= t_bad else 0.1
-        dist = DisturbanceModel(**{"d_omega": lambda s: 0.1, "d_v": lambda s: 0.1,
-                                   channel: bad_signal})
-        assert self._both(parts, (0.5, -0.2), self.Y, t, dt, dist) == \
+        slot = {"d_omega": 4, "d_v": 5}[channel]
+        sampler = exogenous_signals(terrain, noise, dist)
+
+        def signals(s):
+            values = [*sampler(s)[:4], 0.1, 0.1]
+            if s >= t_bad:
+                values[slot] = bad
+            return tuple(values)
+        assert self._both(parts, (0.5, -0.2), self.Y, t, dt, signals) == \
             (DomainError, self.NON_FINITE)
 
     @pytest.mark.parametrize("fields, u, overrides, t, dt, error", [
@@ -507,36 +513,149 @@ class TestRobotStepFiniteness:
         assert got[0] is NonFiniteStateError
 
 
+def _any_outcome(call):
+    """The bits of call()'s result, or the type and text of whatever it
+    raised."""
+    try:
+        return _bits(call())
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+
+
 class TestExogenousSignals:
+    """The one sampler against its reference definitions, `gravity_at`
+    (with `NoiseModel.sample`) and `DisturbanceModel.sample`, bit for bit:
+    the same values, and the same error at the same call."""
+
     @staticmethod
     def _reference(terrain, noise, dist, t):
         return (*gravity_at(t, terrain, noise), *dist.sample(t))
 
-    @pytest.mark.parametrize("terrain", [
-        smooth_ramp_roll(math.radians(27.0), 0.1, 1.5),
-        # odd in t: the gravity truth at -0.0 and 0.0 differs in sign
-        TerrainProfile(roll=lambda t: 0.3 * math.sin(t),
-                       roll_rate=lambda t: 0.3 * math.cos(t)),
+    def _check(self, terrain, noise, dist, times):
+        signals = exogenous_signals(terrain, noise, dist)
+        for t in times:
+            assert _any_outcome(lambda: signals(t)) == \
+                _any_outcome(lambda: self._reference(terrain, noise, dist, t)), t
+
+    @pytest.mark.parametrize("terrain, dist, odd", [
+        (TerrainProfile("ramp", math.radians(27.0), 0.1, 1.5),
+         DisturbanceModel("sinusoid", 0.3, 0.12, 0.15, 0.08, -2.47, 0.8), False),
+        # phases -0.0: the disturbance is odd in t, so its values at -0.0
+        # and 0.0 differ in sign
+        (TerrainProfile("ramp", math.radians(-27.0), 0.0, 2.0),
+         DisturbanceModel("sinusoid", 0.3, 0.12, 0.15, 0.08, -0.0, -0.0), True),
     ], ids=["ramp", "odd"])
-    def test_bit_equal_to_reference_with_memo(self, terrain):
+    def test_bit_equal_to_reference_with_memo(self, terrain, dist, odd):
         """Repeated, interleaved and signed-zero times: the signals keep no
         memo, so each call is bit-equal to the plain definitions."""
         noise = NoiseModel(0.05, 50.0, 2.0, seed=4)
-        dist = sinusoid_disturbance(0.3, 0.12, 0.15, 0.08)
-        signals = exogenous_signals(terrain, noise, dist)
         times = np.random.default_rng(6).uniform(0.0, 2.0, 40).tolist()
         sequence = [0.0, 0.0, -0.0, -0.0, 0.0]
         for t1, t2 in zip(times[::2], times[1::2]):
             sequence += [t1, t1, t2, t1, t2, t2]
-        for t in sequence:
-            assert _bits(signals(t)) == _bits(self._reference(terrain, noise, dist, t)), t
+        self._check(terrain, noise, dist, sequence)
+        signals = exogenous_signals(terrain, noise, dist)
+        assert (_bits(signals(0.0)) != _bits(signals(-0.0))) == odd
 
     def test_upright_regime_guard(self):
-        dist = sinusoid_disturbance(0.3, 0.12, 0.15, 0.08)
+        dist = DisturbanceModel("sinusoid", 0.3, 0.12, 0.15, 0.08)
         noise = NoiseModel(0.01, 50.0, 1.0, seed=1)
-        signals = exogenous_signals(constant_roll(math.radians(95.0)), noise, dist)
+        signals = exogenous_signals(TerrainProfile("constant", math.radians(95.0)), noise, dist)
         with pytest.raises(DomainError, match="upright regime"):
             signals(0.5)
+
+    TERRAINS = {
+        "ramp": TerrainProfile("ramp", math.radians(27.0), 0.3, 1.5),
+        "ramp_from_0": TerrainProfile("ramp", math.radians(27.0), 0.0, 2.0, 9.7),
+        "ramp_negative": TerrainProfile("ramp", math.radians(-12.5), 0.55, 0.25),
+        # passes 90 degrees inside the ramp and stays beyond it after
+        "ramp_raising": TerrainProfile("ramp", math.radians(120.0), 0.2, 1.0),
+        "constant": TerrainProfile("constant", math.radians(27.0)),
+        "constant_flat": TerrainProfile("constant", 0.0, gravity=3.7),
+        "constant_raising": TerrainProfile("constant", math.radians(95.0)),
+    }
+    DISTURBANCES = {
+        "none": DisturbanceModel(),
+        "sinusoid": DisturbanceModel("sinusoid", 0.3, 0.12, 0.15, 0.08, -2.47, 0.8),
+        "sinusoid_fast": DisturbanceModel("sinusoid", 5.0, 2.0, 1.5, 3.3, 3.14, -1.0),
+    }
+
+    @staticmethod
+    def _times(terrain, noise):
+        """The ramp's ends (u = 0 and u = 1) and their neighbouring floats,
+        points inside the ramp, every stored period start k * period and
+        its neighbours, times past the last stored period, negative times,
+        both zeros and the non-finite times."""
+        start, end = terrain.start, terrain.start + terrain.duration
+        times = [start, end, math.nextafter(start, -math.inf),
+                 math.nextafter(start, math.inf), math.nextafter(end, -math.inf),
+                 math.nextafter(end, math.inf)]
+        times += [start + terrain.duration * u for u in (1e-9, 0.25, 0.5, 0.61, 0.999)]
+        for k in range(noise._n + 3):
+            edge = k * noise.period
+            times += [math.nextafter(edge, -math.inf), edge,
+                      math.nextafter(edge, math.inf), edge + 0.3 * noise.period]
+        times += [noise._n * noise.period + 1.0, 1e6, 1e300, -1.0, -1e-300, -0.0, 0.0,
+                  math.nan, math.inf, -math.inf]
+        times += np.random.default_rng(11).uniform(0.0, 2.5, 60).tolist()
+        return times
+
+    @pytest.mark.parametrize("dist", DISTURBANCES, ids=list(DISTURBANCES))
+    @pytest.mark.parametrize("terrain", TERRAINS, ids=list(TERRAINS))
+    @pytest.mark.parametrize("v_inf", [0.05, 0.0], ids=["noise", "v_inf_0"])
+    def test_bit_equal_battery(self, terrain, dist, v_inf):
+        """Every terrain and disturbance kind a Scenario builds, with and
+        without noise, on the times of `_times`: bit-equal values where the
+        reference returns, and its error where it raises: the upright
+        regime's DomainError (first, before the noise is read), the noise's
+        ValueError or OverflowError at a non-finite time, the sine's
+        ValueError at an infinite one."""
+        terrain = self.TERRAINS[terrain]
+        noise = NoiseModel(v_inf, 50.0, 2.0, seed=4, tau=0.004)
+        self._check(terrain, noise, self.DISTURBANCES[dist], self._times(terrain, noise))
+
+    def test_raising_roll_fails_at_the_same_call(self):
+        """Along a run's grid, a ramp that leaves the upright regime raises
+        at the first time whose roll passes 90 degrees, with the roll in
+        the message, as gravity_at does; the times before it return."""
+        terrain = self.TERRAINS["ramp_raising"]
+        noise = NoiseModel(0.01, 50.0, 2.0, seed=1)
+        dist = self.DISTURBANCES["sinusoid"]
+        signals = exogenous_signals(terrain, noise, dist)
+        times = [k * 0.005 for k in range(400)]
+        outcomes = [_any_outcome(lambda: signals(t)) for t in times]
+        first = next(i for i, o in enumerate(outcomes) if o[0] is DomainError)
+        assert 0.2 < times[first] < 1.2
+        assert all(type(o) is list for o in outcomes[:first])
+        assert outcomes[first] == (DomainError, f"terrain roll "
+                                   f"{terrain.roll(times[first])} rad leaves the "
+                                   f"upright regime")
+        assert outcomes[-1] == (DomainError, f"terrain roll {terrain.angle} rad "
+                                f"leaves the upright regime")
+        self._check(terrain, noise, dist, times)
+
+
+class TestRecords:
+    def test_terrain_profile_checks_its_parameters(self):
+        with pytest.raises(DomainError, match="profile"):
+            TerrainProfile("spiral", 0.1)
+        with pytest.raises(DomainError, match="duration"):
+            TerrainProfile("ramp", 0.1, 0.0, 0.0)
+        # the constant profile ignores the ramp's fields
+        assert TerrainProfile("constant", 0.3, duration=0.0).roll_rate(5.0) == 0.0
+        assert TerrainProfile("constant", 0.3, duration=0.0).roll(-2.0) == 0.3
+
+    def test_disturbance_model_checks_its_kind(self):
+        with pytest.raises(DomainError, match="disturbance"):
+            DisturbanceModel("gust")
+        assert DisturbanceModel().sample(1.5) == (0.0, 0.0)
+
+    def test_robot_records_are_named_tuples(self):
+        state = RobotState(1.0, 2.0, 0.5, 0.1, 0.2)
+        assert tuple(state) == (1.0, 2.0, 0.5, 0.1, 0.2)
+        assert (state.x, state.y, state.theta, state.omega, state.v) == tuple(state)
+        assert RobotState._fields == ("x", "y", "theta", "omega", "v")
+        assert ControlInput._fields == ("u_v", "u_omega")
 
 
 class TestNoiseModel:
