@@ -13,31 +13,32 @@ The loop keeps only what a record does not hold: the envelope audit count,
 the intersample minimum and the abort state.
 
 Integration advances the augmented state (robot plus both observers) in
-two halves. The observers read only the measurements, which depend on
-time alone, so `exogenous_track` walks the run's time grid once for
-everything a filter does not change: the values of the run's one
-sampler, `sysmodel.exogenous_signals`, at every stage time, each distinct
-time evaluated once and kept
-per substep in one tuple (t_i, s1, s2, s4, s_end), both observers
-advanced with `sysmodel.observer_step`, and per control step
-the truth, the measurements, the estimates, their `hgo_rates` rates, the
-error envelope M(t) (`error_envelope`, for the audit of each channel's
-error) and `bank.envelope` (the rows, `h_rob` and the envelope columns
-M + ln(2)/100, the smooth maximum of the two equal channel envelopes),
-with the envelope audit. `run` then steps the robot alone with
-`sysmodel.robot_step` on the track's stage signals and reads the true
-constraint after every substep for the intersample minimum. `compare`
-walks one track before its first variant and hands it to every variant.
-The two halves' reference definition is `sysmodel.step_rk4` over the
-right-hand side `sysmodel.eval_dynamics` plus two
-`differentiator.hgo_rates` calls, followed by `sysmodel.wrap_angle` on
-the heading. Every (h1, h2) pair, at the truth, at the estimates and
-after each substep, is `barrier.h_pair`. The control loop builds no
-frozen dataclass outside the safety filter: the robot state is a
-`sysmodel.RobotState` named tuple, each `TraceRecord` is built
-positionally, and the per-scenario lookups (filter kind, goal radius,
-the budget schedule, the QP solver and the track's steps) are read once
-per run.
+two halves, one control period per call. The observers read only the
+measurements, which depend on time alone, so `exogenous_track` walks the
+run's time grid once for everything a filter does not change: both
+observers, advanced through each period by `sysmodel.observer_period` on
+the run's one sampler, `sysmodel.exogenous_signals`, with each distinct
+time evaluated once; per substep the flat tuple of the floats a run reads
+(its start time, the disturbances at its three stage times and the
+gravity truth at its end); and per control step the truth, the
+measurements, the estimates, their `hgo_rates` rates, the error envelope
+M(t) (`error_envelope`, for the audit of each channel's error) and
+`bank.envelope` (the rows, `h_rob` and the envelope columns M +
+ln(2)/100, the smooth maximum of the two equal channel envelopes), with
+the envelope audit. `run` then steps the robot alone, one
+`sysmodel.robot_period` call per control step on the step's entries,
+which also returns the running minimum of the true constraint after
+every substep. `compare` walks one track before its first variant and
+hands it to every variant. The two halves' reference definition is, per
+substep, `sysmodel.step_rk4` over the right-hand side
+`sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
+followed by `sysmodel.wrap_angle` on the heading. Every (h1, h2) pair,
+at the truth, at the estimates and after each substep, is
+`barrier.h_pair`. The control loop builds no frozen dataclass outside
+the safety filter: the robot state is a `sysmodel.RobotState` named
+tuple, each `TraceRecord` is built positionally, and the per-scenario
+lookups (filter kind, goal radius, the budget schedule, the QP solver
+and the track's steps) are read once per run.
 
 Every filtered variant builds its rows with the one formula
 `barrier.constraint_row` and differs only in the inputs: `backward_diff`
@@ -66,8 +67,8 @@ from .differentiator import (BackwardDiffWindow, DifferentiatorBank, backward_di
                              error_envelope, hgo_rates)
 from .errors import DomainError, NonFiniteStateError
 from .scenario import BUDGET_ROW_FILTERS, VARIANT_FIELDS, Scenario, parse_variant
-from .sysmodel import (ControlInput, RobotState, exogenous_signals, observer_step,
-                       robot_step)
+from .sysmodel import (ControlInput, RobotState, _Raises, exogenous_signals,
+                       observer_period, robot_period)
 
 TRACE_SCHEMA = "rollguard-trace-1"
 SAFETY_TOL = 1e-3  # sampled-data slack on the continuous-time guarantee
@@ -212,23 +213,7 @@ class TrackStep(NamedTuple):
     est_rate: tuple[float, float]            # hgo_rates value rates per channel
     env: tuple[float, float]                 # bank.envelope(t)
     violations: int                          # channels outside error_envelope
-    substeps: list  # a (t_i, s1, s2, s4, s_end) tuple per substep of the period
-
-
-class _Raises:
-    """A track entry whose computation raised: reading it, by unpacking or
-    by a field, raises the same error again, in a fresh exception."""
-
-    __slots__ = ("kind", "message")
-
-    def __init__(self, exc: Exception):
-        self.kind, self.message = type(exc), str(exc)
-
-    def __iter__(self):
-        raise self.kind(self.message)
-
-    def __getattr__(self, name):
-        raise self.kind(self.message)
+    substeps: list  # the observer_period entry of each substep of the period
 
 
 class ExogenousTrack(NamedTuple):
@@ -250,33 +235,29 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     """What depends on time alone, walked once along the run's time grid.
 
     Per control step k (t = k * period, and once more at the horizon) a
-    `TrackStep`; per substep i the tuple (t_i, s1, s2, s4, s_end): the
-    substep's start time t + i * sub_dt, the `exogenous_signals` values at
-    its RK4 stage times t_i, t_i + sub_dt/2 and t_i + sub_dt, and at the
-    substep's end t + (i + 1) * sub_dt, whose gravity truth the
-    intersample audit reads. The observers advance with
-    `sysmodel.observer_step` on the same signals. Each distinct time is
-    evaluated once: a substep starts where the last one ended, and the
-    stage-4 time and the end time share a value when they are equal.
+    `TrackStep`, whose `substeps` holds the flat entries that
+    `sysmodel.observer_period` appends while it advances both observers
+    through the period: per substep its start time, the disturbances at
+    its three RK4 stage times and the gravity truth at its end, which the
+    intersample audit reads. Each distinct time is evaluated once: a
+    substep starts where the last one ended, the stage-4 time and the end
+    time share a value when they are equal, and so do the last end time
+    and the next step's time.
 
     The walk stops at the first signal DomainError or non-finite observer
-    state and puts a `_Raises` in the slot a run reads at that point: in
-    place of the step when its signals fail, else in the failing substep's
-    entry, which is filled in read order (its stage-2 and stage-4 signals,
-    read by `robot_step` right before that stage's check, then its end,
-    read after the robot step, as the non-finite observer state follows
-    the robot's checks), with None in the slots after it. A run that gets
-    there raises it at that point. Only the signals at t = 0 raise here:
-    they seed the estimates.
+    state and leaves a `sysmodel._Raises` where a run reads it: in place
+    of the step when its signals fail, else in the failing substep's
+    entry, from the slot `robot_period` reads right after the failure on
+    (see `observer_period`). A run that gets there raises it at that
+    point. Only the signals at t = 0 raise here: they seed the estimates.
     """
     bank = scenario.make_bank()
     hgo = bank.hgo
     terrain = scenario.terrain()
     roll_rate = terrain.roll_rate
     signals = exogenous_signals(terrain, scenario.noise_model(), scenario.disturbance())
-    advance = observer_step(hgo)
     period, n_steps, sub_dt = scenario.grid()
-    h2 = 0.5 * sub_dt
+    advance = observer_period(hgo, signals, scenario.substeps, sub_dt)
     sig = signals(0.0)
     # estimates start at the first measurement with zero rate; e0_bound in
     # the bank covers exactly this initialization
@@ -303,24 +284,11 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
                 (hgo_rates(obs[0], obs[1], hgo, meas[0])[0],
                  hgo_rates(obs[2], obs[3], hgo, meas[1])[0]),
                 bank.envelope(t), violations, subs))
-            for i in range(scenario.substeps if k < n_steps else 0):
-                t_i = t + i * sub_dt
-                s2 = s4 = None  # the slots read so far, for a failing entry
-                s2 = signals(t_i + h2)
-                t4 = t_i + sub_dt
-                s4 = signals(t4)
-                obs = advance(obs, t_i, sub_dt, sig, s2, s4)
-                t_end = t + (i + 1) * sub_dt
-                s_end = s4 if t_end == t4 else signals(t_end)
-                subs.append((t_i, sig, s2, s4, s_end))
-                sig = s_end
+            if k < n_steps:
+                obs, t_end, sig = advance(obs, t, sig, subs)
     except (DomainError, NonFiniteStateError) as exc:
-        bad = _Raises(exc)
         if len(steps) == k:  # the step's own signals
-            steps.append(bad)
-        else:  # the failing substep's entry, up to its first unread slot
-            read = [t_i, sig] + [s for s in (s2, s4) if s is not None]
-            subs.append(tuple(read + [bad, None, None][:5 - len(read)]))
+            steps.append(_Raises(exc))
     return ExogenousTrack(_track_inputs(scenario), bank, steps)
 
 
@@ -355,8 +323,8 @@ def run(scenario: Scenario, label: str | None = None,
     period, n_steps, sub_dt = scenario.grid()
     checks = _scenario_checks(scenario, track.bank)
 
-    hold = robot_step(act)
-    robot = (scenario.start_x, scenario.start_y, scenario.start_theta, 0.0, 0.0)
+    advance = robot_period(act, ratio, sub_dt)
+    state = RobotState(scenario.start_x, scenario.start_y, scenario.start_theta, 0.0, 0.0)
 
     win_y = BackwardDiffWindow(period)
     win_z = BackwardDiffWindow(period)
@@ -366,10 +334,9 @@ def run(scenario: Scenario, label: str | None = None,
     env_violations = 0
     aborted = False
     abort_reason = ""
-    done = 0  # control steps finished; robot holds the state at done * period
+    done = 0  # control steps finished; state is the state at done * period
 
     for k in range(n_steps):
-        state = RobotState._make(robot)
         try:
             (t, g_true, meas, (d_om, d_v), est, est_rate, (env_value, env_rate),
              violations, subs) = steps[k]
@@ -415,18 +382,10 @@ def run(scenario: Scenario, label: str | None = None,
                 budget_value, abs(v * d_om + omega * d_v), sol.status,
                 "+".join(sol.active)))
 
-            step = hold(*u_star)
-            r = robot
-            for t_i, s1, s2, s4, s_end in subs:
-                r = step(r, t_i, sub_dt, s1, s2, s4)
-                g_y, g_z, _, _, _, _ = s_end
-                # min()'s update rule, NaN and ties included
-                h1, h2 = h_pair(r[4], r[3], g_y, g_z, ratio)
-                if h1 < min_inter:
-                    min_inter = h1
-                if h2 < min_inter:
-                    min_inter = h2
-            robot = r
+            # a fault leaves the state at the step's start
+            state, min_inter, fault = advance(state, *u_star, subs, min_inter)
+            if fault is not None:
+                raise fault
             done = k + 1
         except (NonFiniteStateError, DomainError) as exc:
             # a singular tip point or a roll outside the upright regime, a
@@ -436,7 +395,6 @@ def run(scenario: Scenario, label: str | None = None,
             abort_reason = str(exc)
             break
 
-    final_state = RobotState._make(robot)
     t_aug = done * period
     h1s = [r.h_true[0] for r in records]
     h2s = [r.h_true[1] for r in records]
@@ -447,12 +405,12 @@ def run(scenario: Scenario, label: str | None = None,
         # the truth at the final time is undefined
         pass
     else:
-        h1f, h2f = h_pair(final_state.v, final_state.omega, g_y, g_z, ratio)
+        h1f, h2f = h_pair(state.v, state.omega, g_y, g_z, ratio)
         h1s.append(h1f)
         h2s.append(h2f)
     min_h1 = min(h1s)
     min_h2 = min(h2s)
-    final_distance = _goal_distance(goal, final_state)
+    final_distance = _goal_distance(goal, state)
     # the last good state has no record when the run ended or a step
     # aborted before appending one; the fallback pairs it with its own time
     time_to_goal = next((r.t for r in records

@@ -20,10 +20,11 @@ FILTERS = ("none", "backward_diff", "const_margin", "envelope", "envelope_budget
 # only at a linear alpha rate >= 1
 BUDGET_ROW_FILTERS = ("const_margin", "envelope_budget")
 # substeps one run may take, n_steps * substeps. A run holds its whole
-# exogenous track and trace in memory: about 0.56 KB of track per substep
-# (0.93 KB at one substep per step) plus 0.73 KB of trace records per
-# control step (tracemalloc, CPython 3.11), so one run stays under about
-# 0.85 GB; at the default 4 substeps it admits 2 500 s at 50 Hz
+# exogenous track and trace in memory: about 0.26 KB of track per substep
+# plus 0.84 KB of track and 0.83 KB of trace records per control step
+# (tracemalloc, CPython 3.11), so one run stays under about 1 GB, the
+# most at one substep per step; at the default 4 substeps it admits
+# 2 500 s at 50 Hz
 MAX_RUN_SUBSTEPS = 500_000
 
 

@@ -10,15 +10,19 @@ State ordering used throughout: (x, y, theta, omega, v)
     v_dot     = -tau_v * v + tau_v * u_v + d_v
 
 The augmented 9-state (robot plus two high-gain observers) advances in
-two halves that share one set of stage signals: `robot_step` over the
-five robot states and `observer_step` over the four observer states, each
-one classical RK4 step written out on named floats; `robot_step` checks
-each stage's dynamics inputs with one finiteness test of their sum. The
-observers read only the measurements, which depend on time alone, so one
-observer trajectory serves every filter of a scenario
-(`harness.exogenous_track`).
-Their composition's reference definition is `step_rk4` over the
-right-hand side made of `eval_dynamics` here and two
+two halves that share one set of stage signals, one control period per
+call, each classical RK4 written out on named floats with its state in
+locals: `observer_period` over the four observer states, which also
+appends per substep the flat tuple of the floats the robot reads (the
+substep's start time, the disturbances at its three stage times and the
+gravity truth at its end), and `robot_period` over the five robot states
+under the held input, which checks each stage's dynamics inputs with one
+finiteness test of their sum and returns the running intersample minimum
+of the true constraint with the state. The observers read only the
+measurements, which depend on time alone, so one observer trajectory
+serves every filter of a scenario (`harness.exogenous_track`).
+Their composition's reference definition is, per substep, `step_rk4`
+over the right-hand side made of `eval_dynamics` here and two
 `differentiator.hgo_rates` calls, followed by `wrap_angle` on the
 heading; the two halves repeat its float operations in order and are
 bit-equal to it.
@@ -31,7 +35,8 @@ Its reference definitions are `gravity_at` with `NoiseModel.sample`, for
 the gravity truth and the noise, and `DisturbanceModel.sample`; the
 sampler is bit-equal to them and raises their errors at the same calls.
 `RobotState` and `ControlInput` are named tuples. Every function here is
-pure, and independent scenarios can run concurrently.
+pure but for the appends of `observer_period`'s periods to the list they
+are given, and independent scenarios can run concurrently.
 """
 
 from __future__ import annotations
@@ -312,169 +317,232 @@ def _all_finite(*values: float) -> bool:
     return all(map(math.isfinite, values))
 
 
-def robot_step(act: ActuatorParams):
-    """One RK4 step of the five robot states, built once per run.
+class _Raises:
+    """A track slot whose computation raised: reading it, by unpacking, by
+    a field or as a number in a sum or product, raises the same error
+    again, in a fresh exception."""
 
-    Returns `hold(u_v, u_omega)`, which returns `step(r, t, dt, s1, s2, s4)`
-    for that input held over a control period: one classical RK4 step of
-    r = (x, y, theta, omega, v) from time t, returning the 5-tuple at
-    t + dt with the heading wrapped to (-pi, pi]. s1, s2 and s4 are the
-    run's `exogenous_signals` values at the stage times t, t + dt/2 and
-    t + dt; the step reads only their disturbances, and stage 3 shares
-    stage 2's.
+    __slots__ = ("kind", "message")
 
-    Its reference definition is `step_rk4` over `eval_dynamics` with the
-    disturbance, followed by `wrap_angle` on the heading. `step` writes
-    that composition out on five named floats; every float operation
-    happens in the reference's order, so the result is bit-equal, and each
-    check raises the same error: a non-finite held input (from `hold`,
-    which the reference rejects at the first stage), a non-finite state or
-    disturbance at any stage, a non-finite result and `dt <= 0`. Each
-    stage unpacks its signals right before its check, where the reference
-    evaluates them, so signals that raise when unpacked raise in the
-    reference's place. Each check makes one `isfinite` test, of the sum of
-    the values it checks, and tests them one by one only when the sum is
-    not finite: a finite sum has only finite terms, and a sum that
-    overflows from finite terms passes. Together with `observer_step` on
-    the same signals it is one RK4 step of the augmented closed loop
-    (robot plus both observers): the robot does not feed the observers,
-    and the observers do not feed the robot within a step.
+    def __init__(self, exc: Exception):
+        self.kind, self.message = type(exc), str(exc)
+
+    def _raise(self, *_):
+        raise self.kind(self.message)
+
+    __iter__ = __getattr__ = __add__ = __radd__ = __mul__ = __rmul__ = _raise
+
+
+def observer_period(hgo, signals, substeps: int, dt: float):
+    """Both high-gain observers through one control period, built once per
+    run.
+
+    Returns `period(o, t, sig, entries) -> (o, t_end, sig)`: `substeps`
+    classical RK4 steps of dt of o = (est_gy, rate_gy, est_gz, rate_gz)
+    from time t, one observer (`hgo`) per gravity channel, driven by its
+    noisy measurement g + n from `signals`, the run's `exogenous_signals`;
+    `sig` is its value at t. Substep i runs from t_i = t + i * dt to
+    t + (i + 1) * dt, whose signals are evaluated only when that time
+    differs from the stage-4 time t_i + dt (in the last bit, on some
+    substeps) and start the next substep. `period` returns the state, the
+    last end time and the signals there, and appends per substep the flat
+    tuple `robot_period` reads: t_i, (d_omega, d_v) at t_i, t_i + dt/2
+    and t_i + dt, and the gravity truth (g_y0, g_z0) at the substep's end.
+
+    Its reference definition is, per substep, `step_rk4` over two
+    `differentiator.hgo_rates` calls on the measurements; `period` repeats
+    their float operations in order and is bit-equal. At the first signals
+    error, or a non-finite state after a substep (`NonFiniteStateError`,
+    as `step_rk4` raises it), it appends the substep's entry with a
+    `_Raises` of the error in every slot from the first the robot reads
+    after it (the stage-2 or stage-4 disturbances when that stage's
+    signals raised, else the end gravity: the robot finishes its own
+    checks of the substep first) and raises the error again.
     """
+    if dt <= 0.0:
+        raise DomainError("dt must be positive")
+    k1l = hgo.k1 * hgo.ell
+    k2l2 = hgo.k2 * hgo.ell * hgo.ell
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+
+    def period(o, t: float, sig, entries: list):
+        ey, ry, ez, rz = o
+        g_y, g_z, ny, nz, dw1, dv1 = sig
+        my, mz = g_y + ny, g_z + nz
+        try:
+            for i in range(substeps):
+                t_i = t + i * dt
+                dw2 = dw4 = None  # the stage signals read so far, for a failing entry
+                iy, iz = my - ey, mz - ez
+                a5, a6 = ry + k1l * iy, k2l2 * iy
+                a7, a8 = rz + k1l * iz, k2l2 * iz
+
+                # stages 2 and 3 share one measurement
+                g_y, g_z, ny, nz, dw2, dv2 = signals(t_i + half)
+                my, mz = g_y + ny, g_z + nz
+                ey2, ry2 = ey + half * a5, ry + half * a6
+                ez2, rz2 = ez + half * a7, rz + half * a8
+                iy, iz = my - ey2, mz - ez2
+                b5, b6 = ry2 + k1l * iy, k2l2 * iy
+                b7, b8 = rz2 + k1l * iz, k2l2 * iz
+
+                ey3, ry3 = ey + half * b5, ry + half * b6
+                ez3, rz3 = ez + half * b7, rz + half * b8
+                iy, iz = my - ey3, mz - ez3
+                c5, c6 = ry3 + k1l * iy, k2l2 * iy
+                c7, c8 = rz3 + k1l * iz, k2l2 * iz
+
+                t4 = t_i + dt
+                sig = signals(t4)
+                g_y, g_z, ny, nz, dw4, dv4 = sig
+                my, mz = g_y + ny, g_z + nz
+                ey4, ry4 = ey + dt * c5, ry + dt * c6
+                ez4, rz4 = ez + dt * c7, rz + dt * c8
+                iy, iz = my - ey4, mz - ez4
+                d5, d6 = ry4 + k1l * iy, k2l2 * iy
+                d7, d8 = rz4 + k1l * iz, k2l2 * iz
+
+                ey = ey + sixth * (a5 + 2.0 * (b5 + c5) + d5)
+                ry = ry + sixth * (a6 + 2.0 * (b6 + c6) + d6)
+                ez = ez + sixth * (a7 + 2.0 * (b7 + c7) + d7)
+                rz = rz + sixth * (a8 + 2.0 * (b8 + c8) + d8)
+                if not (isfinite(ey) and isfinite(ry) and isfinite(ez) and isfinite(rz)):
+                    raise NonFiniteStateError(f"non-finite state after step at t={t_i}")
+
+                t_end = t + (i + 1) * dt
+                if t_end != t4:
+                    sig = signals(t_end)
+                    g_y, g_z, ny, nz, dw, dv = sig
+                    my, mz = g_y + ny, g_z + nz
+                else:
+                    dw, dv = dw4, dv4
+                entries.append((t_i, dw1, dv1, dw2, dv2, dw4, dv4, g_y, g_z))
+                dw1, dv1 = dw, dv
+        except (DomainError, NonFiniteStateError) as exc:
+            bad = _Raises(exc)
+            if dw2 is None:
+                entries.append((t_i, dw1, dv1) + (bad,) * 6)
+            elif dw4 is None:
+                entries.append((t_i, dw1, dv1, dw2, dv2) + (bad,) * 4)
+            else:
+                entries.append((t_i, dw1, dv1, dw2, dv2, dw4, dv4, bad, bad))
+            raise
+        return (ey, ry, ez, rz), t_end, sig
+    return period
+
+
+def robot_period(act: ActuatorParams, ratio: float, dt: float):
+    """The five robot states through one control period, built once per
+    run.
+
+    Returns `period(r, u_v, u_omega, entries, low) -> (r, low, fault)`: per
+    flat entry of `observer_period`, one classical RK4 step of dt of
+    r = (x, y, theta, omega, v) from the entry's t_i under the held input,
+    on the entry's disturbances (stage 3 shares stage 2's), then the
+    heading wrapped to (-pi, pi], and `low`, the running intersample
+    minimum, lowered by min()'s rule (NaN and ties included) with both
+    values of `barrier.h_pair` at the new state and the entry's end
+    gravity (`ratio` is the geometry's width_ratio). It returns the
+    `RobotState` at the period's end, `low` and None; on an error, r as
+    given, `low` over the substeps it finished, and the error.
+
+    Its reference definition is, per substep, `step_rk4` over
+    `eval_dynamics` with the disturbance, followed by `wrap_angle` on the
+    heading. `period` repeats their float operations in order on five
+    named floats, so each state is bit-equal, and each check gives the
+    same error: a non-finite held input (checked once per period, where
+    the reference checks it at every first stage), a non-finite state or
+    disturbance at any stage and a non-finite result; `dt <= 0` raises
+    when the period is built. Each check makes one `isfinite` test, of the
+    sum of the values it checks, and tests them one by one only when the
+    sum is not finite: a finite sum has only finite terms, and a sum that
+    overflows from finite terms passes. An entry's `_Raises` raises where
+    its stage's sum, or `h_pair` at its end, first reads it, which is
+    where the reference reads those signals. With `observer_period` on the
+    same entries it is one RK4 step per substep of the augmented closed
+    loop: the robot does not feed the observers, and the observers do not
+    feed the robot within a step.
+    """
+    from .barrier import h_pair  # barrier imports this module
+    if dt <= 0.0:
+        raise DomainError("dt must be positive")
     tau_v, tau_omega = act.tau_v, act.tau_omega
     # -tau * state parses as (-tau) * state, so the negations are exact
     neg_tau_v, neg_tau_omega = -tau_v, -tau_omega
     sin, cos, ceil, isfinite = math.sin, math.cos, math.ceil, math.isfinite
     pi = math.pi
     two_pi = 2.0 * math.pi
+    half = 0.5 * dt
+    sixth = dt / 6.0
 
-    def hold(u_v: float, u_omega: float):
-        if not (isfinite(u_v) and isfinite(u_omega)):
-            raise DomainError("non-finite dynamics input")
-        # the input terms of the two actuator rates are fixed over the hold
-        in_omega = tau_omega * u_omega
-        in_v = tau_v * u_v
-
-        def step(r, t: float, dt: float, s1, s2, s4) -> tuple[float, ...]:
-            if dt <= 0.0:
-                raise DomainError("dt must be positive")
+    def period(r, u_v: float, u_omega: float, entries: list, low: float):
+        try:
+            if not (isfinite(u_v) and isfinite(u_omega)):
+                raise DomainError("non-finite dynamics input")
+            # the input terms of the two actuator rates are fixed over the hold
+            in_omega = tau_omega * u_omega
+            in_v = tau_v * u_v
             x, p, th, w, v = r
-            h2 = 0.5 * dt
+            for t_i, dw, dv, dw2, dv2, dw4, dv4, g_y, g_z in entries:
+                # stage 1 at (t_i, r)
+                if not isfinite(x + p + th + w + v + dw + dv) and \
+                        not _all_finite(x, p, th, w, v, dw, dv):
+                    raise DomainError("non-finite dynamics input")
+                a0, a1, a2 = v * cos(th), v * sin(th), w
+                a3 = neg_tau_omega * w + in_omega + dw
+                a4 = neg_tau_v * v + in_v + dv
 
-            # stage 1 at (t, r)
-            _, _, _, _, dw, dv = s1
-            if not isfinite(x + p + th + w + v + dw + dv) and \
-                    not _all_finite(x, p, th, w, v, dw, dv):
-                raise DomainError("non-finite dynamics input")
-            a0, a1, a2 = v * cos(th), v * sin(th), w
-            a3 = neg_tau_omega * w + in_omega + dw
-            a4 = neg_tau_v * v + in_v + dv
+                # stages 2 and 3 at t_i + dt/2
+                x2, p2, th2 = x + half * a0, p + half * a1, th + half * a2
+                w2, v2 = w + half * a3, v + half * a4
+                if not isfinite(x2 + p2 + th2 + w2 + v2 + dw2 + dv2) and \
+                        not _all_finite(x2, p2, th2, w2, v2, dw2, dv2):
+                    raise DomainError("non-finite dynamics input")
+                b0, b1, b2 = v2 * cos(th2), v2 * sin(th2), w2
+                b3 = neg_tau_omega * w2 + in_omega + dw2
+                b4 = neg_tau_v * v2 + in_v + dv2
 
-            # stages 2 and 3 at t + dt/2 share one signals value
-            x2, p2, th2 = x + h2 * a0, p + h2 * a1, th + h2 * a2
-            w2, v2 = w + h2 * a3, v + h2 * a4
-            _, _, _, _, dw, dv = s2
-            if not isfinite(x2 + p2 + th2 + w2 + v2 + dw + dv) and \
-                    not _all_finite(x2, p2, th2, w2, v2, dw, dv):
-                raise DomainError("non-finite dynamics input")
-            b0, b1, b2 = v2 * cos(th2), v2 * sin(th2), w2
-            b3 = neg_tau_omega * w2 + in_omega + dw
-            b4 = neg_tau_v * v2 + in_v + dv
+                x3, p3, th3 = x + half * b0, p + half * b1, th + half * b2
+                w3, v3 = w + half * b3, v + half * b4
+                # the disturbances were checked in stage 2
+                if not isfinite(x3 + p3 + th3 + w3 + v3) and \
+                        not _all_finite(x3, p3, th3, w3, v3):
+                    raise DomainError("non-finite dynamics input")
+                c0, c1, c2 = v3 * cos(th3), v3 * sin(th3), w3
+                c3 = neg_tau_omega * w3 + in_omega + dw2
+                c4 = neg_tau_v * v3 + in_v + dv2
 
-            x3, p3, th3 = x + h2 * b0, p + h2 * b1, th + h2 * b2
-            w3, v3 = w + h2 * b3, v + h2 * b4
-            # the disturbances were checked in stage 2
-            if not isfinite(x3 + p3 + th3 + w3 + v3) and \
-                    not _all_finite(x3, p3, th3, w3, v3):
-                raise DomainError("non-finite dynamics input")
-            c0, c1, c2 = v3 * cos(th3), v3 * sin(th3), w3
-            c3 = neg_tau_omega * w3 + in_omega + dw
-            c4 = neg_tau_v * v3 + in_v + dv
+                # stage 4 at t_i + dt
+                x4, p4, th4 = x + dt * c0, p + dt * c1, th + dt * c2
+                w4, v4 = w + dt * c3, v + dt * c4
+                if not isfinite(x4 + p4 + th4 + w4 + v4 + dw4 + dv4) and \
+                        not _all_finite(x4, p4, th4, w4, v4, dw4, dv4):
+                    raise DomainError("non-finite dynamics input")
+                d0, d1, d2 = v4 * cos(th4), v4 * sin(th4), w4
+                d3 = neg_tau_omega * w4 + in_omega + dw4
+                d4 = neg_tau_v * v4 + in_v + dv4
 
-            # stage 4 at t + dt
-            x4, p4, th4 = x + dt * c0, p + dt * c1, th + dt * c2
-            w4, v4 = w + dt * c3, v + dt * c4
-            _, _, _, _, dw, dv = s4
-            if not isfinite(x4 + p4 + th4 + w4 + v4 + dw + dv) and \
-                    not _all_finite(x4, p4, th4, w4, v4, dw, dv):
-                raise DomainError("non-finite dynamics input")
-            d0, d1, d2 = v4 * cos(th4), v4 * sin(th4), w4
-            d3 = neg_tau_omega * w4 + in_omega + dw
-            d4 = neg_tau_v * v4 + in_v + dv
+                x = x + sixth * (a0 + 2.0 * (b0 + c0) + d0)
+                p = p + sixth * (a1 + 2.0 * (b1 + c1) + d1)
+                th = th + sixth * (a2 + 2.0 * (b2 + c2) + d2)
+                w = w + sixth * (a3 + 2.0 * (b3 + c3) + d3)
+                v = v + sixth * (a4 + 2.0 * (b4 + c4) + d4)
+                if not isfinite(x + p + th + w + v) and not _all_finite(x, p, th, w, v):
+                    raise NonFiniteStateError(f"non-finite state after step at t={t_i}")
+                # the heading through wrap_angle's expression
+                th = th - two_pi * ceil((th - pi) / two_pi)
 
-            sixth = dt / 6.0
-            x = x + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-            p = p + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-            th = th + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-            w = w + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-            v = v + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-            if not isfinite(x + p + th + w + v) and not _all_finite(x, p, th, w, v):
-                raise NonFiniteStateError(f"non-finite state after step at t={t}")
-            # the heading through wrap_angle's expression
-            return (x, p, th - two_pi * ceil((th - pi) / two_pi), w, v)
-        return step
-    return hold
-
-
-def observer_step(hgo):
-    """One RK4 step of the two high-gain observers, built once per run.
-
-    Returns `step(o, t, dt, s1, s2, s4)`: one classical RK4 step of
-    o = (est_gy, rate_gy, est_gz, rate_gz), one observer (`hgo`, an
-    `HgoParams`) per gravity channel, each driven by its noisy measurement
-    g + n from the run's `exogenous_signals` values at the stage times t,
-    t + dt/2 and t + dt. It returns the 4-tuple at t + dt.
-
-    Its reference definition is `step_rk4` over two
-    `differentiator.hgo_rates` calls on the measurements; `step` repeats
-    their float operations in order, so the result is bit-equal. It raises
-    `robot_step`'s errors for `dt <= 0` and a non-finite result; the
-    observer state is no dynamics input, so its stages are not checked.
-    """
-    k1l = hgo.k1 * hgo.ell
-    k2l2 = hgo.k2 * hgo.ell * hgo.ell
-    isfinite = math.isfinite
-
-    def step(o, t: float, dt: float, s1, s2, s4) -> tuple[float, ...]:
-        if dt <= 0.0:
-            raise DomainError("dt must be positive")
-        ey, ry, ez, rz = o
-        h2 = 0.5 * dt
-
-        g_y0, g_z0, ny, nz, _, _ = s1
-        iy = (g_y0 + ny) - ey
-        iz = (g_z0 + nz) - ez
-        a5, a6 = ry + k1l * iy, k2l2 * iy
-        a7, a8 = rz + k1l * iz, k2l2 * iz
-
-        # stages 2 and 3 share one measurement
-        ey2, ry2, ez2, rz2 = ey + h2 * a5, ry + h2 * a6, ez + h2 * a7, rz + h2 * a8
-        g_y0, g_z0, ny, nz, _, _ = s2
-        my, mz = g_y0 + ny, g_z0 + nz
-        iy, iz = my - ey2, mz - ez2
-        b5, b6 = ry2 + k1l * iy, k2l2 * iy
-        b7, b8 = rz2 + k1l * iz, k2l2 * iz
-
-        ey3, ry3, ez3, rz3 = ey + h2 * b5, ry + h2 * b6, ez + h2 * b7, rz + h2 * b8
-        iy, iz = my - ey3, mz - ez3
-        c5, c6 = ry3 + k1l * iy, k2l2 * iy
-        c7, c8 = rz3 + k1l * iz, k2l2 * iz
-
-        ey4, ry4, ez4, rz4 = ey + dt * c5, ry + dt * c6, ez + dt * c7, rz + dt * c8
-        g_y0, g_z0, ny, nz, _, _ = s4
-        iy = (g_y0 + ny) - ey4
-        iz = (g_z0 + nz) - ez4
-        d5, d6 = ry4 + k1l * iy, k2l2 * iy
-        d7, d8 = rz4 + k1l * iz, k2l2 * iz
-
-        sixth = dt / 6.0
-        ey = ey + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-        ry = ry + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-        ez = ez + sixth * (a7 + 2.0 * (b7 + c7) + d7)
-        rz = rz + sixth * (a8 + 2.0 * (b8 + c8) + d8)
-        if not (isfinite(ey) and isfinite(ry) and isfinite(ez) and isfinite(rz)):
-            raise NonFiniteStateError(f"non-finite state after step at t={t}")
-        return (ey, ry, ez, rz)
-    return step
+                h1, h2 = h_pair(v, w, g_y, g_z, ratio)
+                if h1 < low:
+                    low = h1
+                if h2 < low:
+                    low = h2
+        except (DomainError, NonFiniteStateError) as exc:
+            return r, low, exc
+        return RobotState(x, p, th, w, v), low, None
+    return period
 
 
 def step_rk4(y: Sequence[float], t: float, dt: float,

@@ -1,5 +1,5 @@
 """The reference definition of one RK4 step of the augmented closed loop,
-and of its two halves.
+of its two halves, and of their per-period form.
 
 `reference_closed_loop_step(act, hgo, signals)` returns
 `hold(u_v, u_omega) -> step(y, t, dt)` on the augmented 9-state (robot
@@ -10,19 +10,30 @@ heading. `signals` gives the gravity truth, noise and disturbance as
 `exogenous_signals` does. `reference_rhs` is that right-hand side on its
 own.
 
-The shipped engine splits the step into `sysmodel.robot_step` and
-`sysmodel.observer_step`, which share the signals at the three stage
-times. `reference_robot_step` and `reference_observer_step` have their
-signatures and derive each half from `reference_closed_loop_step`: the
-other half is held at zero with zero inputs, which keeps it at exactly
-zero, and the signals it does not read are zeroed. The sysmodel tests
-compare the composed shipped halves with the reference step by step, and
-the harness tests run `harness.run` with the derived halves in place of
+`reference_robot_step(act)` returns `hold(u_v, u_omega) -> step(r, t, dt,
+s1, s2, s4)` and `reference_observer_step(hgo)` returns `step(o, t, dt,
+s1, s2, s4)`: one substep of each half on the signals at its three stage
+times, derived from `reference_closed_loop_step` with the other half held
+at zero with zero inputs, which keeps it at exactly zero, and the signals
+it does not read zeroed.
+
+The shipped engine, `sysmodel.observer_period` and
+`sysmodel.robot_period`, advances each half through one control period
+per call and passes the robot its stage signals as flat entries.
+`reference_observer_period` and `reference_robot_period` have their
+signatures and build them one reference substep at a time: the observer
+on the walk's time grid, filling each entry (and a failing one) in read
+order, the robot on each entry's stage signals, with `barrier.h_pair` at
+the entry's end gravity folded into the minimum by `min`. The sysmodel
+tests compare the shipped periods with these and with the fused
+reference, and the harness tests run `harness.run` with them in place of
 the shipped ones."""
 
+from rollguard.barrier import h_pair
 from rollguard.differentiator import HgoParams, hgo_rates
-from rollguard.sysmodel import (ActuatorParams, ControlInput, RobotState, eval_dynamics,
-                                step_rk4, wrap_angle)
+from rollguard.errors import DomainError, NonFiniteStateError
+from rollguard.sysmodel import (ActuatorParams, ControlInput, RobotState, _Raises,
+                                eval_dynamics, step_rk4, wrap_angle)
 
 
 def reference_rhs(act, hgo, signals):
@@ -74,8 +85,8 @@ def _measurement_only(g_y0, g_z0, ny, nz, d_omega, d_v):
 
 
 def reference_robot_step(act):
-    """`sysmodel.robot_step`'s signature, from the reference: the robot part
-    of its result, with both observers at zero and zero measurements."""
+    """One robot substep from the reference: the robot part of its result,
+    with both observers at zero and zero measurements."""
     def hold(u_v, u_omega):
         def step(r, t, dt, s1, s2, s4):
             signals = _stage_signals(t, dt, s1, s2, s4, _disturbance_only)
@@ -87,9 +98,8 @@ def reference_robot_step(act):
 
 
 def reference_observer_step(hgo):
-    """`sysmodel.observer_step`'s signature, from the reference: the observer
-    part of its result, with the robot at rest, zero input and zero
-    disturbance."""
+    """One observer substep from the reference: the observer part of its
+    result, with the robot at rest, zero input and zero disturbance."""
     act = ActuatorParams(1.0, 1.0)
 
     def step(o, t, dt, s1, s2, s4):
@@ -98,3 +108,54 @@ def reference_observer_step(hgo):
             (0.0, 0.0, 0.0, 0.0, 0.0, *o), t, dt)
         return y[5:]
     return step
+
+
+def reference_observer_period(hgo, signals, substeps, dt):
+    """`sysmodel.observer_period`'s signature, one `reference_observer_step`
+    per substep."""
+    step = reference_observer_step(hgo)
+
+    def period(o, t, sig, entries):
+        for i in range(substeps):
+            t_i = t + i * dt
+            read = [t_i, *sig[4:]]
+            try:
+                s2 = signals(t_i + 0.5 * dt)
+                read += s2[4:]
+                s4 = signals(t_i + dt)
+                read += s4[4:]
+                o = step(o, t_i, dt, sig, s2, s4)
+                t_end = t + (i + 1) * dt
+                sig = s4 if t_end == t_i + dt else signals(t_end)
+            except (DomainError, NonFiniteStateError) as exc:
+                entries.append(tuple(read) + (_Raises(exc),) * (9 - len(read)))
+                raise
+            entries.append((*read, *sig[:2]))
+        return o, t_end, sig
+    return period
+
+
+def _stage(d_omega, d_v):
+    """A stage's signals from an entry's disturbance pair; a `_Raises` there
+    stands for signals that raise when read."""
+    if type(d_omega) is _Raises:
+        return d_omega
+    return (0.0, 0.0, 0.0, 0.0, d_omega, d_v)
+
+
+def reference_robot_period(act, ratio, dt):
+    """`sysmodel.robot_period`'s signature, one `reference_robot_step` per
+    entry."""
+    hold = reference_robot_step(act)
+
+    def period(r, u_v, u_omega, entries, low):
+        step = hold(u_v, u_omega)
+        y = r
+        try:
+            for t_i, dw1, dv1, dw2, dv2, dw4, dv4, g_y, g_z in entries:
+                y = step(y, t_i, dt, _stage(dw1, dv1), _stage(dw2, dv2), _stage(dw4, dv4))
+                low = min(low, *h_pair(y[4], y[3], g_y, g_z, ratio))
+        except (DomainError, NonFiniteStateError) as exc:
+            return r, low, exc
+        return RobotState(*y), low, None
+    return period

@@ -19,7 +19,7 @@ from rollguard.scenario import Scenario, load_config, parse_variant
 from rollguard.sysmodel import RobotState, TerrainProfile
 
 from _rowcheck import budget_row_margin_rebuilt
-from _stepref import reference_observer_step, reference_robot_step
+from _stepref import reference_observer_period, reference_robot_period
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ROLLOVER_CFG = str(CONFIGS / "rollover_slope.cfg")
@@ -322,32 +322,110 @@ def _output_bytes(res, tmp_path, name):
             for kind, ext in (("trace", "csv"), ("summary", "json"))]
 
 
-@pytest.mark.parametrize("case", [*FILTERS, "tau_v_abort", "mid_period_abort"])
+def _grid_times(sc):
+    """(k, i, stage-2, stage-4 and end time) of every substep."""
+    period = 1.0 / sc.control_rate
+    sub_dt = period / sc.substeps
+    for k in range(int(round(sc.horizon * sc.control_rate))):
+        t = k * period
+        for i in range(sc.substeps):
+            t_i = t + i * sub_dt
+            yield k, i, t_i + 0.5 * sub_dt, t_i + sub_dt, t + (i + 1) * sub_dt
+
+
+def _fails_at(monkeypatch, t_bad, blow_up_after=None):
+    """The run's sampler, out of the upright regime at t_bad alone, with
+    measurements of 1e306 after `blow_up_after` when it is given."""
+    make_sampler = harness.exogenous_signals
+
+    def sampler(terrain, noise, dist):
+        signals = make_sampler(terrain, noise, dist)
+
+        def failing(t):
+            if t == t_bad:
+                raise DomainError("terrain roll 2.0 rad leaves the upright regime")
+            g_y0, g_z0, n_y, n_z, d_omega, d_v = signals(t)
+            if blow_up_after is not None and t > blow_up_after:
+                n_y = n_z = 1e306
+            return (g_y0, g_z0, n_y, n_z, d_omega, d_v)
+        return failing
+    monkeypatch.setattr(harness, "exogenous_signals", sampler)
+
+
+FAILURES = ["stage_2", "stage_4", "stage_4_not_end", "end_not_stage_4", "top_not_end",
+            "observer_before_end"]
+
+
+def _inject_failure(monkeypatch, sc, where):
+    """Make the run's sampler fail where `where` says, on sc's grid at 50 Hz
+    and 4 substeps: in a substep's stage-2 or stage-4 signals, in a
+    stage-4 time one ulp off its end time, in an end time one ulp off its
+    stage-4 time, in a step's own time one ulp off the last end time, or
+    in an end time after the measurements blew the observers up from
+    stage 2 of that substep on. Returns (k, i, first, reason): the step
+    and substep of the failure (i None for a step's own signals), the
+    first slot of the flat track entry that holds it (None likewise) and
+    the text of its error."""
+    grid = list(_grid_times(sc))
+    # the first substep whose stage-4 time is one ulp off its end time
+    k_off, i_off, _, t4_off, end_off = next(g for g in grid if g[3] != g[4])
+    blow_up_after = None
+    if where in ("stage_2", "stage_4"):
+        k, i = 7, 2
+        t_bad = grid[4 * k + i][{"stage_2": 2, "stage_4": 3}[where]]
+        first = {"stage_2": 3, "stage_4": 5}[where]
+    elif where == "stage_4_not_end":
+        k, i, first, t_bad = k_off, i_off, 5, t4_off
+    elif where == "end_not_stage_4":
+        k, i, first, t_bad = k_off, i_off, 7, end_off
+    elif where == "top_not_end":
+        k = next(j for j in range(1, 50) if j * 0.02 != grid[4 * j - 1][4])
+        i, first, t_bad = None, None, k * 0.02
+    else:
+        k, i, first, t_bad = k_off, i_off, 7, end_off
+        blow_up_after = k * 0.02 + i * 0.005
+    _fails_at(monkeypatch, t_bad, blow_up_after)
+    if blow_up_after is None:
+        return k, i, first, "upright regime"
+    return k, i, first, f"non-finite state after step at t={blow_up_after}"
+
+
+@pytest.mark.parametrize("case", [*FILTERS, "tau_v_abort", "mid_period_abort", *FAILURES])
 def test_run_bit_equal_with_reference_step(tmp_path, monkeypatch, case):
-    """harness.run with the shipped robot and observer steps writes the
-    same trace and summary bytes as with both derived from their reference
-    definition (step_rk4 over eval_dynamics plus two hgo_rates calls, then
-    wrap_angle): the five filters, an overflow abort, and a roll that
-    leaves the upright regime inside a control period, where the minimum
-    of the substeps finished before the abort must stay in the summary."""
+    """harness.run with the shipped robot and observer periods writes the
+    same trace and summary bytes as with both built one reference substep
+    at a time (step_rk4 over eval_dynamics plus two hgo_rates calls, then
+    wrap_angle): the five filters, an overflow abort, a roll that leaves
+    the upright regime inside a control period, where the minimum of the
+    substeps finished before the abort must stay in the summary, and a
+    failure in each slot of a flat track entry, where the run aborts at
+    the failing step with its reason."""
+    failure = None
     if case == "tau_v_abort":
         sc = Scenario(filter="none", tau_v=1e160, horizon=1.0)
     elif case == "mid_period_abort":
         _mid_period_abort(monkeypatch)
         sc = Scenario(filter="none", horizon=2.0)
+    elif case in FAILURES:
+        sc = Scenario(filter="envelope", horizon=1.0)
+        failure = _inject_failure(monkeypatch, sc, case)
     else:
         sc = Scenario(filter=case, horizon=2.0)
     shipped = harness.run(sc)
-    monkeypatch.setattr(harness, "robot_step", reference_robot_step)
-    monkeypatch.setattr(harness, "observer_step", reference_observer_step)
+    monkeypatch.setattr(harness, "robot_period", reference_robot_period)
+    monkeypatch.setattr(harness, "observer_period", reference_observer_period)
     reference = harness.run(sc)
     assert _output_bytes(shipped, tmp_path, "shipped") == \
         _output_bytes(reference, tmp_path, "reference")
     s = shipped.summary
-    assert s.aborted == (case in ("tau_v_abort", "mid_period_abort"))
+    assert s.aborted == (case not in FILTERS)
     if case == "mid_period_abort":
         assert "upright regime" in s.abort_reason
         assert s.min_h_true_intersample < s.min_h_true
+    if failure is not None:
+        k, i, _, reason = failure
+        assert reason in s.abort_reason
+        assert s.n_steps == (k if i is None else k + 1)
 
 
 class TestTrack:
@@ -375,10 +453,10 @@ class TestTrack:
         assert sc.start_x == 0.0
         track = harness.exogenous_track(sc)
 
-        def no_integration(act):
+        def no_integration(*args):
             raise AssertionError("the run integrated")
 
-        monkeypatch.setattr(harness, "robot_step", no_integration)
+        monkeypatch.setattr(harness, "robot_period", no_integration)
         checked = []
         for name, other in self._differing(sc):
             with pytest.raises(DomainError, match="exogenous track"):
@@ -389,90 +467,41 @@ class TestTrack:
         variant = dataclasses.replace(sc, filter="const_margin", budget_floor=0.9)
         assert harness.run(variant, track=track).summary.n_steps == 25
 
-    @staticmethod
-    def _fails_at(monkeypatch, t_bad, blow_up_after=None):
-        """The run's sampler, out of the upright regime at t_bad alone, with
-        measurements of 1e306 after `blow_up_after` when it is given."""
-        make_sampler = harness.exogenous_signals
-
-        def sampler(terrain, noise, dist):
-            signals = make_sampler(terrain, noise, dist)
-
-            def failing(t):
-                if t == t_bad:
-                    raise DomainError("terrain roll 2.0 rad leaves the upright regime")
-                g_y0, g_z0, n_y, n_z, d_omega, d_v = signals(t)
-                if blow_up_after is not None and t > blow_up_after:
-                    n_y = n_z = 1e306
-                return (g_y0, g_z0, n_y, n_z, d_omega, d_v)
-            return failing
-        monkeypatch.setattr(harness, "exogenous_signals", sampler)
-
-    @staticmethod
-    def _grid_times(sc):
-        """(k, i, stage-2, stage-4 and end time) of every substep."""
-        period = 1.0 / sc.control_rate
-        sub_dt = period / sc.substeps
-        for k in range(int(round(sc.horizon * sc.control_rate))):
-            t = k * period
-            for i in range(sc.substeps):
-                t_i = t + i * sub_dt
-                yield k, i, t_i + 0.5 * sub_dt, t_i + sub_dt, t + (i + 1) * sub_dt
-
-    @pytest.mark.parametrize("where", ["stage_2", "stage_4", "stage_4_not_end",
-                                       "end_not_stage_4", "top_not_end",
-                                       "observer_before_end"])
+    @pytest.mark.parametrize("where", FAILURES)
     def test_records_the_first_failure_where_a_run_reads_it(self, monkeypatch, where):
         """The walk stops at the first failure in the order of one fused
-        RK4 step per substep and puts it in the slot a run reads at that
-        point: a step's signals, a substep's stage 2 or stage 4 signals, or
-        its end, where a non-finite observer state comes first. A time
-        shared by two slots (a stage-4 time equal to the end time, an end
-        time equal to the next step's time) fails in the first."""
+        RK4 step per substep and leaves it where a run reads it: in place
+        of a step whose signals fail, else in the failing substep's flat
+        entry (t_i, the disturbance pair at stages 1, 2 and 4, the end
+        gravity pair), with the floats read before the failure and the
+        failure in every slot from the first that the robot reads after
+        it: stage 2's or stage 4's disturbances, or the end gravity,
+        where a non-finite observer state comes first. A time shared by
+        two slots (a stage-4 time equal to the end time, an end time equal
+        to the next step's time) fails in the first."""
         sc = Scenario(filter="none", horizon=1.0)
-        grid = list(self._grid_times(sc))
-        # the first substep whose stage-4 time is one ulp off its end time
-        k_off, i_off, _, t4_off, end_off = next(g for g in grid if g[3] != g[4])
-        reason = "upright regime"
-        if where in ("stage_2", "stage_4"):
-            k, i, slot = 7, 2, {"stage_2": 2, "stage_4": 3}[where]
-            t_bad = grid[4 * k + i][slot]
-        elif where == "stage_4_not_end":
-            k, i, slot, t_bad = k_off, i_off, 3, t4_off
-        elif where == "end_not_stage_4":
-            k, i, slot, t_bad = k_off, i_off, 4, end_off
-        elif where == "top_not_end":
-            k = next(j for j in range(1, 50) if j * 0.02 != grid[4 * j - 1][4])
-            i, slot, t_bad = None, None, k * 0.02
-        else:
-            # the measurements blow the observers up from stage 2 of the
-            # substep whose end signals fail
-            k, i, slot, t_bad = k_off, i_off, 4, end_off
-            t_i = k * 0.02 + i * 0.005
-            reason = f"non-finite state after step at t={t_i}"
-        self._fails_at(monkeypatch, t_bad,
-                       t_i if where == "observer_before_end" else None)
+        k, i, first, reason = _inject_failure(monkeypatch, sc, where)
         steps = harness.exogenous_track(sc).steps
         assert all(type(steps[j]) is harness.TrackStep for j in range(k))
         assert len(steps) == k + 1
-        if slot is None:
+        if first is None:
             bad = steps[k]
         else:
             assert len(steps[k].substeps) == i + 1
             last = steps[k].substeps[i]
-            assert [type(x) is harness._Raises for x in last] == \
-                [j == slot for j in range(5)], last
-            bad = last[slot]
+            assert [type(x) for x in last] == \
+                [float] * first + [harness._Raises] * (9 - first), last
+            bad = last[first]
         with pytest.raises((DomainError, harness.NonFiniteStateError), match=reason):
             list(bad)
         s = harness.run(sc).summary
         assert s.aborted and reason in s.abort_reason
-        assert s.n_steps == (k if slot is None else k + 1)
+        assert s.n_steps == (k if first is None else k + 1)
 
     def test_signals_at_start_raise(self, monkeypatch):
         """The signals at t = 0 seed the estimates: their error leaves the
         track and the run, as no step has started."""
-        self._fails_at(monkeypatch, 0.0)
+        _fails_at(monkeypatch, 0.0)
         with pytest.raises(DomainError, match="upright regime"):
             harness.exogenous_track(Scenario(horizon=0.5))
         with pytest.raises(DomainError, match="upright regime"):

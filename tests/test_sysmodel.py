@@ -4,15 +4,16 @@ import random
 import numpy as np
 import pytest
 
+from rollguard.barrier import h_pair
 from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
-                                RobotState, TerrainProfile, eval_dynamics,
-                                exogenous_signals, gravity_at, observer_step, robot_step,
-                                step_rk4, wrap_angle)
+                                RobotState, TerrainProfile, _Raises, eval_dynamics,
+                                exogenous_signals, gravity_at, observer_period,
+                                robot_period, step_rk4, wrap_angle)
 
-from _stepref import reference_closed_loop_step, reference_rhs, reference_robot_step
+from _stepref import reference_closed_loop_step, reference_rhs, reference_robot_period
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -182,21 +183,49 @@ def _parts(rng):
             sc.disturbance(), sc.horizon)
 
 
-def composed_step(act, hgo, signals):
-    """The shipped halves as one augmented step, with
-    `reference_closed_loop_step`'s signature: `robot_step` on y[:5], then
-    `observer_step` on y[5:], both on `signals` at the stage times t,
-    t + dt/2 and t + dt, as `harness.exogenous_track` hands them out."""
-    move_of = robot_step(act)
-    observe = observer_step(hgo)
+RATIO = Scenario().geometry().width_ratio
 
+
+def composed_period(act, hgo, signals, substeps):
+    """The shipped halves as one augmented control period of `substeps`
+    substeps, with the signature `hold(u_v, u_omega) -> period(y, t, dt)
+    -> (*y, low)`: `observer_period` advances y[5:] from t and appends the
+    entries, then `robot_period` advances y[:5] over them, as
+    `harness.exogenous_track` and `harness.run` compose them; low is the
+    intersample minimum of the true constraint."""
     def hold(u_v, u_omega):
-        move = move_of(u_v, u_omega)
+        def period(y, t, dt):
+            observe = observer_period(hgo, signals, substeps, dt)
+            move = robot_period(act, RATIO, dt)
+            entries = []
+            sig = signals(t)
+            try:
+                obs, _, _ = observe(tuple(y[5:]), t, sig, entries)
+            except (DomainError, NonFiniteStateError):
+                pass  # the last entry raises it where the robot reads it
+            r, low, fault = move(tuple(y[:5]), u_v, u_omega, entries, math.inf)
+            if fault is not None:
+                raise fault
+            return (*r, *obs, low)
+        return period
+    return hold
 
-        def step(y, t, dt):
-            stages = (signals(t), signals(t + 0.5 * dt), signals(t + dt))
-            return move(y[:5], t, dt, *stages) + observe(y[5:], t, dt, *stages)
-        return step
+
+def reference_period(act, hgo, signals, substeps):
+    """`composed_period` from the fused reference: one
+    `reference_closed_loop_step` per substep, and the minimum by `min` of
+    `h_pair` at each substep's end."""
+    def hold(u_v, u_omega):
+        step = reference_closed_loop_step(act, hgo, signals)(u_v, u_omega)
+
+        def period(y, t, dt):
+            low = math.inf
+            for i in range(substeps):
+                y = step(y, t + i * dt, dt)
+                g_y, g_z = signals(t + (i + 1) * dt)[:2]
+                low = min(low, *h_pair(y[4], y[3], g_y, g_z, RATIO))
+            return (*y, low)
+        return period
     return hold
 
 
@@ -212,7 +241,7 @@ class TestClosedLoopRhs:
     """The closed-loop right-hand side, on a run's signals, against the
     model written out by hand: eval_dynamics on the disturbance plus two
     hgo_rates calls on g sin(phi) + n_y and -g cos(phi) + n_z, bit for bit.
-    Each stage of the shipped robot and observer steps evaluates this
+    Each stage of the shipped robot and observer periods evaluates this
     field, and their reference integrates it."""
 
     @staticmethod
@@ -251,7 +280,7 @@ class TestClosedLoopRhs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, where, bad):
         """The hand-written model, the right-hand side and the composed
-        shipped step, whose first stage evaluates it at (t, y), raise the
+        shipped period, whose first stage evaluates it at (t, y), raise the
         same error."""
         parts = _parts(np.random.default_rng(5))
         act, hgo, terrain, noise, dist, _ = parts
@@ -261,47 +290,49 @@ class TestClosedLoopRhs:
             y[where] = bad
         else:
             u[where - 5] = bad
-        shipped = composed_step(act, hgo, exogenous_signals(terrain, noise, dist))
+        shipped = composed_period(act, hgo, exogenous_signals(terrain, noise, dist), 4)
         outcomes = {_outcome(lambda: self._reference(parts, u, 0.3, y)),
                     _outcome(lambda: self._hold(parts)(*u)(0.3, y)),
-                    _outcome(lambda: shipped(*u)(y, 0.3, 0.02))}
+                    _outcome(lambda: shipped(*u)(y, 0.3, 0.005))}
         assert outcomes == {(DomainError, "non-finite dynamics input")}
 
 
 class TestClosedLoopStep:
-    """The two unrolled halves a run integrates, `robot_step` composed with
-    the track's `observer_step`, against their reference definition,
-    step_rk4 over eval_dynamics plus two hgo_rates calls, then wrap_angle,
-    bit for bit: the same results and the same errors."""
+    """The two unrolled halves a run integrates, `observer_period` and
+    `robot_period` composed over one control period, against their
+    reference definition, per substep step_rk4 over eval_dynamics plus two
+    hgo_rates calls, then wrap_angle, bit for bit: the same results, the
+    same intersample minimum and the same errors."""
 
     Y = (0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0)
     NON_FINITE = "non-finite dynamics input"
 
     @staticmethod
-    def _holds(parts, signals=None):
+    def _holds(parts, signals=None, substeps=1):
         """(shipped, reference) holds: the composed shipped halves on the
         run's sampler, the reference on its plain definitions; both on
         `signals` when it is given."""
         act, hgo, terrain, noise, dist, _ = parts
         plain = lambda t: (*gravity_at(t, terrain, noise), *dist.sample(t))
-        return [composed_step(act, hgo, signals or exogenous_signals(terrain, noise, dist)),
-                reference_closed_loop_step(act, hgo, signals or plain)]
+        return [composed_period(act, hgo, signals or exogenous_signals(terrain, noise, dist),
+                                substeps),
+                reference_period(act, hgo, signals or plain, substeps)]
 
-    def _both(self, parts, u, y, t, dt, signals=None):
+    def _both(self, parts, u, y, t, dt, signals=None, substeps=1):
         got, want = [_outcome(lambda: hold(*u)(y, t, dt))
-                     for hold in self._holds(parts, signals)]
+                     for hold in self._holds(parts, signals, substeps)]
         assert got == want
         return got
 
     def test_bit_equal_to_reference(self):
         """Random scenarios, inputs, states (headings that wrap) and start
-        times; each sample chains the substeps of one control period, at
-        control rates 2 and 50 Hz with 1, 2, 4 or 7 substeps."""
+        times; each sample is one control period at control rates 2 and
+        50 Hz with 1, 2, 4 or 7 substeps."""
         rng = np.random.default_rng(4096)
         checked = 0
         for _ in range(20):
             parts = _parts(rng)
-            got_hold, want_hold = self._holds(parts)
+            holds = {n: self._holds(parts, substeps=n) for n in (1, 2, 4, 7)}
             for _ in range(60):
                 u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
                 substeps = int(rng.choice([1, 2, 4, 7]))
@@ -309,25 +340,22 @@ class TestClosedLoopStep:
                 t = float(rng.uniform(0.0, parts[5]))
                 y = rng.normal(0.0, 5.0, 9).tolist()
                 y[2] = float(rng.uniform(-20.0, 20.0))
-                got_step, want_step = got_hold(*u), want_hold(*u)
-                got = want = y
-                for i in range(substeps):
-                    got = got_step(got, t + i * dt, dt)
-                    want = want_step(want, t + i * dt, dt)
-                    assert type(got) is tuple and len(got) == 9
-                    assert -math.pi < got[2] <= math.pi
-                    assert _bits(got) == _bits(want)
-                    checked += 1
+                got_hold, want_hold = holds[substeps]
+                got = got_hold(*u)(y, t, dt)
+                assert type(got) is tuple and len(got) == 10
+                assert -math.pi < got[2] <= math.pi
+                assert _bits(got) == _bits(want_hold(*u)(y, t, dt))
+                checked += substeps
         assert checked >= 1000
 
     def test_memo_bit_equal_on_repeated_times(self):
         """Times that repeat, interleave and come back, through two held
-        inputs of one run, which share one signals function: the step
-        keeps no state between calls."""
+        inputs of one run, which share one signals function: the periods
+        keep no state between calls."""
         rng = np.random.default_rng(77)
         for _ in range(5):
             parts = _parts(rng)
-            got_hold, want_hold = self._holds(parts)
+            got_hold, want_hold = self._holds(parts, substeps=4)
             u_a = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
             u_b = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
             steps = {which: (got_hold(*u), want_hold(*u))
@@ -345,12 +373,12 @@ class TestClosedLoopStep:
     @pytest.mark.parametrize("where", range(2))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_held_input(self, where, bad):
-        """The shipped robot step rejects the input in `hold`, the reference
-        at its first stage, with the same error."""
+        """The shipped robot period rejects the input once, before its first
+        substep, the reference at its first stage, with the same error."""
         parts = _parts(np.random.default_rng(5))
         u = [0.5, -0.2]
         u[where] = bad
-        assert self._both(parts, u, self.Y, 0.3, 0.02) == \
+        assert self._both(parts, u, self.Y, 0.3, 0.005, substeps=4) == \
             (DomainError, self.NON_FINITE)
 
     @pytest.mark.parametrize("where", range(5))
@@ -359,31 +387,34 @@ class TestClosedLoopStep:
         parts = _parts(np.random.default_rng(5))
         y = list(self.Y)
         y[where] = bad
-        assert self._both(parts, (0.5, -0.2), y, 0.3, 0.02) == \
+        assert self._both(parts, (0.5, -0.2), y, 0.3, 0.005, substeps=4) == \
             (DomainError, self.NON_FINITE)
 
     @pytest.mark.parametrize("stage, offset", [(1, 0.0), (2, 0.25), (4, 0.75)])
     @pytest.mark.parametrize("channel", ["d_omega", "d_v"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_disturbance(self, stage, offset, channel, bad):
-        """The disturbance turns non-finite from t + offset * dt on, so the
-        first stage whose time reaches it rejects it (stage 3 shares the
-        time of stage 2). The value enters through the stage signals, on
-        the run's sampler with both disturbances set to 0.1 before t_bad."""
+        """In a period of four substeps of dt, the disturbance turns
+        non-finite from t + (j + offset) * dt on, for every substep j, so
+        the first stage whose time reaches it rejects it (stage 3 shares
+        the time of stage 2). The value enters through the stage signals,
+        on the run's sampler with both disturbances set to 0.1 before
+        t_bad."""
         parts = _parts(np.random.default_rng(5))
         act, hgo, terrain, noise, dist, _ = parts
-        t, dt = 0.3, 0.02
-        t_bad = t + offset * dt
+        t, dt = 0.3, 0.005
         slot = {"d_omega": 4, "d_v": 5}[channel]
         sampler = exogenous_signals(terrain, noise, dist)
+        for j in range(4):
+            t_bad = (t + j * dt) + offset * dt
 
-        def signals(s):
-            values = [*sampler(s)[:4], 0.1, 0.1]
-            if s >= t_bad:
-                values[slot] = bad
-            return tuple(values)
-        assert self._both(parts, (0.5, -0.2), self.Y, t, dt, signals) == \
-            (DomainError, self.NON_FINITE)
+            def signals(s):
+                values = [*sampler(s)[:4], 0.1, 0.1]
+                if s >= t_bad:
+                    values[slot] = bad
+                return tuple(values)
+            assert self._both(parts, (0.5, -0.2), self.Y, t, dt, signals, substeps=4) == \
+                (DomainError, self.NON_FINITE), j
 
     @pytest.mark.parametrize("fields, u, overrides, t, dt, error", [
         # x overflows in the stage-2 input, and only in the stage-4 input
@@ -424,35 +455,42 @@ class TestClosedLoopStep:
         (2, {0: 1.79e308, 2: 0.0, 4: 2e306}, "upright"),
     ], ids=["s2_before_stage_2", "s2_before_stage_4", "stage_2_before_s4", "s4"])
     def test_signals_read_at_their_stage(self, raising, overrides, want):
-        """Stage signals that raise when read (as a track entry past a
-        signal error does) raise where the reference reads them: after the
-        checks of the earlier stages, before the check of their own."""
-        class Raising:
-            def __iter__(self):
-                raise DomainError("terrain roll 2.0 rad leaves the upright regime")
-
+        """An entry whose stage signals raised (a `_Raises` from that
+        stage's slots on, as `observer_period` leaves it) raises where the
+        reference reads those signals: after the checks of the earlier
+        stages, before the check of its own."""
         sc = Scenario()
-        parts = (sc.actuator(), sc.hgo(), sc.terrain(), sc.noise_model(),
-                 sc.disturbance(), sc.horizon)
         t, dt = 0.3, 0.5
-        signals = exogenous_signals(*parts[2:5])
-        stages = [signals(t), signals(t + 0.5 * dt), signals(t + dt)]
-        stages[raising] = Raising()
+        signals = exogenous_signals(sc.terrain(), sc.noise_model(), sc.disturbance())
+        entry = [t, *signals(t)[4:], *signals(t + 0.5 * dt)[4:], *signals(t + dt)[4:],
+                 *signals(t + dt)[:2]]
+        first = 1 + 2 * raising
+        entry[first:] = [_Raises(DomainError("terrain roll 2.0 rad leaves the upright "
+                                             "regime"))] * (9 - first)
         r = list(self.Y[:5])
         for i, value in overrides.items():
             r[i] = value
-        got, ref = [_outcome(lambda: make(sc.actuator())(0.5, -0.2)(r, t, dt, *stages))
-                    for make in (robot_step, reference_robot_step)]
+        got, ref = [_fault(make(sc.actuator(), RATIO, dt)(tuple(r), 0.5, -0.2,
+                                                          [tuple(entry)], math.inf))
+                    for make in (robot_period, reference_robot_period)]
         assert got == ref
         assert got[0] is DomainError and want in got[1]
 
 
+def _fault(result):
+    """The bits of a robot period's state and minimum, or the type and text
+    of its fault."""
+    r, low, fault = result
+    return _bits((*r, low)) if fault is None else (type(fault), str(fault))
+
+
 class TestRobotStepFiniteness:
-    """`robot_step` tests each stage's values with one `isfinite` of their
-    sum, and one by one only when the sum is not finite; the reference,
-    `reference_robot_step`, tests every value. The two must agree: the
-    same result on finite states whose stage sums overflow, and the same
-    error wherever a non-finite value appears."""
+    """`robot_period` tests each stage's values with one `isfinite` of
+    their sum, and one by one only when the sum is not finite; the
+    reference, `reference_robot_period`, tests every value. The two must
+    agree over a period of four entries: the same result on finite states
+    whose stage sums overflow, and the same error wherever a non-finite
+    value appears, in every stage of every substep."""
 
     T, DT = 0.3, 0.005
     R = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -460,11 +498,15 @@ class TestRobotStepFiniteness:
     SIG = (0.0, -9.81, 0.0, 0.0, 0.1, -0.1)
     NON_FINITE = (DomainError, "non-finite dynamics input")
 
-    def _both(self, r, u=(0.5, -0.2), stages=None):
+    def _entries(self):
+        """Four substeps' entries on SIG at every stage and end."""
+        return [[self.T + j * self.DT, *self.SIG[4:] * 3, *self.SIG[:2]] for j in range(4)]
+
+    def _both(self, r, u=(0.5, -0.2), entries=None):
         act = ActuatorParams(5.0, 5.0)
-        stages = stages or (self.SIG,) * 3
-        return [_outcome(lambda: make(act)(*u)(r, self.T, self.DT, *stages))
-                for make in (robot_step, reference_robot_step)]
+        entries = [tuple(e) for e in (entries or self._entries())]
+        return [_fault(make(act, RATIO, self.DT)(r, *u, entries, math.inf))
+                for make in (robot_period, reference_robot_period)]
 
     @pytest.mark.parametrize("r", [
         HUGE, (-1e308, -1e308, 0.3, 0.4, 0.5), (1.7e308, 1.7e308, -3.1, 0.4, 0.5),
@@ -481,20 +523,21 @@ class TestRobotStepFiniteness:
     def test_non_finite_state(self, base, slot, bad):
         r = list(getattr(self, base))
         r[slot] = bad
-        got, want = self._both(r)
+        got, want = self._both(tuple(r))
         assert got == want == self.NON_FINITE
 
     @pytest.mark.parametrize("stage", range(3), ids=["s1", "s2", "s4"])
     @pytest.mark.parametrize("channel", [4, 5], ids=["d_omega", "d_v"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_disturbance(self, stage, channel, bad):
-        stages = [self.SIG] * 3
-        sig = list(self.SIG)
-        sig[channel] = bad
-        stages[stage] = tuple(sig)
-        for r in (self.R, self.HUGE):
-            got, want = self._both(r, stages=stages)
-            assert got == want == self.NON_FINITE
+        """The value in the stage's slot of each of the four entries in
+        turn; the substeps before it finish, and both report the error."""
+        for j in range(4):
+            entries = self._entries()
+            entries[j][1 + 2 * stage + channel - 4] = bad
+            for r in (self.R, self.HUGE):
+                got, want = self._both(r, entries=entries)
+                assert got == want == self.NON_FINITE, j
 
     @pytest.mark.parametrize("where", range(2), ids=["u_v", "u_omega"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
