@@ -46,8 +46,17 @@ gives it the measurements and their backward-difference rates, the
 others the observer estimates and their rates; only `envelope` passes
 the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS` the
 budget. A `DomainError` anywhere in a control step ends the run with
-an aborted summary. `write_trace` builds and checks every line in one pass
-before it creates the file.
+an aborted summary.
+
+`write_trace` builds and checks every line before it creates the file.
+Eleven of a record's 29 cells come from the track: `t`, the estimates,
+the true and measured gravity and the envelope pair. The track keeps
+their text, per step, in a `_TraceText` memo that it shares with the
+records of every run on it, and the first `write_trace` of a record of
+a step fills the step's entry. A later record reuses the text when its
+shared fields are the very objects it was formatted from, so the traces
+of a comparison format those cells once, not once per variant, with
+the same bytes. The memo costs the walk one object, not one per step.
 """
 
 from __future__ import annotations
@@ -85,6 +94,10 @@ TRACE_COLUMNS = (
 
 
 class TraceRecord(NamedTuple):
+    """One control step of a run: the cells of a trace line, which
+    `write_trace` puts in `TRACE_COLUMNS` order, and the track's
+    `_TraceText` memo (None on a record built without a track)."""
+
     t: float
     state: RobotState
     est: tuple[float, float, float, float]   # value/rate per channel (gy, gz)
@@ -101,14 +114,7 @@ class TraceRecord(NamedTuple):
     proj_disturbance: float
     qp_status: str
     qp_active: str
-
-    def row(self) -> list:
-        s = self.state
-        return [self.t, s.x, s.y, s.theta, s.omega, s.v, *self.est,
-                *self.g_true, *self.g_meas, *self.u_nom, *self.u_star,
-                *self.h_true, *self.h_rob, self.y_zmp, self.env_value,
-                self.env_rate, self.budget, self.proj_disturbance,
-                self.qp_status, self.qp_active]
+    trace_text: _TraceText | None = None
 
 
 @dataclass
@@ -202,8 +208,31 @@ def _goal_distance(goal: tuple[float, float], state: RobotState) -> float:
     return math.hypot(goal[0] - state.x, goal[1] - state.y)
 
 
+class _TraceText:
+    """The trace text of the 11 shared cells of each step of a track:
+    `cells` maps a step's time to the `t`, `est`, `g_true`, `g_meas`,
+    `env_value` and `env_rate` of the first record of the step that
+    `write_trace` wrote, followed by their `_shared_text`. A cache, not a
+    value: any two compare equal, so records compare by their cells
+    alone."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self):
+        self.cells = {}
+
+    def __eq__(self, other):
+        return type(other) is _TraceText
+
+    def __hash__(self):
+        return 0
+
+
 class TrackStep(NamedTuple):
-    """What every filter of one scenario shares at one control step."""
+    """What every filter of one scenario shares at one control step. The
+    trace text of the cells it gives each record is kept apart, in the
+    track's `trace_text` under the step's `t`, so that a record does not
+    keep the step's substeps alive."""
 
     t: float
     g_true: tuple[float, float]
@@ -222,6 +251,7 @@ class ExogenousTrack(NamedTuple):
     inputs: tuple  # `_track_inputs` of the scenario it was built from
     bank: DifferentiatorBank
     steps: list  # a TrackStep per control step and at the horizon
+    trace_text: _TraceText  # shared with the records of every run on it
 
 
 def _track_inputs(scenario: Scenario) -> tuple:
@@ -289,7 +319,7 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     except (DomainError, NonFiniteStateError) as exc:
         if len(steps) == k:  # the step's own signals
             steps.append(_Raises(exc))
-    return ExogenousTrack(_track_inputs(scenario), bank, steps)
+    return ExogenousTrack(_track_inputs(scenario), bank, steps, _TraceText())
 
 
 def run(scenario: Scenario, label: str | None = None,
@@ -319,6 +349,7 @@ def run(scenario: Scenario, label: str | None = None,
     ratio = geom.width_ratio
     solve, problem = qp.solve, qp.QpProblem
     steps = track.steps
+    trace_text = track.trace_text
 
     period, n_steps, sub_dt = scenario.grid()
     checks = _scenario_checks(scenario, track.bank)
@@ -380,7 +411,7 @@ def run(scenario: Scenario, label: str | None = None,
                 h_pair(v, omega, g_y0, g_z0, ratio), (h1_est - margin, h2_est - margin),
                 zmp_lateral(v, omega, g_y0, g_z0, geom), env_value, env_rate,
                 budget_value, abs(v * d_om + omega * d_v), sol.status,
-                "+".join(sol.active)))
+                "+".join(sol.active), trace_text))
 
             # a fault leaves the state at the step's start
             state, min_inter, fault = advance(state, *u_star, subs, min_inter)
@@ -513,25 +544,56 @@ def compare(scenario: Scenario, variants: list[str]) -> ComparisonResult:
 
 
 _CELL_TYPES = frozenset((float, int, str))
+# a record's line: its own cells around the three runs of `_shared_text`
+_ROW = ",".join(["%s"] * 21)
 
 
-def _trace_line(row) -> str:
-    """The cells as csv.writer writes them: only builtin numbers (str() is
-    the shortest round-trip repr) and text that needs no CSV quoting."""
-    if not _CELL_TYPES.issuperset(map(type, row)):
-        bad = next(type(v).__name__ for v in row if type(v) not in _CELL_TYPES)
+def _checked(line: str, cells, width: int) -> str:
+    """The line, once its cells are known to be what csv.writer would
+    write as they are: only builtin numbers (str() is the shortest
+    round-trip repr) and text that needs no CSV quoting, `width` trace
+    cells in all."""
+    if not _CELL_TYPES.issuperset(map(type, cells)):
+        bad = next(type(v).__name__ for v in cells if type(v) not in _CELL_TYPES)
         raise TypeError(f"trace cell of type {bad} is not a builtin float, int or str")
-    line = ",".join(map(str, row))
-    if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+    if line.count(",") != width - 1 or '"' in line or "\r" in line or "\n" in line:
         raise ValueError(f"trace text cell needs CSV quoting: {line!r}")
     return line
 
 
+def _trace_line(cells, width: int) -> str:
+    return _checked(",".join(map(str, cells)), cells, width)
+
+
+def _shared_text(t, est, g_true, g_meas, env_value, env_rate) -> tuple[str, str, str]:
+    """The text of a record's 11 shared cells in the three runs the trace
+    columns put them: `t`; `est`, `g_true` and `g_meas`; `env_value` and
+    `env_rate`."""
+    return (_trace_line((t,), 1), _trace_line((*est, *g_true, *g_meas), 8),
+            _trace_line((env_value, env_rate), 2))
+
+
 def write_trace(records: list[TraceRecord], path) -> None:
     """Versioned CSV trace; column order is part of the schema. A bad cell
-    raises before the file is created."""
-    lines = [_trace_line(TRACE_COLUMNS)]
-    lines += [_trace_line(rec.row()) for rec in records]
+    raises before the file is created. A record reuses its step's text
+    only when its shared fields are the objects that text was formatted
+    from, and is otherwise formatted from its own values."""
+    width = len(TRACE_COLUMNS)
+    lines = [_trace_line(TRACE_COLUMNS, width)]
+    for (t, s, est, g_true, g_meas, u_nom, u_star, h_true, h_rob, y_zmp, env_value,
+         env_rate, budget, proj, status, active, memo) in records:
+        cells = None if memo is None else memo.cells.get(t)
+        if (cells is not None and cells[0] is t and cells[1] is est
+                and cells[2] is g_true and cells[3] is g_meas
+                and cells[4] is env_value and cells[5] is env_rate):
+            head, mid, tail = cells[6:]
+        else:
+            head, mid, tail = _shared_text(t, est, g_true, g_meas, env_value, env_rate)
+            if cells is None and memo is not None:
+                memo.cells[t] = (t, est, g_true, g_meas, env_value, env_rate, head, mid, tail)
+        row = (head, *s, mid, *u_nom, *u_star, *h_true, *h_rob, y_zmp, tail,
+               budget, proj, status, active)
+        lines.append(_checked(_ROW % row, row, width))
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# {TRACE_SCHEMA}\n")
         fh.writelines(f"{line}\n" for line in lines)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import subprocess
@@ -710,7 +711,7 @@ class TestOutputTypes:
 
 def write_trace_oracle(records, path) -> None:
     """write_trace before the joined single-pass writer: csv.writer over
-    cells that are checked one by one."""
+    each record's cells in `TRACE_COLUMNS` order, checked one by one."""
     def fmt(value):
         if type(value) in (float, int, str):
             return str(value)
@@ -721,7 +722,12 @@ def write_trace_oracle(records, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(harness.TRACE_COLUMNS)
         for rec in records:
-            writer.writerow([fmt(v) for v in rec.row()])
+            s = rec.state
+            writer.writerow([fmt(v) for v in (
+                rec.t, s.x, s.y, s.theta, s.omega, s.v, *rec.est, *rec.g_true,
+                *rec.g_meas, *rec.u_nom, *rec.u_star, *rec.h_true, *rec.h_rob,
+                rec.y_zmp, rec.env_value, rec.env_rate, rec.budget,
+                rec.proj_disturbance, rec.qp_status, rec.qp_active)])
 
 
 @pytest.mark.parametrize("sc", [
@@ -740,6 +746,126 @@ def test_write_trace_bytes_match_csv_writer_oracle(tmp_path, sc):
     if sc.v_inf == 0.1:
         texts = {(r.qp_status, r.qp_active) for r in res.records}
         assert {("infeasible_relaxed", "h1+h2"), ("optimal", "h1+u_v_max")} <= texts
+
+
+def _short_comparison() -> harness.ComparisonResult:
+    return harness.compare(Scenario(v_inf=0.05, horizon=1.0), list(FILTERS))
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_comparison_traces_match_csv_writer_oracle(tmp_path, order):
+    """Every variant of one comparison, written in either order, gives the
+    bytes of csv.writer, whichever variant fills the shared text."""
+    results = list(_short_comparison().results.items())
+    if order == "reverse":
+        results.reverse()
+    for name, res in results:
+        harness.write_trace(res.records, tmp_path / f"trace_{name}.csv")
+        write_trace_oracle(res.records, tmp_path / f"oracle_{name}.csv")
+        assert ((tmp_path / f"trace_{name}.csv").read_bytes()
+                == (tmp_path / f"oracle_{name}.csv").read_bytes()), name
+
+
+@pytest.mark.parametrize("field, bad, error", [
+    ("t", lambda r: np.float64(r.t), TypeError),
+    ("est", lambda r: (*r.est[:3], np.float64(r.est[3])), TypeError),
+    ("g_meas", lambda r: (np.float64(r.g_meas[0]), r.g_meas[1]), TypeError),
+    ("env_value", lambda r: np.float64(r.env_value), TypeError),
+    ("t", lambda r: "0,1", ValueError),
+    ("est", lambda r: ('1"', *r.est[1:]), ValueError),
+    ("g_meas", lambda r: (r.g_meas[0], "1\n"), ValueError),
+    ("env_value", lambda r: "1\r", ValueError),
+], ids=["t-float64", "est-float64", "g_meas-float64", "env_value-float64",
+        "t-comma", "est-quote", "g_meas-lf", "env_value-cr"])
+def test_shared_cell_checked_after_its_step_text_is_filled(tmp_path, field, bad, error):
+    """A foreign scalar or a text that needs quoting in a shared field
+    fails even when an earlier variant filled the step's text; a sibling
+    variant written afterwards still matches the oracle."""
+    results = _short_comparison().results
+    harness.write_trace(results["none"].records, tmp_path / "none.csv")
+    records = list(results["envelope"].records)
+    records[5] = records[5]._replace(**{field: bad(records[5])})
+    path = tmp_path / "trace.csv"
+    with pytest.raises(error):
+        harness.write_trace(records, path)
+    assert not path.exists()
+    sibling = results["const_margin"].records
+    harness.write_trace(sibling, tmp_path / "sibling.csv")
+    write_trace_oracle(sibling, tmp_path / "oracle.csv")
+    assert (tmp_path / "sibling.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("field, other", [
+    ("t", lambda r: r.t + 0.25),
+    ("est", lambda r: tuple(-v for v in r.est)),
+    ("g_true", lambda r: (1.5, r.g_true[1])),
+    ("g_meas", lambda r: (r.g_meas[0], 2.5)),
+    ("env_value", lambda r: r.env_value * 2.0),
+    ("env_rate", lambda r: r.env_rate + 1.0),
+], ids=["t", "est", "g_true", "g_meas", "env_value", "env_rate"])
+def test_replaced_shared_field_is_written_from_its_own_value(tmp_path, field, other):
+    """A builtin value put in one shared field after the step's text was
+    filled is written as itself, not as the step's text."""
+    results = _short_comparison().results
+    harness.write_trace(results["none"].records, tmp_path / "none.csv")
+    records = list(results["envelope"].records)
+    records[5] = records[5]._replace(**{field: other(records[5])})
+    harness.write_trace(records, tmp_path / "trace.csv")
+    write_trace_oracle(records, tmp_path / "oracle.csv")
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data == (tmp_path / "oracle.csv").read_bytes()
+    assert data != (tmp_path / "none.csv").read_bytes()
+
+
+def test_comparison_formats_each_step_text_once(tmp_path, monkeypatch):
+    """The five traces of one comparison format each step's shared cells
+    once: the first write fills the track's memo with every step, and the
+    later writes reuse its entries as they are. The memo belongs to its
+    track: a second comparison starts empty, and records compare equal
+    whatever their memo holds."""
+    calls = []
+    shared_text = harness._shared_text
+
+    def counted(*cells):
+        calls.append(cells[0])
+        return shared_text(*cells)
+
+    monkeypatch.setattr(harness, "_shared_text", counted)
+    results = list(_short_comparison().results.values())
+    memo = results[0].records[0].trace_text
+    assert all(rec.trace_text is memo for res in results for rec in res.records)
+    harness.write_trace(results[0].records, tmp_path / "trace_0.csv")
+    times = [rec.t for rec in results[0].records]
+    assert list(memo.cells) == times
+    filled = dict(memo.cells)
+    for i, res in enumerate(results[1:], 1):
+        harness.write_trace(res.records, tmp_path / f"trace_{i}.csv")
+        assert memo.cells.keys() == filled.keys()
+        assert all(memo.cells[t] is cells for t, cells in filled.items())
+    assert calls == times
+
+    again = next(iter(_short_comparison().results.values())).records
+    assert again[0].trace_text is not memo and again[0].trace_text.cells == {}
+    assert again == results[0].records
+
+
+def test_records_keep_no_substep_entries(tmp_path):
+    """A run's records, also once their trace is written, reach none of
+    their track's substep lists (classes, whose referents lead to whole
+    modules, are not followed)."""
+    sc = Scenario(horizon=1.0)
+    track = harness.exogenous_track(sc)
+    records = harness.run(sc, track=track).records
+    harness.write_trace(records, tmp_path / "trace.csv")
+    substeps = {id(step.substeps) for step in track.steps}
+    seen, todo = set(), list(records)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    assert len(seen) > 10 * len(records)
+    assert not substeps & seen
 
 
 class TestConfig:
