@@ -9,8 +9,12 @@ box faces once, and hands that list to the one solver,
 `_kernels.solve_active_set`. With two variables and at most six
 inequalities the solver enumerates the candidate active sets exactly, so
 every solve is closed-form and deterministic, and it returns at once when
-u_nom is already feasible. The same list gives the multipliers of the
-active set. Infeasible problems never raise: they fall through to a
+u_nom is already feasible. Otherwise it tests a candidate's feasibility
+only when the candidate's objective would win, and it keeps the objective
+as `** 2`, which rounds differently from `d * d` for some doubles, so the
+outputs are the exhaustive enumeration's bit for bit (see `_kernels`).
+The same list gives the multipliers of the active set. Infeasible
+problems never raise: they fall through to a
 best-effort relaxation that maximizes the worst row slack over the box,
 and the caller logs a safety-degradation event.
 """
@@ -84,20 +88,19 @@ def _multipliers(u, u_nom, active, cons):
     ry = 2.0 * (u[1] - u_nom[1])
     if not active:
         return (), math.hypot(rx, ry)
-    g = [cons[j][:2] for j in active]
-    if len(g) == 1:
-        (g0, g1), = g
-        denom = g0 * g0 + g1 * g1
-        lam = ((rx * g0 + ry * g1) / denom,)
-    else:
-        (a0, a1), (b0, b1) = g
-        det = a0 * b1 - a1 * b0
-        if abs(det) < 1e-14:
-            return (0.0, 0.0), math.hypot(rx, ry)
-        lam = ((rx * b1 - ry * b0) / det, (a0 * ry - a1 * rx) / det)
-    res = (rx - sum(l * gj[0] for l, gj in zip(lam, g)),
-           ry - sum(l * gj[1] for l, gj in zip(lam, g)))
-    return lam, math.hypot(*res)
+    if len(active) == 1:
+        g0, g1, _ = cons[active[0]]
+        lam = (rx * g0 + ry * g1) / (g0 * g0 + g1 * g1)
+        return (lam,), math.hypot(rx - lam * g0, ry - lam * g1)
+    a0, a1, _ = cons[active[0]]
+    b0, b1, _ = cons[active[1]]
+    det = a0 * b1 - a1 * b0
+    if abs(det) < 1e-14:
+        return (0.0, 0.0), math.hypot(rx, ry)
+    lam_a = (rx * b1 - ry * b0) / det
+    lam_b = (a0 * ry - a1 * rx) / det
+    return (lam_a, lam_b), math.hypot(rx - (lam_a * a0 + lam_b * b0),
+                                      ry - (lam_a * a1 + lam_b * b1))
 
 
 def solve(problem: QpProblem) -> QpSolution:

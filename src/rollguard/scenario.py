@@ -166,6 +166,14 @@ class Scenario:
                               f"floor {self.budget_floor}) overflow the rows")
         if self.u_v_min > self.u_v_max or self.u_omega_min > self.u_omega_max:
             raise DomainError("input box is empty")
+        # the QP and its relaxation square the distance between two points of
+        # the box; that is finite, and ** 2 does not raise, when the squared
+        # diagonal is
+        span_v = self.u_v_max - self.u_v_min
+        span_omega = self.u_omega_max - self.u_omega_min
+        if not math.isfinite(span_v * span_v + span_omega * span_omega):
+            raise DomainError(f"input box spans {span_v} in v and {span_omega} "
+                              f"in omega: its squared diagonal overflows")
         if self.gravity <= 0.0:
             raise DomainError(f"gravity must be positive, got {self.gravity}")
         # h1 + h2 = -2 * width_ratio * g_z, so every h overflows with it

@@ -3,7 +3,14 @@ a regular grid of the input box, refined locally. It shares nothing with the
 active-set path except the degenerate-row policy, so the QP tests and
 acceptance criterion 4 can check the solver against it.
 
-Also the general moment-balance tip point, the reference that
+Also the active-set enumeration and the multipliers as they were before the
+solver learned to test feasibility only for candidates that can win,
+verbatim: `reference_solve_active_set` tests every candidate and
+`reference_multipliers` sums the residual with `sum`. The solver and
+`qp._multipliers` must return what they return, bit for bit and exception
+for exception (tests/test_qp.py, `TestReferenceEquivalence`).
+
+And the general moment-balance tip point, the reference that
 `barrier.zmp_lateral` simplifies."""
 
 import math
@@ -118,6 +125,89 @@ def grid_oracle(problem: qp.QpProblem, n0: int = 401, refinements: int = 6):
     if not found:
         return None
     return obj, (ux, uy)
+
+
+_FEAS_TOL = 1e-9
+
+
+def reference_solve_active_set(unx, uny, cons):
+    """Exact active-set enumeration. The nominal point is returned at once
+    when it is finite and feasible (no candidate can beat objective 0);
+    otherwise candidate order (size, then lexicographic) is the tie-break.
+
+    Returns (ux, uy, found, active_indices, objective), with indices into
+    `cons`.
+    """
+    def feasible(x, y):
+        for g0, g1, rhs in cons:
+            if g0 * x + g1 * y < rhs - _FEAS_TOL:
+                return False
+        return True
+
+    if math.isfinite(unx) and math.isfinite(uny) and feasible(unx, uny):
+        return (unx, uny, 1, (), 0.0)
+
+    best_obj = math.inf
+    best = None
+
+    def consider(x, y, active):
+        nonlocal best_obj, best
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return
+        if not feasible(x, y):
+            return
+        obj = (x - unx) ** 2 + (y - uny) ** 2
+        if obj < best_obj:
+            best_obj = obj
+            best = (x, y, active)
+
+    n = len(cons)
+    for j in range(n):
+        g0, g1, rhs = cons[j]
+        denom = g0 * g0 + g1 * g1
+        if denom < 1e-24:
+            continue
+        s = (rhs - (g0 * unx + g1 * uny)) / denom
+        consider(unx + s * g0, uny + s * g1, (j,))
+
+    for i in range(n):
+        gi0, gi1, ri = cons[i]
+        ni = math.hypot(gi0, gi1)
+        for j in range(i + 1, n):
+            gj0, gj1, rj = cons[j]
+            det = gi0 * gj1 - gi1 * gj0
+            if abs(det) < 1e-10 * ni * math.hypot(gj0, gj1):
+                continue
+            x = (ri * gj1 - rj * gi1) / det
+            y = (gi0 * rj - gj0 * ri) / det
+            consider(x, y, (i, j))
+
+    if best is None:
+        return (unx, uny, 0, (), math.inf)
+    return (best[0], best[1], 1, best[2], best_obj)
+
+
+def reference_multipliers(u, u_nom, active, cons):
+    """Multipliers of the active set from stationarity
+    2 (u - u_nom) = sum lambda_j g_j, plus the residual norm."""
+    rx = 2.0 * (u[0] - u_nom[0])
+    ry = 2.0 * (u[1] - u_nom[1])
+    if not active:
+        return (), math.hypot(rx, ry)
+    g = [cons[j][:2] for j in active]
+    if len(g) == 1:
+        (g0, g1), = g
+        denom = g0 * g0 + g1 * g1
+        lam = ((rx * g0 + ry * g1) / denom,)
+    else:
+        (a0, a1), (b0, b1) = g
+        det = a0 * b1 - a1 * b0
+        if abs(det) < 1e-14:
+            return (0.0, 0.0), math.hypot(rx, ry)
+        lam = ((rx * b1 - ry * b0) / det, (a0 * ry - a1 * rx) / det)
+    res = (rx - sum(l * gj[0] for l, gj in zip(lam, g)),
+           ry - sum(l * gj[1] for l, gj in zip(lam, g)))
+    return lam, math.hypot(*res)
 
 
 def zmp_lateral_full(y_acc_body, z_acc_body, roll_acc, pitch_rate, omega,

@@ -988,6 +988,26 @@ class TestConfig:
         with pytest.raises(DomainError, match="overflow"):
             Scenario(**fields)
 
+    @pytest.mark.parametrize("fields", [
+        {"u_v_max": 1e308, "u_omega_max": 1e308},
+        {"u_v_min": -1e308, "u_omega_min": -1e308},
+        {"u_v_max": 1e155, "u_omega_max": 1e155},
+        {"u_v_max": 1e154, "u_omega_max": 1e154},
+        {"u_v_max": 1e308}, {"u_omega_min": -1e308}, {"u_v_max": 1e155},
+        {"u_v_min": -1e308, "u_v_max": 1e308}])
+    def test_box_whose_squared_diagonal_overflows_rejected_at_load(self, fields):
+        """The QP and its relaxation square distances across the box; a box
+        whose squared diagonal overflows would raise OverflowError from
+        ** 2 inside a run, or compare infinite objectives."""
+        with pytest.raises(DomainError, match="squared diagonal overflows"):
+            Scenario(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"u_v_max": 1e154}, {"u_v_max": 1.3e154},
+        {"u_v_max": 9.4e153, "u_omega_max": 9.4e153}])
+    def test_widest_boxes_admitted(self, fields):
+        assert Scenario(**fields).input_box()[1][0] == fields["u_v_max"]
+
     def test_overflowing_envelope_rejected_with_the_bank(self):
         with pytest.raises(DomainError, match="error envelope"):
             Scenario(pdot_bound=1e308).make_bank()
@@ -1211,7 +1231,12 @@ class TestCli:
                                       "[DEFAULT]\nseed = 3\n[run]\nhorizon = 2\n",
                                       "[disturbance]\nomega_freq = 1e308\n",
                                       "[disturbance]\nv_freq = 1e308\n",
-                                      "[disturbance]\nv_freq = 1e306\nv_phase = 1.7e308\n"],
+                                      "[disturbance]\nv_freq = 1e306\nv_phase = 1.7e308\n",
+                                      "[controller]\nu_v_max = 1e308\nu_omega_max = 1e308\n",
+                                      "[controller]\nu_v_min = -1e308\nu_omega_min = -1e308\n",
+                                      "[controller]\nu_v_max = 1e155\nu_omega_max = 1e155\n",
+                                      "[controller]\nu_v_max = 1e154\nu_omega_max = 1e154\n",
+                                      "[controller]\nu_v_max = 1e308\n"],
                              ids=["v_inf_nan", "horizon_inf", "horizon_short",
                                   "roll_95", "gravity_0", "empty_box",
                                   "roll_singular", "const_margin_alpha_half",
@@ -1221,7 +1246,10 @@ class TestCli:
                                   "key_without_value", "interpolation",
                                   "not_utf8", "default_section_typo",
                                   "default_section_merged", "omega_freq_overflow",
-                                  "v_freq_overflow", "v_phase_overflow"])
+                                  "v_freq_overflow", "v_phase_overflow",
+                                  "box_maxima_1e308", "box_minima_1e308",
+                                  "box_maxima_1e155", "box_maxima_1e154",
+                                  "box_v_max_1e308"])
     def test_out_of_domain_config_exit_one(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(text if isinstance(text, bytes) else text.encode())

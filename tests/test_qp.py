@@ -1,13 +1,17 @@
 import math
+import random
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from rollguard import qp
+from rollguard import _kernels, harness, qp
 from rollguard.barrier import ConstraintRow
 from rollguard.errors import DomainError
+from rollguard.scenario import Scenario
 
-from _oracle import grid_oracle
+from _oracle import grid_oracle, reference_multipliers, reference_solve_active_set
 
 
 def problem(u_nom=(0.0, 0.0), rows=(), lower=(-2.0, -2.0), upper=(2.0, 2.0)):
@@ -204,3 +208,118 @@ class TestProblemValidation:
         sol = qp.solve(problem(u_nom=(1.0, 1.0), lower=(0.0, -1.0),
                                upper=(0.0, 1.0)))
         assert sol.u == pytest.approx((0.0, 1.0))
+
+
+
+def _solve_outcome(solve_active_set, unx, uny, cons):
+    """The solver's result with its floats by bit pattern, or the type of
+    the exception it raised."""
+    try:
+        ux, uy, found, active, obj = solve_active_set(unx, uny, cons)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return struct.pack("<ddd", ux, uy, obj), found, active
+
+
+def _multiplier_outcome(multipliers, u, u_nom, active, cons):
+    try:
+        lam, res = multipliers(u, u_nom, active, cons)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+    return struct.pack(f"<{len(lam) + 1}d", *lam, res)
+
+
+# coefficients: small integers give parallel rows, equal distances and so
+# objective ties; one value in ten is an edge: of the double range, or a
+# right-hand side 3e-9 off an integer, inside or outside the feasibility
+# tolerance 1e-9 around it
+_SMALL = tuple(float(k) for k in range(-3, 4)) + (-0.0,)
+_EDGE = (5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e150, -1e150,
+         1.3e154, -1.4e154, 1e200, -1e250, 1e308, -1.7976931348623157e308,
+         math.inf, -math.inf, math.nan, 3e-9, -3e-9, 1.0 - 5e-10)
+_VALUES = np.array(_SMALL * 20 + _EDGE)
+_SPANS = np.array((0.0, 1.0, 2.0, 1e154))
+
+
+def _battery(seed, count):
+    """`count` problems (unx, uny, cons): 0-2 rows, followed in one problem
+    in twenty by the four faces of a box, as qp.solve lists them. The draws
+    are vectorized; the problems hold Python floats."""
+    rng = np.random.default_rng(seed)
+    values = _VALUES[rng.integers(len(_VALUES), size=(count, 8))]
+    # and one value in five a plain double, as a run's rows hold them; for
+    # some of those (x - unx) ** 2 and (x - unx) * (x - unx) round apart
+    plain = rng.random((count, 8)) < 0.2
+    values[plain] = rng.uniform(-4.0, 4.0, size=int(plain.sum()))
+    values = values.tolist()
+    n_rows = rng.integers(3, size=count).tolist()
+    boxed = (rng.random(count) < 0.05).tolist()
+    lows = (np.array(_SMALL)[rng.integers(len(_SMALL), size=(count, 2))] - 1.0)
+    highs = (lows + _SPANS[rng.integers(len(_SPANS), size=(count, 2))]).tolist()
+    lows = lows.tolist()
+    for (unx, uny, a0, a1, a2, b0, b1, b2), n, box, lo, hi in zip(
+            values, n_rows, boxed, lows, highs):
+        cons = [(a0, a1, a2), (b0, b1, b2)][:n]
+        if box:
+            cons += [(1.0, 0.0, lo[0]), (-1.0, 0.0, -hi[0]),
+                     (0.0, 1.0, lo[1]), (0.0, -1.0, -hi[1])]
+        yield unx, uny, cons
+
+
+class TestReferenceEquivalence:
+    """The solver tests feasibility only for candidates that can win, and
+    `_multipliers` sums its residual inline; both must return what the
+    verbatim references in tests/_oracle.py return, bit for bit, with the
+    same exception where one is raised."""
+
+    @staticmethod
+    def check(unx, uny, cons):
+        got = _solve_outcome(_kernels.solve_active_set, unx, uny, cons)
+        want = _solve_outcome(reference_solve_active_set, unx, uny, cons)
+        assert got == want, (unx, uny, cons)
+        # an empty active set takes the branch of _multipliers that kept
+        # its code
+        if type(want) is tuple and want[2]:
+            u = struct.unpack("<dd", want[0][:16])
+            assert (_multiplier_outcome(qp._multipliers, u, (unx, uny), want[2], cons)
+                    == _multiplier_outcome(reference_multipliers, u, (unx, uny),
+                                           want[2], cons)), (unx, uny, cons)
+
+    def test_seeded_battery(self):
+        for problem in _battery(27, 200_000):
+            self.check(*problem)
+
+    def test_multipliers_of_any_active_set(self):
+        rng = random.Random(28)
+        values = _VALUES.tolist()
+        for unx, uny, cons in _battery(28, 20_000):
+            if not cons:
+                continue
+            active = tuple(sorted(rng.sample(range(len(cons)),
+                                             min(len(cons), rng.randrange(1, 3)))))
+            u = (rng.choice(values), rng.choice(_SMALL))
+            assert (_multiplier_outcome(qp._multipliers, u, (unx, uny), active, cons)
+                    == _multiplier_outcome(reference_multipliers, u, (unx, uny),
+                                           active, cons)), (u, unx, uny, active, cons)
+
+    def test_every_qp_of_a_replay_set_and_a_sweep_run(self, monkeypatch):
+        """The QPs of the filters the benchmark replays, at its three noise
+        levels, and of an `envelope` run at v_inf 0.05 as its sweep runs it."""
+        seen = []
+        solve_active_set = _kernels.solve_active_set
+
+        def record(unx, uny, cons):
+            seen.append((unx, uny, list(cons)))
+            return solve_active_set(unx, uny, cons)
+
+        monkeypatch.setattr(_kernels, "solve_active_set", record)
+        filters = ["backward_diff", "const_margin", "envelope", "envelope_budget"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", qp.DegenerateRowWarning)
+            for v_inf in (0.01, 0.05, 0.1):
+                harness.compare(Scenario(v_inf=v_inf, seed=11), filters)
+            harness.run(Scenario(filter="envelope", v_inf=0.05, seed=5))
+        monkeypatch.undo()
+        assert len(seen) == 525 * 13
+        for args in seen:
+            self.check(*args)
