@@ -50,13 +50,14 @@ an aborted summary.
 
 `write_trace` builds and checks every line before it creates the file.
 Eleven of a record's 29 cells come from the track: `t`, the estimates,
-the true and measured gravity and the envelope pair. The track keeps
-their text, per step, in a `_TraceText` memo that it shares with the
-records of every run on it, and the first `write_trace` of a record of
-a step fills the step's entry. A later record reuses the text when its
-shared fields are the very objects it was formatted from, so the traces
-of a comparison format those cells once, not once per variant, with
-the same bytes. The memo costs the walk one object, not one per step.
+the true and measured gravity and the envelope pair. `compare` gives
+the record lists of its variants one plain dict, their `memo`, and the
+first `write_trace` of a record of a step keeps the step's text there.
+A later record reuses the text when its shared fields are the very
+objects it was formatted from, so the traces of a comparison format
+those cells once, not once per variant, with the same bytes. The text
+lives as long as the comparison's records. A lone run's list has no
+memo, so its trace formats every cell itself and keeps none of it.
 """
 
 from __future__ import annotations
@@ -95,8 +96,7 @@ TRACE_COLUMNS = (
 
 class TraceRecord(NamedTuple):
     """One control step of a run: the cells of a trace line, which
-    `write_trace` puts in `TRACE_COLUMNS` order, and the track's
-    `_TraceText` memo (None on a record built without a track)."""
+    `write_trace` puts in `TRACE_COLUMNS` order."""
 
     t: float
     state: RobotState
@@ -114,7 +114,16 @@ class TraceRecord(NamedTuple):
     proj_disturbance: float
     qp_status: str
     qp_active: str
-    trace_text: _TraceText | None = None
+
+
+class TraceRecords(list):
+    """A run's `TraceRecord`s. `memo` is the trace text that the record
+    lists of one comparison share: it maps a step's time to the `t`,
+    `est`, `g_true`, `g_meas`, `env_value` and `env_rate` of the first
+    record of the step that `write_trace` wrote, followed by their
+    `_shared_text`. None for a lone run."""
+
+    memo: dict | None = None
 
 
 @dataclass
@@ -152,16 +161,17 @@ class RunSummary:
 
 @dataclass
 class RunResult:
-    records: list[TraceRecord]
+    records: TraceRecords
     summary: RunSummary
 
 
 def nominal_control(state: RobotState, goal: tuple[float, float],
-                    gains: tuple[float, float], box=None,
-                    goal_radius: float = 0.05) -> ControlInput:
+                    gains: tuple[float, float], box,
+                    goal_radius: float) -> ControlInput:
     """Goal-seeking baseline: speed proportional to distance, yaw rate from
-    the lateral goal offset minus a heading term. Returns (0, 0) once the
-    goal circle is reached. Not safety aware on purpose."""
+    the lateral goal offset minus a heading term, clamped to the input box
+    ((v_lo, w_lo), (v_hi, w_hi)). Returns (0, 0) once the goal circle is
+    reached. Not safety aware on purpose."""
     dx = goal[0] - state.x
     dy = goal[1] - state.y
     d_g = math.hypot(dx, dy)
@@ -170,18 +180,17 @@ def nominal_control(state: RobotState, goal: tuple[float, float],
     k_v, k_omega = gains
     u_v = k_v * d_g
     u_omega = k_omega * dy / d_g - k_omega * math.sin(state.theta)
-    if box is not None:
-        # min(max(u, lo), hi) written as the comparisons max and min make,
-        # so NaN and tied zeros come out the same
-        (v_lo, w_lo), (v_hi, w_hi) = box
-        if v_lo > u_v:
-            u_v = v_lo
-        if v_hi < u_v:
-            u_v = v_hi
-        if w_lo > u_omega:
-            u_omega = w_lo
-        if w_hi < u_omega:
-            u_omega = w_hi
+    # min(max(u, lo), hi) written as the comparisons max and min make,
+    # so NaN and tied zeros come out the same
+    (v_lo, w_lo), (v_hi, w_hi) = box
+    if v_lo > u_v:
+        u_v = v_lo
+    if v_hi < u_v:
+        u_v = v_hi
+    if w_lo > u_omega:
+        u_omega = w_lo
+    if w_hi < u_omega:
+        u_omega = w_hi
     return ControlInput(u_v, u_omega)
 
 
@@ -208,31 +217,10 @@ def _goal_distance(goal: tuple[float, float], state: RobotState) -> float:
     return math.hypot(goal[0] - state.x, goal[1] - state.y)
 
 
-class _TraceText:
-    """The trace text of the 11 shared cells of each step of a track:
-    `cells` maps a step's time to the `t`, `est`, `g_true`, `g_meas`,
-    `env_value` and `env_rate` of the first record of the step that
-    `write_trace` wrote, followed by their `_shared_text`. A cache, not a
-    value: any two compare equal, so records compare by their cells
-    alone."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self):
-        self.cells = {}
-
-    def __eq__(self, other):
-        return type(other) is _TraceText
-
-    def __hash__(self):
-        return 0
-
-
 class TrackStep(NamedTuple):
-    """What every filter of one scenario shares at one control step. The
-    trace text of the cells it gives each record is kept apart, in the
-    track's `trace_text` under the step's `t`, so that a record does not
-    keep the step's substeps alive."""
+    """What every filter of one scenario shares at one control step. A
+    record takes its fields, not the step, so that it does not keep the
+    step's substeps alive."""
 
     t: float
     g_true: tuple[float, float]
@@ -251,7 +239,6 @@ class ExogenousTrack(NamedTuple):
     inputs: tuple  # `_track_inputs` of the scenario it was built from
     bank: DifferentiatorBank
     steps: list  # a TrackStep per control step and at the horizon
-    trace_text: _TraceText  # shared with the records of every run on it
 
 
 def _track_inputs(scenario: Scenario) -> tuple:
@@ -319,7 +306,7 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     except (DomainError, NonFiniteStateError) as exc:
         if len(steps) == k:  # the step's own signals
             steps.append(_Raises(exc))
-    return ExogenousTrack(_track_inputs(scenario), bank, steps, _TraceText())
+    return ExogenousTrack(_track_inputs(scenario), bank, steps)
 
 
 def run(scenario: Scenario, label: str | None = None,
@@ -349,7 +336,6 @@ def run(scenario: Scenario, label: str | None = None,
     ratio = geom.width_ratio
     solve, problem = qp.solve, qp.QpProblem
     steps = track.steps
-    trace_text = track.trace_text
 
     period, n_steps, sub_dt = scenario.grid()
     checks = _scenario_checks(scenario, track.bank)
@@ -360,7 +346,7 @@ def run(scenario: Scenario, label: str | None = None,
     win_y = BackwardDiffWindow(period)
     win_z = BackwardDiffWindow(period)
 
-    records: list[TraceRecord] = []
+    records = TraceRecords()
     min_inter = math.inf
     env_violations = 0
     aborted = False
@@ -411,7 +397,7 @@ def run(scenario: Scenario, label: str | None = None,
                 h_pair(v, omega, g_y0, g_z0, ratio), (h1_est - margin, h2_est - margin),
                 zmp_lateral(v, omega, g_y0, g_z0, geom), env_value, env_rate,
                 budget_value, abs(v * d_om + omega * d_v), sol.status,
-                "+".join(sol.active), trace_text))
+                "+".join(sol.active)))
 
             # a fault leaves the state at the step's start
             state, min_inter, fault = advance(state, *u_star, subs, min_inter)
@@ -529,6 +515,9 @@ def compare(scenario: Scenario, variants: list[str]) -> ComparisonResult:
             continue
         results[vlabel] = run(vscenario, label=vlabel, track=track)
         labels[vlabel] = vscenario
+    memo: dict = {}
+    for res in results.values():
+        res.records.memo = memo
 
     extras = {}
     envelope_runs = [l for l, s in labels.items() if s.filter == "envelope"]
@@ -575,14 +564,16 @@ def _shared_text(t, est, g_true, g_meas, env_value, env_rate) -> tuple[str, str,
 
 def write_trace(records: list[TraceRecord], path) -> None:
     """Versioned CSV trace; column order is part of the schema. A bad cell
-    raises before the file is created. A record reuses its step's text
-    only when its shared fields are the objects that text was formatted
-    from, and is otherwise formatted from its own values."""
+    raises before the file is created. Records in a list with a `memo`
+    (see `TraceRecords`) reuse their step's text only when their shared
+    fields are the objects that text was formatted from, and are
+    otherwise formatted from their own values."""
     width = len(TRACE_COLUMNS)
     lines = [_trace_line(TRACE_COLUMNS, width)]
+    memo = getattr(records, "memo", None)
     for (t, s, est, g_true, g_meas, u_nom, u_star, h_true, h_rob, y_zmp, env_value,
-         env_rate, budget, proj, status, active, memo) in records:
-        cells = None if memo is None else memo.cells.get(t)
+         env_rate, budget, proj, status, active) in records:
+        cells = None if memo is None else memo.get(t)
         if (cells is not None and cells[0] is t and cells[1] is est
                 and cells[2] is g_true and cells[3] is g_meas
                 and cells[4] is env_value and cells[5] is env_rate):
@@ -590,7 +581,7 @@ def write_trace(records: list[TraceRecord], path) -> None:
         else:
             head, mid, tail = _shared_text(t, est, g_true, g_meas, env_value, env_rate)
             if cells is None and memo is not None:
-                memo.cells[t] = (t, est, g_true, g_meas, env_value, env_rate, head, mid, tail)
+                memo[t] = (t, est, g_true, g_meas, env_value, env_rate, head, mid, tail)
         row = (head, *s, mid, *u_nom, *u_star, *h_true, *h_rob, y_zmp, tail,
                budget, proj, status, active)
         lines.append(_checked(_ROW % row, row, width))

@@ -106,26 +106,30 @@ def _multipliers(u, u_nom, active, cons):
 def solve(problem: QpProblem) -> QpSolution:
     """Solve the filter QP. When the rows and the box are incompatible, or
     a degenerate row cannot be met, return the best-effort input instead:
-    the one that maximizes the minimum row slack over the box."""
-    rows, forced = _split_rows(problem.rows)
-    if forced == 0.0:
-        lo, hi = problem.lower, problem.upper
-        # (g0, g1, rhs) for g . u >= rhs: rows first, then the box faces in
-        # _FACE_LABELS order; the solver's active set indexes this list
-        cons = [(row.a[0], row.a[1], row.beta) for row in rows]
-        cons += [(1.0, 0.0, lo[0]), (-1.0, 0.0, -hi[0]),
-                 (0.0, 1.0, lo[1]), (0.0, -1.0, -hi[1])]
-        ux, uy, found, active_idx, obj = _kernels.solve_active_set(
-            problem.u_nom[0], problem.u_nom[1], cons)
-        if found:
-            labels = [row.label for row in rows] + list(_FACE_LABELS)
-            lam, res = _multipliers((ux, uy), problem.u_nom, active_idx, cons)
-            return QpSolution(
-                u=(ux, uy), status="optimal",
-                active=tuple(labels[j] for j in active_idx),
-                slack_used=0.0, objective=obj, kkt_residual=res,
-                multipliers=lam)
-    return _relax(problem, rows, forced)
+    the one that maximizes the minimum row slack over the box. A problem
+    whose distances overflow the float range raises DomainError."""
+    try:
+        rows, forced = _split_rows(problem.rows)
+        if forced == 0.0:
+            lo, hi = problem.lower, problem.upper
+            # (g0, g1, rhs) for g . u >= rhs: rows first, then the box faces in
+            # _FACE_LABELS order; the solver's active set indexes this list
+            cons = [(row.a[0], row.a[1], row.beta) for row in rows]
+            cons += [(1.0, 0.0, lo[0]), (-1.0, 0.0, -hi[0]),
+                     (0.0, 1.0, lo[1]), (0.0, -1.0, -hi[1])]
+            ux, uy, found, active_idx, obj = _kernels.solve_active_set(
+                problem.u_nom[0], problem.u_nom[1], cons)
+            if found:
+                labels = [row.label for row in rows] + list(_FACE_LABELS)
+                lam, res = _multipliers((ux, uy), problem.u_nom, active_idx, cons)
+                return QpSolution(
+                    u=(ux, uy), status="optimal",
+                    active=tuple(labels[j] for j in active_idx),
+                    slack_used=0.0, objective=obj, kkt_residual=res,
+                    multipliers=lam)
+        return _relax(problem, rows, forced)
+    except OverflowError as exc:
+        raise DomainError(f"the QP overflows the float range: {exc}") from exc
 
 
 def _relax(problem: QpProblem, rows, forced: float) -> QpSolution:

@@ -76,3 +76,15 @@ def test_cli_compare_operation_passes_its_checks(tmp_path, config):
     item = (config, 5)
     cli_compare.prepare(item)
     assert _op_failures(cli_compare, item) == []
+
+
+def test_comparison_records_share_one_text_memo():
+    """`cli_compare` writes the traces of one `harness.compare`, whose
+    record lists share one trace-text memo; `sweep` times lone
+    `harness.run` calls, whose records carry none."""
+    sc = Scenario(horizon=1.0)
+    results = list(harness.compare(sc, list(workloads.FILTERS)).results.values())
+    assert len(results) == len(workloads.FILTERS)
+    assert {id(res.records.memo) for res in results} == {id(results[0].records.memo)}
+    assert type(results[0].records.memo) is dict
+    assert harness.run(sc).records.memo is None

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,25 +44,27 @@ STATIC_SCENARIO = Scenario(
 
 
 class TestNominalControl:
+    BOX = ((-10.0, -10.0), (10.0, 10.0))
+
     def test_goal_reached_mode(self):
         u = harness.nominal_control(RobotState(1.0, 2.0, 0.3, 0, 0),
-                                    (1.0, 2.0), (1.0, 1.0))
+                                    (1.0, 2.0), (1.0, 1.0), self.BOX, 0.05)
         assert (u.u_v, u.u_omega) == (0.0, 0.0)
 
     def test_straight_ahead(self):
         u = harness.nominal_control(RobotState(0, 0, 0, 0, 0), (1.0, 0.0),
-                                    (1.0, 1.0))
+                                    (1.0, 1.0), self.BOX, 0.05)
         assert (u.u_v, u.u_omega) == pytest.approx((1.0, 0.0))
 
     def test_heading_term_cancels_lateral(self):
         u = harness.nominal_control(RobotState(0, 0, math.pi / 2, 0, 0),
-                                    (0.0, 1.0), (1.0, 1.0))
+                                    (0.0, 1.0), (1.0, 1.0), self.BOX, 0.05)
         assert u.u_v == pytest.approx(1.0)
         assert u.u_omega == pytest.approx(0.0)
 
     def test_clamped_to_box(self):
         u = harness.nominal_control(RobotState(0, 0, 0, 0, 0), (100.0, -100.0),
-                                    (1.0, 5.0), box=((-3, -2), (3, 2)))
+                                    (1.0, 5.0), ((-3, -2), (3, 2)), 0.05)
         assert u.u_v == 3.0
         assert u.u_omega == -2.0
 
@@ -780,10 +783,12 @@ def test_comparison_traces_match_csv_writer_oracle(tmp_path, order):
 def test_shared_cell_checked_after_its_step_text_is_filled(tmp_path, field, bad, error):
     """A foreign scalar or a text that needs quoting in a shared field
     fails even when an earlier variant filled the step's text; a sibling
-    variant written afterwards still matches the oracle."""
+    variant written afterwards still matches the oracle. The record is
+    replaced in the comparison's own list, which shares the memo."""
     results = _short_comparison().results
     harness.write_trace(results["none"].records, tmp_path / "none.csv")
-    records = list(results["envelope"].records)
+    records = results["envelope"].records
+    assert records.memo is results["none"].records.memo and records.memo
     records[5] = records[5]._replace(**{field: bad(records[5])})
     path = tmp_path / "trace.csv"
     with pytest.raises(error):
@@ -796,7 +801,7 @@ def test_shared_cell_checked_after_its_step_text_is_filled(tmp_path, field, bad,
 
 
 @pytest.mark.parametrize("field, other", [
-    ("t", lambda r: r.t + 0.25),
+    ("t", lambda r: r.t * 2.0),  # the time of step 10, another memo entry
     ("est", lambda r: tuple(-v for v in r.est)),
     ("g_true", lambda r: (1.5, r.g_true[1])),
     ("g_meas", lambda r: (r.g_meas[0], 2.5)),
@@ -805,10 +810,12 @@ def test_shared_cell_checked_after_its_step_text_is_filled(tmp_path, field, bad,
 ], ids=["t", "est", "g_true", "g_meas", "env_value", "env_rate"])
 def test_replaced_shared_field_is_written_from_its_own_value(tmp_path, field, other):
     """A builtin value put in one shared field after the step's text was
-    filled is written as itself, not as the step's text."""
+    filled is written as itself, not as the step's text. The record is
+    replaced in the comparison's own list, which shares the memo."""
     results = _short_comparison().results
     harness.write_trace(results["none"].records, tmp_path / "none.csv")
-    records = list(results["envelope"].records)
+    records = results["envelope"].records
+    assert records.memo is results["none"].records.memo and records.memo
     records[5] = records[5]._replace(**{field: other(records[5])})
     harness.write_trace(records, tmp_path / "trace.csv")
     write_trace_oracle(records, tmp_path / "oracle.csv")
@@ -819,10 +826,10 @@ def test_replaced_shared_field_is_written_from_its_own_value(tmp_path, field, ot
 
 def test_comparison_formats_each_step_text_once(tmp_path, monkeypatch):
     """The five traces of one comparison format each step's shared cells
-    once: the first write fills the track's memo with every step, and the
-    later writes reuse its entries as they are. The memo belongs to its
-    track: a second comparison starts empty, and records compare equal
-    whatever their memo holds."""
+    once: the first write fills the memo their record lists share with
+    every step, and the later writes reuse its entries as they are. The
+    memo belongs to its comparison: a second one starts empty, and its
+    records compare equal to the first one's."""
     calls = []
     shared_text = harness._shared_text
 
@@ -832,21 +839,39 @@ def test_comparison_formats_each_step_text_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_shared_text", counted)
     results = list(_short_comparison().results.values())
-    memo = results[0].records[0].trace_text
-    assert all(rec.trace_text is memo for res in results for rec in res.records)
+    memo = results[0].records.memo
+    assert memo == {} and all(res.records.memo is memo for res in results)
     harness.write_trace(results[0].records, tmp_path / "trace_0.csv")
     times = [rec.t for rec in results[0].records]
-    assert list(memo.cells) == times
-    filled = dict(memo.cells)
+    assert list(memo) == times
+    filled = dict(memo)
     for i, res in enumerate(results[1:], 1):
         harness.write_trace(res.records, tmp_path / f"trace_{i}.csv")
-        assert memo.cells.keys() == filled.keys()
-        assert all(memo.cells[t] is cells for t, cells in filled.items())
+        assert memo.keys() == filled.keys()
+        assert all(memo[t] is cells for t, cells in filled.items())
     assert calls == times
 
     again = next(iter(_short_comparison().results.values())).records
-    assert again[0].trace_text is not memo and again[0].trace_text.cells == {}
+    assert again.memo is not memo and again.memo == {}
     assert again == results[0].records
+
+
+def test_lone_run_trace_keeps_no_text(tmp_path):
+    """Writing a lone flagship run's trace leaves nothing of its text
+    behind: no later trace can reuse it."""
+    harness.write_trace(harness.run(Scenario(horizon=0.2)).records,
+                        tmp_path / "warm.csv")
+    res = harness.run(Scenario())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harness.write_trace(res.records, tmp_path / "trace.csv")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16_000
 
 
 def test_records_keep_no_substep_entries(tmp_path):
@@ -997,8 +1022,8 @@ class TestConfig:
         {"u_v_min": -1e308, "u_v_max": 1e308}])
     def test_box_whose_squared_diagonal_overflows_rejected_at_load(self, fields):
         """The QP and its relaxation square distances across the box; a box
-        whose squared diagonal overflows would raise OverflowError from
-        ** 2 inside a run, or compare infinite objectives."""
+        whose squared diagonal overflows would abort a run with the QP's
+        overflow DomainError, or compare infinite objectives."""
         with pytest.raises(DomainError, match="squared diagonal overflows"):
             Scenario(**fields)
 

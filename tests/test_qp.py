@@ -209,6 +209,18 @@ class TestProblemValidation:
                                upper=(0.0, 1.0)))
         assert sol.u == pytest.approx((0.0, 1.0))
 
+    @pytest.mark.parametrize("rows", [
+        [ConstraintRow((1.0, 0.0), 1e200, "r")],
+        [ConstraintRow((1.0, 0.0), 1e308, "a"), ConstraintRow((-1.0, 0.0), 1e308, "b")],
+    ], ids=["active", "relaxed"])
+    def test_overflowing_distance_raises_domain_error(self, rows):
+        """A box of +-1e308 admits distances whose square overflows, on
+        the active path (u_v = 1e200) and in the relaxation (the two rows
+        cannot both hold); the solve raises DomainError, not OverflowError."""
+        with pytest.raises(DomainError, match="overflows") as info:
+            qp.solve(problem(rows=rows, lower=(-1e308, -1e308), upper=(1e308, 1e308)))
+        assert isinstance(info.value.__cause__, OverflowError)
+
 
 
 def _solve_outcome(solve_active_set, unx, uny, cons):
