@@ -14,9 +14,11 @@ certified envelope
     M(t) = transient_gain * exp(-decay_rate * t) * e0_bound
            + noise_gain * v_inf.
 
-`calibrate_envelope` produces coefficients that make the envelope a sound
-upper bound on the error norm for every admissible noise realization and
-every true signal whose second derivative stays within the configured
+`calibrate_envelope` produces coefficients that make the envelope the
+exact worst-case bound on the error norm of the observer the run
+integrates (`sysmodel.observer_period` on the run's grid), at every
+substep end, for every admissible noise realization and initial error
+and every true signal whose second derivative stays within the configured
 bound. Both gravity channels share one observer design, one initial error
 bound and one noise level, so a `DifferentiatorBank` holds one M(t),
 `error_envelope`. The rows and `h_rob` use `DifferentiatorBank.envelope`,
@@ -34,10 +36,7 @@ from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-
-CALIBRATION_SAFETY = 1.25  # factor on every calibrated gain, for quadrature error
-# calibration steps, 12000 * fastest / slowest root, ~2 us each; k1 = 16 takes 3.05e6
-CALIBRATION_MAX_STEPS = 10_000_000
+from .sysmodel import observer_period
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,10 @@ def check_rk4_resolves(params: HgoParams, dt: float) -> None:
     error mode at least as fast as the calibrated envelope assumes: for
     both roots lambda, |R(lambda dt)| <= exp(-decay_rate dt), with
     decay_rate 0.9 of the slowest root as in `calibrate_envelope`. The
-    envelope bounds the continuous-time observer; this is a necessary
-    condition for its transient term to bound the integrated one."""
+    substep map's eigenvalues are R(lambda dt), so this keeps the
+    calibration's transient max_m ||Phi^m|| exp(decay_rate m dt) from
+    growing geometrically with the horizon into a sound but useless or
+    overflowing envelope."""
     eigs = error_dynamics_eigenvalues(params)
     decay = 0.9 * min(-eig.real for eig in eigs)
     bound = math.exp(-decay * dt)
@@ -233,25 +234,36 @@ def _spectral_norm_2x2(a, b, c, d) -> float:
 
 
 @lru_cache(maxsize=64)
-def calibrate_envelope(params: HgoParams, v_inf: float,
-                       curvature_bound: float) -> EnvelopeCoeffs:
-    """Envelope coefficients that soundly bound the observer error.
+def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
+                       dt: float, substeps: int) -> EnvelopeCoeffs:
+    """Envelope coefficients for the observer the run integrates:
+    `substeps` RK4 substeps of dt from t = 0 (the horizon step included),
+    as `sysmodel.observer_period` takes them. Each substep reads the
+    measurement p = p0 + v at its start, midpoint and end (the next start),
+    so the error e = (value_est - p0, rate_est - p0_dot) obeys
 
-    The error e = (value_est - p0, rate_est - p0_dot) obeys the linear
-    dynamics e_dot = A e + B_v v(t) + B_p p0_ddot(t) with
+        e_{m+1} = Phi e_m + G0 v_m + Gm v_{m+1/2} + G1 v_{m+1} + d_m.
 
-        A = [[-k1 ell, 1], [-k2 ell^2, 0]],
-        B_v = (k1 ell, k2 ell^2),  B_p = (0, -1).
-
-    decay_rate is 0.9 of the slowest error eigenvalue. transient_gain
-    covers the initial-condition response: sup_t ||exp(At)|| e^(decay*t).
-    The forced response is bounded through the componentwise L1 norms of
-    the impulse responses, which is the exact worst case over all inputs
-    with |v| <= v_inf and |p0_ddot| <= curvature_bound; the curvature share
-    is folded into noise_gain, so v_inf = 0 is only admissible for signals
-    with zero curvature bound. Everything is multiplied by
-    CALIBRATION_SAFETY to absorb quadrature error. The quadrature depends
-    on the design alone and runs once per design (`_error_quadrature`).
+    The truth's defect d_m is linear in p0 and vanishes for affine p0, so
+    it is the integral over u in [0, dt] of K(u) p0_ddot(t_m + u), with the
+    Peano kernel K(u) = Gm (dt/2 - u)_+ + (G1 - e1)(dt - u) - e2. Over
+    m = 0 .. substeps: decay_rate is 0.9 of the slowest continuous root
+    and transient_gain = max_m ||Phi^m||_2 exp(decay_rate m dt); per row
+    (value, rate), the noise sum is the largest l1 norm of the noise
+    response at any m (the end and next start coefficients of one sample
+    added before the absolute value), and the curvature sum is
+    sum_m int |row Phi^m K|, exact from K's values at 0, dt/2 and dt;
+    noise_gain = hypot(the rows' noise sum v_inf + curvature sum
+    curvature_bound) / v_inf. These are the l1 norms of the discrete
+    impulse responses (Dahleh & Diaz-Bobillo, 1995), the worst cases over
+    |v| <= v_inf, |p0_ddot| <= curvature_bound and ||e_0|| <= e0_bound, so
+    ||e_m|| <= M(m dt) with no safety factor. Premises: the bound holds at
+    substep ends, where the run reads M (the rows, h_rob and the audit);
+    and where a stage-4 time and the next start differ in the last bit,
+    the two noise samples read there are one sample, true to within
+    2 v_inf ulp(t) / noise_tau (6.5e-13 v_inf on the flagship grid). With
+    the curvature folded into noise_gain, v_inf = 0 needs a zero curvature
+    bound. `_grid_sums` runs once per (params, dt, substeps).
     """
     if v_inf < 0.0 or curvature_bound < 0.0:
         raise DomainError("bounds must be nonnegative")
@@ -260,83 +272,66 @@ def calibrate_envelope(params: HgoParams, v_inf: float,
             "v_inf = 0 leaves no envelope term to absorb the curvature "
             "residual; set a positive v_inf or a zero curvature bound")
 
-    decay, sup_weighted, gv1, gv2, gp1, gp2 = _error_quadrature(params)
-    c1 = CALIBRATION_SAFETY * sup_weighted
-    steady1 = gv1 * v_inf + gp1 * curvature_bound
-    steady2 = gv2 * v_inf + gp2 * curvature_bound
-    steady = math.hypot(steady1, steady2)
+    decay, transient, noise1, noise2, curv1, curv2 = _grid_sums(params, dt, substeps)
     if v_inf > 0.0:
-        c3 = CALIBRATION_SAFETY * steady / v_inf
+        noise = math.hypot(noise1 * v_inf + curv1 * curvature_bound,
+                           noise2 * v_inf + curv2 * curvature_bound) / v_inf
     else:
         # curvature_bound is zero here; keep the noise gain meaningful
-        c3 = CALIBRATION_SAFETY * math.hypot(gv1, gv2)
-    return EnvelopeCoeffs(transient_gain=c1, decay_rate=decay, noise_gain=c3)
+        noise = math.hypot(noise1, noise2)
+    return EnvelopeCoeffs(transient_gain=transient, decay_rate=decay, noise_gain=noise)
+
+
+def _mean_abs_linear(a: float, b: float) -> float:
+    # mean of |a + (b - a) s| over s in [0, 1]
+    total = abs(a) + abs(b)
+    return 0.5 * total if a * b >= 0.0 else 0.5 * (a * a + b * b) / total
 
 
 @lru_cache(maxsize=64)
-def _error_quadrature(params: HgoParams) -> tuple[float, ...]:
-    """The noise-independent part of `calibrate_envelope` for one design:
-    (decay_rate, sup_t ||exp(At)|| e^(decay*t), and the L1 norms of the
-    impulse responses, gv1, gv2 from B_v and gp1, gp2 from B_p)."""
-    eigs = error_dynamics_eigenvalues(params)
-    slowest = min(-eig.real for eig in eigs)
-    fastest = max(-eig.real for eig in eigs)
-    if slowest <= 0.0:
-        raise DomainError("observer error dynamics are not Hurwitz")
-    decay = 0.9 * slowest
+def _grid_sums(params: HgoParams, dt: float, substeps: int) -> tuple[float, ...]:
+    """The noise-independent part of `calibrate_envelope`: (decay_rate,
+    transient_gain, the value and rate noise sums, the value and rate
+    curvature sums)."""
+    slowest = min(-eig.real for eig in error_dynamics_eigenvalues(params))
+    decay, half = 0.9 * slowest, 0.5 * dt
 
-    k1l, k2l2 = params.k1 * params.ell, params.k2 * params.ell * params.ell
-    a11, a12, a21, a22 = -k1l, 1.0, -k2l2, 0.0
+    def unit_substep(o, start, mid, end):
+        # the run's substep of both channels from o at t = 0, measuring
+        # (y, z) = start, mid and end at t = 0, dt/2 and dt
+        reads = {0.0: start, half: mid, dt: end}
+        period = observer_period(params, lambda t: (*reads[t], 0.0, 0.0, 0.0, 0.0), 1, dt)
+        return period(o, 0.0, (*start, 0.0, 0.0, 0.0, 0.0), [])[0]
 
-    dt = 0.01 / fastest
-    horizon = 120.0 / slowest
-    if not horizon / dt <= CALIBRATION_MAX_STEPS:
-        raise DomainError(f"observer error roots {fastest / slowest:.4g} times apart "
-                          f"need {horizon / dt:.3g} calibration steps, more than "
-                          f"{CALIBRATION_MAX_STEPS:.0e}")
-
-    # exp(A*dt) by plain Taylor series; ||A dt|| is small so this is exact
-    # to machine precision.
-    e11, e12, e21, e22 = 1.0, 0.0, 0.0, 1.0
-    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
-    for n in range(1, 20):
-        s = dt / n
-        n11 = (t11 * a11 + t12 * a21) * s
-        n12 = (t11 * a12 + t12 * a22) * s
-        n21 = (t21 * a11 + t22 * a21) * s
-        n22 = (t21 * a12 + t22 * a22) * s
-        t11, t12, t21, t22 = n11, n12, n21, n22
-        e11 += t11
-        e12 += t12
-        e21 += t21
-        e22 += t22
-
-    steps = int(math.ceil(horizon / dt))
-    # transition matrix recursion Phi_{k+1} = exp(A dt) Phi_k
-    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
-    sup_weighted = 1.0
-    # trapezoid accumulators for integral |Phi(t) B| dt, componentwise
-    bv1_prev, bv2_prev = abs(k1l * p11 + k2l2 * p12), abs(k1l * p21 + k2l2 * p22)
-    bp1_prev, bp2_prev = abs(-p12), abs(-p22)
-    gv1 = gv2 = gp1 = gp2 = 0.0
-    t = 0.0
-    for _ in range(steps):
-        q11 = e11 * p11 + e12 * p21
-        q12 = e11 * p12 + e12 * p22
-        q21 = e21 * p11 + e22 * p21
-        q22 = e21 * p12 + e22 * p22
-        p11, p12, p21, p22 = q11, q12, q21, q22
-        t += dt
-        w = _spectral_norm_2x2(p11, p12, p21, p22) * math.exp(decay * t)
-        if w > sup_weighted:
-            sup_weighted = w
-        bv1 = abs(k1l * p11 + k2l2 * p12)
-        bv2 = abs(k1l * p21 + k2l2 * p22)
-        bp1 = abs(-p12)
-        bp2 = abs(-p22)
-        gv1 += 0.5 * dt * (bv1 + bv1_prev)
-        gv2 += 0.5 * dt * (bv2 + bv2_prev)
-        gp1 += 0.5 * dt * (bp1 + bp1_prev)
-        gp2 += 0.5 * dt * (bp2 + bp2_prev)
-        bv1_prev, bv2_prev, bp1_prev, bp2_prev = bv1, bv2, bp1, bp2
-    return decay, sup_weighted, gv1, gv2, gp1, gp2
+    f11, f21, f12, f22 = unit_substep((1.0, 0.0, 0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+    # at k = 0: Phi^k G0, Gm and G1 as (value, rate) pairs, Phi^k (p), and
+    # Q^k = (w Phi)^k (q), whose norm is the weighted transient
+    x0, y0, xm, ym = unit_substep((0.0,) * 4, (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    x1, y1 = unit_substep((0.0,) * 4, (0.0, 0.0), (0.0, 0.0), (1.0, 0.0))[:2]
+    p11, p12, p21, p22 = q11, q12, q21, q22 = 1.0, 0.0, 0.0, 1.0
+    w11, w12, w21, w22 = (math.exp(decay * dt) * f for f in (f11, f12, f21, f22))
+    run1 = run2 = top1 = top2 = curv1 = curv2 = last1 = last2 = 0.0
+    transient = 1.0
+    for _ in range(substeps):
+        # the noise of e_{k+1}: both coefficients of each shared sample
+        # (last = Phi^(k-1) G0), the midpoints, and the first start sample
+        run1 += abs(xm) + abs(last1 + x1)
+        run2 += abs(ym) + abs(last2 + y1)
+        top1, top2 = max(top1, run1 + abs(x0)), max(top2, run2 + abs(y0))
+        # each row of Phi^k K at dt/2 (kh), at dt (-p_r2) and at 0; K is
+        # linear on each half substep
+        kh1, kh2 = half * (x1 - p11) - p12, half * (y1 - p21) - p22
+        curv1 += half * (_mean_abs_linear(half * xm + 2.0 * kh1 + p12, kh1)
+                         + _mean_abs_linear(kh1, -p12))
+        curv2 += half * (_mean_abs_linear(half * ym + 2.0 * kh2 + p22, kh2)
+                         + _mean_abs_linear(kh2, -p22))
+        last1, last2 = x0, y0
+        x0, y0 = f11 * x0 + f12 * y0, f21 * x0 + f22 * y0
+        xm, ym = f11 * xm + f12 * ym, f21 * xm + f22 * ym
+        x1, y1 = f11 * x1 + f12 * y1, f21 * x1 + f22 * y1
+        p11, p12, p21, p22 = (f11 * p11 + f12 * p21, f11 * p12 + f12 * p22,
+                              f21 * p11 + f22 * p21, f21 * p12 + f22 * p22)
+        q11, q12, q21, q22 = (w11 * q11 + w12 * q21, w11 * q12 + w12 * q22,
+                              w21 * q11 + w22 * q21, w21 * q12 + w22 * q22)
+        transient = max(transient, _spectral_norm_2x2(q11, q12, q21, q22))
+    return decay, transient, top1, top2, curv1, curv2

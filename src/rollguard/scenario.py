@@ -24,7 +24,8 @@ BUDGET_ROW_FILTERS = ("const_margin", "envelope_budget")
 # plus 0.84 KB of track and 0.83 KB of trace records per control step
 # (tracemalloc, CPython 3.11), so one run stays under about 1 GB, the
 # most at one substep per step; at the default 4 substeps it admits
-# 2 500 s at 50 Hz
+# 2 500 s at 50 Hz. It also bounds the envelope calibration, which sums
+# over the same substeps: about 2 s at this cap
 MAX_RUN_SUBSTEPS = 500_000
 
 
@@ -252,12 +253,15 @@ class Scenario:
         return ((self.u_v_min, self.u_omega_min), (self.u_v_max, self.u_omega_max))
 
     def make_bank(self) -> DifferentiatorBank:
-        """Calibrated two-channel differentiator bank (lateral then normal
-        gravity component) with its one error envelope; estimates start at
+        """Two-channel differentiator bank (lateral then normal gravity
+        component), its one error envelope calibrated on the run's n_steps
+        * substeps RK4 substeps of sub_dt (`grid()`); estimates start at
         zero until the harness seeds them from the first measurement."""
+        _, n_steps, sub_dt = self.grid()
         bank = DifferentiatorBank(
             channels=(DiffChannel(), DiffChannel()), hgo=self.hgo(),
-            coeffs=calibrate_envelope(self.hgo(), self.v_inf, self.pddot_bound),
+            coeffs=calibrate_envelope(self.hgo(), self.v_inf, self.pddot_bound,
+                                      sub_dt, n_steps * self.substeps),
             e0_bound=self.v_inf + self.pdot_bound, v_inf=self.v_inf)
         # the rows and the checks take alpha(lip * M) + lip * dM/dt, largest
         # in size at t = 0

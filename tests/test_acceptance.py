@@ -129,39 +129,43 @@ def test_criterion_4_qp_oracle_equivalence(capsys):
 
 
 def test_criterion_5_envelope_soundness_battery(capsys):
+    """50 sinusoids with seeded bounded noise: the observer's error norm
+    stays inside the envelope calibrated, with no safety factor, on the
+    battery's own grid, at a 0.5 ms step and at the run's 5 ms substep."""
     params = HgoParams(2, 1, 50)
     v_inf, curvature, pdot_bound = 0.02, 8.0, 4.5
-    coeffs = calibrate_envelope(params, v_inf, curvature)
-    bank = DifferentiatorBank((DiffChannel(), DiffChannel()), params, coeffs,
-                              e0_bound=v_inf + pdot_bound, v_inf=v_inf)
-    rng = np.random.default_rng(515)
-    violations = 0
     checked = 0
-    for trial in range(50):
-        omega = rng.uniform(0.25, 1.4)
-        amp = min(curvature / omega ** 2, pdot_bound / omega) * rng.uniform(0.2, 1.0)
-        phase = rng.uniform(0, 2 * math.pi)
-        noise = NoiseModel(v_inf, 200.0, 4.0, seed=int(rng.integers(1 << 30)),
-                           tau=0.004)
-        p0 = lambda t: amp * math.sin(omega * t + phase)
-        p0dot = lambda t: amp * omega * math.cos(omega * t + phase)
+    for dt, steps, stride in ((5e-4, 8000, 5), (5e-3, 800, 1)):
+        coeffs = calibrate_envelope(params, v_inf, curvature, dt, steps)
+        bank = DifferentiatorBank((DiffChannel(), DiffChannel()), params, coeffs,
+                                  e0_bound=v_inf + pdot_bound, v_inf=v_inf)
+        rng = np.random.default_rng(515)
+        violations = 0
+        for trial in range(50):
+            omega = rng.uniform(0.25, 1.4)
+            amp = min(curvature / omega ** 2, pdot_bound / omega) * rng.uniform(0.2, 1.0)
+            phase = rng.uniform(0, 2 * math.pi)
+            noise = NoiseModel(v_inf, 200.0, 4.0, seed=int(rng.integers(1 << 30)),
+                               tau=0.004)
+            p0 = lambda t: amp * math.sin(omega * t + phase)
+            p0dot = lambda t: amp * omega * math.cos(omega * t + phase)
 
-        def rhs(t, yy):
-            return hgo_rates(*yy, params, p0(t) + noise.sample(t)[0])
+            def rhs(t, yy):
+                return hgo_rates(*yy, params, p0(t) + noise.sample(t)[0])
 
-        y = (p0(0.0) + noise.sample(0.0)[0], 0.0)
-        t, dt = 0.0, 5e-4
-        for k in range(8000):
-            y = step_rk4(y, t, dt, rhs)
-            t += dt
-            if k % 5 == 0:
-                checked += 1
-                if abs(y[1] - p0dot(t)) > error_envelope(bank, t)[0]:
-                    violations += 1
-    assert violations == 0
+            y = (p0(0.0) + noise.sample(0.0)[0], 0.0)
+            t = 0.0
+            for k in range(steps):
+                y = step_rk4(y, t, dt, rhs)
+                t += dt
+                if k % stride == 0:
+                    checked += 1
+                    if math.hypot(y[0] - p0(t), y[1] - p0dot(t)) > error_envelope(bank, t)[0]:
+                        violations += 1
+        assert violations == 0, dt
     announce(capsys,
-             f"PASS criterion 5: 50 sinusoid runs, {checked} samples, "
-             f"0 envelope violations")
+             f"PASS criterion 5: 50 sinusoid runs at 0.5 ms and at 5 ms, {checked} "
+             f"samples, 0 envelope violations")
 
 
 def test_criterion_6_smooth_max_sandwich(capsys):

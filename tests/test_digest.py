@@ -24,7 +24,7 @@ import pytest
 import digest
 from rollguard import qp
 
-PINNED = "2595d9898050b0279098f530b1b6003defdc422138e991ea47b75201274c6281"
+PINNED = "429f951c709a8cfd8f7c08231c47b80eef15b16280e9b398254e96e80dd0de7b"
 FINGERPRINT = ("3.11.7 (main, May  9 2026, 07:35:25) [GCC 12.2.0]", ("glibc", "2.36"))
 
 
