@@ -4,10 +4,10 @@
     rollguard compare  --config scenario.cfg --variants none,envelope --out results/
     rollguard verify   --config scenario.cfg
 
-Exit codes: 0 all safety assertions hold, 2 a violation was detected
-(the intended outcome for the unfiltered baseline when --expect-violation
-is passed), 1 error (a bad config or an output path that cannot be
-written).
+Exit codes: 0 all safety assertions hold (and --help), 2 a violation was
+detected (the intended outcome for the unfiltered baseline when
+--expect-violation is passed), 1 error (a usage error, a bad config or
+an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -117,7 +117,11 @@ def main(argv=None) -> int:
     _add_common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means a violation here
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (DomainError, OSError) as exc:

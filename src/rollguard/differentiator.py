@@ -257,13 +257,13 @@ def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
     curvature_bound) / v_inf. These are the l1 norms of the discrete
     impulse responses (Dahleh & Diaz-Bobillo, 1995), the worst cases over
     |v| <= v_inf, |p0_ddot| <= curvature_bound and ||e_0|| <= e0_bound, so
-    ||e_m|| <= M(m dt) with no safety factor. Premises: the bound holds at
-    substep ends, where the run reads M (the rows, h_rob and the audit);
-    and where a stage-4 time and the next start differ in the last bit,
-    the two noise samples read there are one sample, true to within
-    2 v_inf ulp(t) / noise_tau (6.5e-13 v_inf on the flagship grid). With
-    the curvature folded into noise_gain, v_inf = 0 needs a zero curvature
-    bound. `_grid_sums` runs once per (params, dt, substeps).
+    ||e_m|| <= M(m dt) with no safety factor, at substep ends, where the
+    run reads M (the rows, h_rob and the audit). One premise remains: the
+    run's float times lie off the exact grid j dt/2 by under an ulp of
+    the horizon (1.7e-15 s on the flagship grid), which moves a truth
+    sample by up to pdot_bound times that (7.5e-15 at 4.5), outside the
+    sums. With the curvature folded into noise_gain, v_inf = 0 needs a
+    zero curvature bound. `_grid_sums` runs once per (params, dt, substeps).
     """
     if v_inf < 0.0 or curvature_bound < 0.0:
         raise DomainError("bounds must be nonnegative")
@@ -301,7 +301,7 @@ def _grid_sums(params: HgoParams, dt: float, substeps: int) -> tuple[float, ...]
         # (y, z) = start, mid and end at t = 0, dt/2 and dt
         reads = {0.0: start, half: mid, dt: end}
         period = observer_period(params, lambda t: (*reads[t], 0.0, 0.0, 0.0, 0.0), 1, dt)
-        return period(o, 0.0, (*start, 0.0, 0.0, 0.0, 0.0), [])[0]
+        return period(o, 0.0, dt, (*start, 0.0, 0.0, 0.0, 0.0), [])[0]
 
     f11, f21, f12, f22 = unit_substep((1.0, 0.0, 0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
     # at k = 0: Phi^k G0, Gm and G1 as (value, rate) pairs, Phi^k (p), and

@@ -17,22 +17,23 @@ two halves, one control period per call. The observers read only the
 measurements, which depend on time alone, so `exogenous_track` walks the
 run's time grid once for everything a filter does not change: both
 observers, advanced through each period by `sysmodel.observer_period` on
-the run's one sampler, `sysmodel.exogenous_signals`, with each distinct
-time evaluated once; per substep the flat tuple of the floats a run reads
-(its start time, the disturbances at its three stage times and the
-gravity truth at its end); and per control step the truth, the
-measurements, the estimates, their `hgo_rates` rates, the error envelope
-M(t) (`error_envelope`, for the audit of each channel's error) and
-`bank.envelope` (the rows, `h_rob` and the envelope columns M +
-ln(2)/100, the smooth maximum of the two equal channel envelopes), with
-the envelope audit. `run` then steps the robot alone, one
+the run's one sampler, `sysmodel.exogenous_signals`, with each grid
+time evaluated once (a substep's end by its stage 4); per substep the
+flat tuple of the floats a run reads (its start time, the disturbances
+at its three stage times and the gravity truth at its end); and per
+control step the truth, the measurements, the estimates, their
+`hgo_rates` rates, the error envelope M(t) (`error_envelope`, for the
+audit of each channel's error) and `bank.envelope` (the rows, `h_rob`
+and the envelope columns M + ln(2)/100, the smooth maximum of the two
+equal channel envelopes), with the envelope audit. `run` then steps the robot alone, one
 `sysmodel.robot_period` call per control step on the step's entries,
 which also returns the running minimum of the true constraint after
 every substep. `compare` walks one track before its first variant and
 hands it to every variant. The two halves' reference definition is, per
 substep, `sysmodel.step_rk4` over the right-hand side
-`sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls,
-followed by `sysmodel.wrap_angle` on the heading. Every (h1, h2) pair,
+`sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls
+(stage 4 at the substep's end), followed by `sysmodel.wrap_angle` on
+the heading. Every (h1, h2) pair,
 at the truth, at the estimates and after each substep, is
 `barrier.h_pair`. The control loop builds no frozen dataclass outside
 the safety filter: the robot state is a `sysmodel.RobotState` named
@@ -77,8 +78,8 @@ from .differentiator import (BackwardDiffWindow, DifferentiatorBank, backward_di
                              error_envelope, hgo_rates)
 from .errors import DomainError, NonFiniteStateError
 from .scenario import BUDGET_ROW_FILTERS, VARIANT_FIELDS, Scenario, parse_variant
-from .sysmodel import (ControlInput, RobotState, _Raises, exogenous_signals,
-                       observer_period, robot_period)
+from .sysmodel import (ControlInput, RobotState, exogenous_signals, observer_period,
+                       robot_period)
 
 TRACE_SCHEMA = "rollguard-trace-1"
 SAFETY_TOL = 1e-3  # sampled-data slack on the continuous-time guarantee
@@ -254,19 +255,16 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     Per control step k (t = k * period, and once more at the horizon) a
     `TrackStep`, whose `substeps` holds the flat entries that
     `sysmodel.observer_period` appends while it advances both observers
-    through the period: per substep its start time, the disturbances at
-    its three RK4 stage times and the gravity truth at its end, which the
-    intersample audit reads. Each distinct time is evaluated once: a
-    substep starts where the last one ended, the stage-4 time and the end
-    time share a value when they are equal, and so do the last end time
-    and the next step's time.
+    through the period to (k + 1) * period: per substep its start time,
+    the disturbances at its three RK4 stage times and the gravity truth at
+    its end, which the intersample audit reads. Each grid time is read
+    once, a substep's end by its stage 4; the last end is the next step's.
 
     The walk stops at the first signal DomainError or non-finite observer
-    state and leaves a `sysmodel._Raises` where a run reads it: in place
-    of the step when its signals fail, else in the failing substep's
-    entry, from the slot `robot_period` reads right after the failure on
-    (see `observer_period`). A run that gets there raises it at that
-    point. Only the signals at t = 0 raise here: they seed the estimates.
+    state and leaves a `sysmodel._Raises` in the failing substep's entry,
+    from the slot `robot_period` reads right after the failure on (see
+    `observer_period`). A run that gets there raises it at that point.
+    Only the signals at t = 0 raise here: they seed the estimates.
     """
     bank = scenario.make_bank()
     hgo = bank.hgo
@@ -279,13 +277,10 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     # estimates start at the first measurement with zero rate; e0_bound in
     # the bank covers exactly this initialization
     obs = (sig[0] + sig[2], 0.0, sig[1] + sig[3], 0.0)
-    t_end = 0.0  # the time of sig
     steps: list = []
     try:
         for k in range(n_steps + 1):
             t = k * period
-            if t != t_end:
-                sig = signals(t)
             g_y0, g_z0, n_y, n_z, d_om, d_v = sig
             meas = (g_y0 + n_y, g_z0 + n_z)
             env_bound = error_envelope(bank, t)[0]
@@ -302,10 +297,9 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
                  hgo_rates(obs[2], obs[3], hgo, meas[1])[0]),
                 bank.envelope(t), violations, subs))
             if k < n_steps:
-                obs, t_end, sig = advance(obs, t, sig, subs)
-    except (DomainError, NonFiniteStateError) as exc:
-        if len(steps) == k:  # the step's own signals
-            steps.append(_Raises(exc))
+                obs, sig = advance(obs, t, (k + 1) * period, sig, subs)
+    except (DomainError, NonFiniteStateError):
+        pass  # the failing substep's entry holds the error
     return ExogenousTrack(_track_inputs(scenario), bank, steps)
 
 
@@ -415,16 +409,11 @@ def run(scenario: Scenario, label: str | None = None,
     t_aug = done * period
     h1s = [r.h_true[0] for r in records]
     h2s = [r.h_true[1] for r in records]
-    try:
-        g_y, g_z = steps[done].g_true
-    except DomainError:
-        # the roll has left the upright regime (the run aborted on it) and
-        # the truth at the final time is undefined
-        pass
-    else:
-        h1f, h2f = h_pair(state.v, state.omega, g_y, g_z, ratio)
-        h1s.append(h1f)
-        h2s.append(h2f)
+    # the track holds every step a run can finish: a walk that stopped in
+    # step k's period holds step k, whose integration then fails
+    h1f, h2f = h_pair(state.v, state.omega, *steps[done].g_true, ratio)
+    h1s.append(h1f)
+    h2s.append(h2f)
     min_h1 = min(h1s)
     min_h2 = min(h2s)
     final_distance = _goal_distance(goal, state)

@@ -49,6 +49,14 @@ class QpProblem:
     def __post_init__(self):
         if len(self.rows) > 2:
             raise DomainError("at most two constraint rows are supported")
+        # one isfinite of the sum, and of each term only when it is not: a
+        # finite sum has finite terms, and finite terms that overflow pass
+        total = self.u_nom[0] + self.u_nom[1]
+        for row in self.rows:
+            total += row.a[0] + row.a[1] + row.beta
+        if not math.isfinite(total) and not all(map(math.isfinite, (
+                *self.u_nom, *(x for row in self.rows for x in (*row.a, row.beta))))):
+            raise DomainError("non-finite nominal input or constraint row")
         if not (self.lower[0] <= self.upper[0] and self.lower[1] <= self.upper[1]):
             raise DomainError("input box is empty")
 

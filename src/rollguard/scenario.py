@@ -132,12 +132,9 @@ class Scenario:
         self.disturbance()
         if self.disturbance_kind == "sinusoid":
             # math.sin raises on an infinite argument. 2 pi f t + phase is
-            # monotone in t, so it is finite at every time of the run's grid
-            # when it is finite at the largest: the horizon, or the last
-            # substep's stage-4 or end time, computed as the harness does
-            t_last = (n_steps - 1) * period
-            t_max = max(n_steps * period, t_last + (self.substeps - 1) * sub_dt + sub_dt,
-                        t_last + self.substeps * sub_dt)
+            # monotone in t; a run reads no time above the last period's
+            # end, as each other lies half a substep (> 1e-6 of it) below
+            t_max = n_steps * period
             for name in ("omega", "v"):
                 freq = getattr(self, f"dist_{name}_freq")
                 phase = getattr(self, f"dist_{name}_phase")
@@ -212,7 +209,9 @@ class Scenario:
 
     def grid(self) -> tuple[float, int, float]:
         """The run's time grid: (control period, control steps, substep
-        length); control step k starts at k * period."""
+        length); control step k starts at k * period, its substep i at
+        k * period + i * sub_dt, and its last substep ends at (k + 1) *
+        period, the next step's time. Each of these times is read once."""
         period = 1.0 / self.control_rate
         return period, int(round(self.horizon * self.control_rate)), period / self.substeps
 
@@ -346,9 +345,11 @@ VARIANT_FIELDS = ("filter", "budget_floor")
 
 
 def parse_variant(scenario: Scenario, spec: str) -> tuple[str, Scenario]:
-    """Variant spec 'filter' or 'filter:budget_floor' applied on top of a
-    base scenario; everything else (seed, signals) is shared."""
+    """Variant spec 'filter' or 'filter:budget_floor', spaces around either
+    part dropped, applied on top of a base scenario; everything else
+    (seed, signals) is shared."""
     name, _, arg = spec.strip().partition(":")
+    name, arg = name.strip(), arg.strip()
     if name not in FILTERS:
         raise DomainError(f"unknown filter {name!r} in variant {spec!r}")
     fields = {"filter": name}

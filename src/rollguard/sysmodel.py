@@ -15,7 +15,8 @@ call, each classical RK4 written out on named floats with its state in
 locals: `observer_period` over the four observer states, which also
 appends per substep the flat tuple of the floats the robot reads (the
 substep's start time, the disturbances at its three stage times and the
-gravity truth at its end), and `robot_period` over the five robot states
+gravity truth at its end, read once by stage 4), and `robot_period`
+over the five robot states
 under the held input, which checks each stage's dynamics inputs with one
 finiteness test of their sum and returns the running intersample minimum
 of the true constraint with the state. The observers read only the
@@ -23,9 +24,10 @@ measurements, which depend on time alone, so one observer trajectory
 serves every filter of a scenario (`harness.exogenous_track`).
 Their composition's reference definition is, per substep, `step_rk4`
 over the right-hand side made of `eval_dynamics` here and two
-`differentiator.hgo_rates` calls, followed by `wrap_angle` on the
-heading; the two halves repeat its float operations in order and are
-bit-equal to it.
+`differentiator.hgo_rates` calls, stage 4 on the signals at the
+substep's end (which can differ from t_i + dt in the last bit), followed
+by `wrap_angle` on the heading; the two halves repeat its float
+operations in order and are bit-equal to it.
 
 Everything that depends on time alone (true gravity components, noise and
 disturbance) comes from the one sampler built by `exogenous_signals`,
@@ -318,9 +320,8 @@ def _all_finite(*values: float) -> bool:
 
 
 class _Raises:
-    """A track slot whose computation raised: reading it, by unpacking, by
-    a field or as a number in a sum or product, raises the same error
-    again, in a fresh exception."""
+    """A track slot whose computation raised: reading it as a number in a
+    sum or product raises the same error again, in a fresh exception."""
 
     __slots__ = ("kind", "message")
 
@@ -330,34 +331,35 @@ class _Raises:
     def _raise(self, *_):
         raise self.kind(self.message)
 
-    __iter__ = __getattr__ = __add__ = __radd__ = __mul__ = __rmul__ = _raise
+    __add__ = __radd__ = __mul__ = __rmul__ = _raise
 
 
 def observer_period(hgo, signals, substeps: int, dt: float):
     """Both high-gain observers through one control period, built once per
     run.
 
-    Returns `period(o, t, sig, entries) -> (o, t_end, sig)`: `substeps`
+    Returns `period(o, t, t_next, sig, entries) -> (o, sig)`: `substeps`
     classical RK4 steps of dt of o = (est_gy, rate_gy, est_gz, rate_gz)
-    from time t, one observer (`hgo`) per gravity channel, driven by its
-    noisy measurement g + n from `signals`, the run's `exogenous_signals`;
-    `sig` is its value at t. Substep i runs from t_i = t + i * dt to
-    t + (i + 1) * dt, whose signals are evaluated only when that time
-    differs from the stage-4 time t_i + dt (in the last bit, on some
-    substeps) and start the next substep. `period` returns the state, the
-    last end time and the signals there, and appends per substep the flat
-    tuple `robot_period` reads: t_i, (d_omega, d_v) at t_i, t_i + dt/2
-    and t_i + dt, and the gravity truth (g_y0, g_z0) at the substep's end.
+    from time t to the next control step's t_next, one observer (`hgo`)
+    per gravity channel, driven by its noisy measurement g + n from
+    `signals`, the run's `exogenous_signals`; `sig` is its value at t.
+    Substep i runs from t_i = t + i * dt to t + (i + 1) * dt, or t_next
+    for the last; stage 4 reads the signals there, once, and they start
+    the next substep. `period` returns the state and the signals at
+    t_next, and appends per substep the flat tuple `robot_period` reads:
+    t_i, (d_omega, d_v) at t_i, t_i + dt/2 and the end, and the gravity
+    truth (g_y0, g_z0) at the end.
 
     Its reference definition is, per substep, `step_rk4` over two
-    `differentiator.hgo_rates` calls on the measurements; `period` repeats
-    their float operations in order and is bit-equal. At the first signals
-    error, or a non-finite state after a substep (`NonFiniteStateError`,
-    as `step_rk4` raises it), it appends the substep's entry with a
-    `_Raises` of the error in every slot from the first the robot reads
-    after it (the stage-2 or stage-4 disturbances when that stage's
-    signals raised, else the end gravity: the robot finishes its own
-    checks of the substep first) and raises the error again.
+    `differentiator.hgo_rates` calls on the measurements, stage 4 on those
+    at the end; `period` repeats their float operations in order and is
+    bit-equal. At the first signals error, or a non-finite state after a
+    substep (`NonFiniteStateError`, as `step_rk4` raises it), it appends
+    the substep's entry with a `_Raises` of the error in every slot from
+    the first the robot reads after it (the stage-2 or stage-4
+    disturbances when that stage's signals raised, else the end gravity:
+    the robot finishes its own checks of the substep first) and raises the
+    error again.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -366,14 +368,15 @@ def observer_period(hgo, signals, substeps: int, dt: float):
     half = 0.5 * dt
     sixth = dt / 6.0
     isfinite = math.isfinite
+    last = substeps - 1
 
-    def period(o, t: float, sig, entries: list):
+    def period(o, t: float, t_next: float, sig, entries: list):
         ey, ry, ez, rz = o
         g_y, g_z, ny, nz, dw1, dv1 = sig
         my, mz = g_y + ny, g_z + nz
+        t_i = t
         try:
             for i in range(substeps):
-                t_i = t + i * dt
                 dw2 = dw4 = None  # the stage signals read so far, for a failing entry
                 iy, iz = my - ey, mz - ez
                 a5, a6 = ry + k1l * iy, k2l2 * iy
@@ -394,8 +397,9 @@ def observer_period(hgo, signals, substeps: int, dt: float):
                 c5, c6 = ry3 + k1l * iy, k2l2 * iy
                 c7, c8 = rz3 + k1l * iz, k2l2 * iz
 
-                t4 = t_i + dt
-                sig = signals(t4)
+                # stage 4 at the substep's end, which starts the next one
+                t_end = t_next if i == last else t + (i + 1) * dt
+                sig = signals(t_end)
                 g_y, g_z, ny, nz, dw4, dv4 = sig
                 my, mz = g_y + ny, g_z + nz
                 ey4, ry4 = ey + dt * c5, ry + dt * c6
@@ -411,15 +415,8 @@ def observer_period(hgo, signals, substeps: int, dt: float):
                 if not (isfinite(ey) and isfinite(ry) and isfinite(ez) and isfinite(rz)):
                     raise NonFiniteStateError(f"non-finite state after step at t={t_i}")
 
-                t_end = t + (i + 1) * dt
-                if t_end != t4:
-                    sig = signals(t_end)
-                    g_y, g_z, ny, nz, dw, dv = sig
-                    my, mz = g_y + ny, g_z + nz
-                else:
-                    dw, dv = dw4, dv4
                 entries.append((t_i, dw1, dv1, dw2, dv2, dw4, dv4, g_y, g_z))
-                dw1, dv1 = dw, dv
+                t_i, dw1, dv1 = t_end, dw4, dv4
         except (DomainError, NonFiniteStateError) as exc:
             bad = _Raises(exc)
             if dw2 is None:
@@ -429,7 +426,7 @@ def observer_period(hgo, signals, substeps: int, dt: float):
             else:
                 entries.append((t_i, dw1, dv1, dw2, dv2, dw4, dv4, bad, bad))
             raise
-        return (ey, ry, ez, rz), t_end, sig
+        return (ey, ry, ez, rz), sig
     return period
 
 
@@ -514,7 +511,7 @@ def robot_period(act: ActuatorParams, ratio: float, dt: float):
                 c3 = neg_tau_omega * w3 + in_omega + dw2
                 c4 = neg_tau_v * v3 + in_v + dv2
 
-                # stage 4 at t_i + dt
+                # stage 4 at the substep's end
                 x4, p4, th4 = x + dt * c0, p + dt * c1, th + dt * c2
                 w4, v4 = w + dt * c3, v + dt * c4
                 if not isfinite(x4 + p4 + th4 + w4 + v4 + dw4 + dv4) and \

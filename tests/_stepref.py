@@ -66,12 +66,15 @@ def reference_closed_loop_step(act, hgo, signals):
 
 def _stage_signals(t, dt, s1, s2, s4, keep):
     """`signals` for one reference step from t: the values given for its
-    stage times, unpacked when the step reads them and passed through
-    `keep`."""
+    stage times, passed through `keep` when the step reads them; a
+    `_Raises` given for a stage raises its error there."""
     at = {t: s1, t + 0.5 * dt: s2, t + dt: s4}
 
     def signals(tt):
-        g_y0, g_z0, ny, nz, d_omega, d_v = at[tt]
+        values = at[tt]
+        if type(values) is _Raises:
+            raise values.kind(values.message)
+        g_y0, g_z0, ny, nz, d_omega, d_v = values
         return keep(g_y0, g_z0, ny, nz, d_omega, d_v)
     return signals
 
@@ -112,26 +115,26 @@ def reference_observer_step(hgo):
 
 def reference_observer_period(hgo, signals, substeps, dt):
     """`sysmodel.observer_period`'s signature, one `reference_observer_step`
-    per substep."""
+    per substep, on the signals at its start, midpoint and end (t_next for
+    the last substep)."""
     step = reference_observer_step(hgo)
 
-    def period(o, t, sig, entries):
+    def period(o, t, t_next, sig, entries):
         for i in range(substeps):
             t_i = t + i * dt
             read = [t_i, *sig[4:]]
             try:
                 s2 = signals(t_i + 0.5 * dt)
                 read += s2[4:]
-                s4 = signals(t_i + dt)
+                s4 = signals(t_next if i == substeps - 1 else t + (i + 1) * dt)
                 read += s4[4:]
                 o = step(o, t_i, dt, sig, s2, s4)
-                t_end = t + (i + 1) * dt
-                sig = s4 if t_end == t_i + dt else signals(t_end)
             except (DomainError, NonFiniteStateError) as exc:
                 entries.append(tuple(read) + (_Raises(exc),) * (9 - len(read)))
                 raise
+            sig = s4
             entries.append((*read, *sig[:2]))
-        return o, t_end, sig
+        return o, sig
     return period
 
 

@@ -237,7 +237,7 @@ def drive_observer(params, dt, n, boundary=None, mid=None, e0=((0.0, 0.0), (0.0,
     o, sig = (e0[0][0], e0[0][1], e0[1][0], e0[1][1]), signals(0.0)
     out = ([e0[0]], [e0[1]])
     for m in range(n):
-        o, _, sig = period(o, m * dt, sig, [])
+        o, sig = period(o, m * dt, (m + 1) * dt, sig, [])
         out[0].append(o[:2])
         out[1].append(o[2:])
     return np.array(out[0]), np.array(out[1])

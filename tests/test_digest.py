@@ -24,7 +24,7 @@ import pytest
 import digest
 from rollguard import qp
 
-PINNED = "429f951c709a8cfd8f7c08231c47b80eef15b16280e9b398254e96e80dd0de7b"
+PINNED = "e77eb34e429c47aefaf96128dec4f468c8e9a676a6a90b87ab5b81a811532838"
 FINGERPRINT = ("3.11.7 (main, May  9 2026, 07:35:25) [GCC 12.2.0]", ("glibc", "2.36"))
 
 

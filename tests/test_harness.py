@@ -18,7 +18,7 @@ from rollguard.barrier import build_constraint_row, constraint_row
 from rollguard.differentiator import hgo_rates
 from rollguard.errors import DomainError
 from rollguard.scenario import Scenario, load_config, parse_variant
-from rollguard.sysmodel import RobotState, TerrainProfile
+from rollguard.sysmodel import RobotState, TerrainProfile, _Raises
 
 from _rowcheck import budget_row_margin_rebuilt
 from _stepref import reference_observer_period, reference_robot_period
@@ -154,18 +154,18 @@ class TestRun:
 
     def test_signals_evaluated_once_per_time_point(self, monkeypatch):
         """One flagship run evaluates its sampler, which reads the terrain
-        roll and the noise once per call, at most 3 * substeps + 1 times
-        per control step: once per distinct time point of the step (RK4
-        midpoint and end per substep, the step start), not once per use."""
-        calls = 0
+        roll and the noise once per call, once per distinct time of its
+        grid: t = 0, then per substep its midpoint and its end (which
+        starts the next substep or step), 2 * substeps * n_steps + 1 calls
+        in all, none at a time read before."""
+        times = []
         make_sampler = harness.exogenous_signals
 
         def counted_sampler(terrain, noise, dist):
             signals = make_sampler(terrain, noise, dist)
 
             def counted(t):
-                nonlocal calls
-                calls += 1
+                times.append(t)
                 return signals(t)
             return counted
 
@@ -174,7 +174,8 @@ class TestRun:
         res = harness.run(flagship)
         steps = res.summary.n_steps
         assert steps == 525 and not res.summary.aborted
-        assert 0 < calls <= (3 * flagship.substeps + 1) * steps, calls
+        assert len(times) == 2 * flagship.substeps * steps + 1 == 4201
+        assert len(set(times)) == len(times)
 
     def test_verdict_counts_intersample_dip(self):
         """At a 2 Hz control rate a 2 Hz yaw disturbance is sampled at the
@@ -327,14 +328,16 @@ def _output_bytes(res, tmp_path, name):
 
 
 def _grid_times(sc):
-    """(k, i, stage-2, stage-4 and end time) of every substep."""
+    """(k, i, stage-2 time, end time) of every substep, as the walk reads
+    them: stage 4 reads the end, which is (k + 1) * period for a step's
+    last substep."""
     period = 1.0 / sc.control_rate
     sub_dt = period / sc.substeps
     for k in range(int(round(sc.horizon * sc.control_rate))):
         t = k * period
         for i in range(sc.substeps):
-            t_i = t + i * sub_dt
-            yield k, i, t_i + 0.5 * sub_dt, t_i + sub_dt, t + (i + 1) * sub_dt
+            end = (k + 1) * period if i == sc.substeps - 1 else t + (i + 1) * sub_dt
+            yield k, i, (t + i * sub_dt) + 0.5 * sub_dt, end
 
 
 def _fails_at(monkeypatch, t_bad, blow_up_after=None):
@@ -356,37 +359,32 @@ def _fails_at(monkeypatch, t_bad, blow_up_after=None):
     monkeypatch.setattr(harness, "exogenous_signals", sampler)
 
 
-FAILURES = ["stage_2", "stage_4", "stage_4_not_end", "end_not_stage_4", "top_not_end",
-            "observer_before_end"]
+FAILURES = ["stage_2", "stage_4", "step_time", "observer_before_end"]
 
 
 def _inject_failure(monkeypatch, sc, where):
     """Make the run's sampler fail where `where` says, on sc's grid at 50 Hz
-    and 4 substeps: in a substep's stage-2 or stage-4 signals, in a
-    stage-4 time one ulp off its end time, in an end time one ulp off its
-    stage-4 time, in a step's own time one ulp off the last end time, or
-    in an end time after the measurements blew the observers up from
-    stage 2 of that substep on. Returns (k, i, first, reason): the step
-    and substep of the failure (i None for a step's own signals), the
-    first slot of the flat track entry that holds it (None likewise) and
-    the text of its error."""
+    and 4 substeps: in a substep's stage-2 or stage-4 (end) signals; in
+    the time of step k + 1, which the last substep of step k reads at
+    stage 4, at a k where that time differs in the last bit from both the
+    substep's start plus one substep and step k's time plus four
+    substeps; or in the next stage-2 time after the measurements blew the
+    observers up from stage 2 of a substep on. Returns (k, i, first,
+    reason): the step and substep of the failure, the first slot of the
+    flat track entry that holds it and the text of its error."""
     grid = list(_grid_times(sc))
-    # the first substep whose stage-4 time is one ulp off its end time
-    k_off, i_off, _, t4_off, end_off = next(g for g in grid if g[3] != g[4])
     blow_up_after = None
+    k, i = 7, 2
     if where in ("stage_2", "stage_4"):
-        k, i = 7, 2
         t_bad = grid[4 * k + i][{"stage_2": 2, "stage_4": 3}[where]]
         first = {"stage_2": 3, "stage_4": 5}[where]
-    elif where == "stage_4_not_end":
-        k, i, first, t_bad = k_off, i_off, 5, t4_off
-    elif where == "end_not_stage_4":
-        k, i, first, t_bad = k_off, i_off, 7, end_off
-    elif where == "top_not_end":
-        k = next(j for j in range(1, 50) if j * 0.02 != grid[4 * j - 1][4])
-        i, first, t_bad = None, None, k * 0.02
+    elif where == "step_time":
+        # a step whose time both other spellings of the end miss in the last bit
+        k = next(j for j in range(1, 49) if (j + 1) * 0.02 not in (
+            (j * 0.02 + 3 * 0.005) + 0.005, j * 0.02 + 4 * 0.005))
+        i, first, t_bad = 3, 5, (k + 1) * 0.02
     else:
-        k, i, first, t_bad = k_off, i_off, 7, end_off
+        first, t_bad = 7, grid[4 * k + i + 1][2]
         blow_up_after = k * 0.02 + i * 0.005
     _fails_at(monkeypatch, t_bad, blow_up_after)
     if blow_up_after is None:
@@ -427,9 +425,9 @@ def test_run_bit_equal_with_reference_step(tmp_path, monkeypatch, case):
         assert "upright regime" in s.abort_reason
         assert s.min_h_true_intersample < s.min_h_true
     if failure is not None:
-        k, i, _, reason = failure
+        k, _, _, reason = failure
         assert reason in s.abort_reason
-        assert s.n_steps == (k if i is None else k + 1)
+        assert s.n_steps == k + 1
 
 
 class TestTrack:
@@ -480,27 +478,23 @@ class TestTrack:
         gravity pair), with the floats read before the failure and the
         failure in every slot from the first that the robot reads after
         it: stage 2's or stage 4's disturbances, or the end gravity,
-        where a non-finite observer state comes first. A time shared by
-        two slots (a stage-4 time equal to the end time, an end time equal
-        to the next step's time) fails in the first."""
+        where a non-finite observer state comes first. A substep's end is
+        read once, by its stage 4, so a step's own time fails in the last
+        substep of the period before it, and every step the walk appends
+        is a `TrackStep`."""
         sc = Scenario(filter="none", horizon=1.0)
         k, i, first, reason = _inject_failure(monkeypatch, sc, where)
         steps = harness.exogenous_track(sc).steps
-        assert all(type(steps[j]) is harness.TrackStep for j in range(k))
+        assert all(type(step) is harness.TrackStep for step in steps)
         assert len(steps) == k + 1
-        if first is None:
-            bad = steps[k]
-        else:
-            assert len(steps[k].substeps) == i + 1
-            last = steps[k].substeps[i]
-            assert [type(x) for x in last] == \
-                [float] * first + [harness._Raises] * (9 - first), last
-            bad = last[first]
+        assert len(steps[k].substeps) == i + 1
+        last = steps[k].substeps[i]
+        assert [type(x) for x in last] == [float] * first + [_Raises] * (9 - first), last
         with pytest.raises((DomainError, harness.NonFiniteStateError), match=reason):
-            list(bad)
+            last[first] + 0.0
         s = harness.run(sc).summary
         assert s.aborted and reason in s.abort_reason
-        assert s.n_steps == (k if first is None else k + 1)
+        assert s.n_steps == k + 1
 
     def test_signals_at_start_raise(self, monkeypatch):
         """The signals at t = 0 seed the estimates: their error leaves the
@@ -934,6 +928,10 @@ class TestConfig:
         label, sc = parse_variant(Scenario(), "const_margin:0.9")
         assert label == "const_margin_0.9"
         assert sc.filter == "const_margin" and sc.budget_floor == 0.9
+        # spaces around either part stay out of the label, and so out of
+        # write_comparison's file names
+        for spec in ("const_margin: 0.9", " const_margin : 0.9 "):
+            assert parse_variant(Scenario(), spec) == (label, sc)
         with pytest.raises(DomainError):
             parse_variant(Scenario(), "warp_filter")
 
@@ -1088,6 +1086,23 @@ class TestCli:
                          "--variants", "none", "--out", str(tmp_path)])
         assert code == 2
         assert (tmp_path / "comparison.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["simulate", "--config", ROLLOVER_CFG],
+        ["verify", "--config", ROLLOVER_CFG, "--seed", "abc"],
+        ["compare", "--config", ROLLOVER_CFG, "--out", "x"], ["fly"]],
+        ids=["bare", "simulate_without_out", "seed_not_int", "compare_without_variants",
+             "unknown_command"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        """Exit 2 means a violation, so a usage error exits 1, with
+        argparse's message on stderr."""
+        assert cli.main(argv) == 1
+        assert "usage: rollguard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert "usage: rollguard" in capsys.readouterr().out
 
     def test_verify_passes_on_static_config(self):
         assert cli.main(["verify", "--config", STATIC_CFG]) == 0

@@ -221,6 +221,27 @@ class TestProblemValidation:
             qp.solve(problem(rows=rows, lower=(-1e308, -1e308), upper=(1e308, 1e308)))
         assert isinstance(info.value.__cause__, OverflowError)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", ["u_nom_v", "u_nom_omega", "a_v", "a_omega", "beta"])
+    def test_non_finite_input_rejected(self, slot, bad):
+        """A non-finite u_nom, row coefficient or beta is a DomainError
+        when the problem is built, in the first or the second row; a NaN
+        row would otherwise read as satisfied."""
+        for which in range(2):
+            u_nom = [0.0, 0.0]
+            rows = [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]
+            if slot.startswith("u_nom"):
+                u_nom[slot == "u_nom_omega"] = bad
+            else:
+                rows[which][("a_v", "a_omega", "beta").index(slot)] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                problem(tuple(u_nom), [ConstraintRow((a0, a1), beta, f"h{j}")
+                                       for j, (a0, a1, beta) in enumerate(rows)])
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        rows = [ConstraintRow((1e308, 1e308), -1e308, "h1")]
+        sol = qp.solve(problem((1e308, 1e308), rows, (-1e308, -1e308), (1e308, 1e308)))
+        assert sol.status == "optimal" and sol.u == (1e308, 1e308)
 
 
 def _solve_outcome(solve_active_set, unx, uny, cons):

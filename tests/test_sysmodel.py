@@ -189,10 +189,10 @@ RATIO = Scenario().geometry().width_ratio
 def composed_period(act, hgo, signals, substeps):
     """The shipped halves as one augmented control period of `substeps`
     substeps, with the signature `hold(u_v, u_omega) -> period(y, t, dt)
-    -> (*y, low)`: `observer_period` advances y[5:] from t and appends the
-    entries, then `robot_period` advances y[:5] over them, as
-    `harness.exogenous_track` and `harness.run` compose them; low is the
-    intersample minimum of the true constraint."""
+    -> (*y, low)`: `observer_period` advances y[5:] from t to t + substeps
+    * dt and appends the entries, then `robot_period` advances y[:5] over
+    them, as `harness.exogenous_track` and `harness.run` compose them; low
+    is the intersample minimum of the true constraint."""
     def hold(u_v, u_omega):
         def period(y, t, dt):
             observe = observer_period(hgo, signals, substeps, dt)
@@ -200,7 +200,7 @@ def composed_period(act, hgo, signals, substeps):
             entries = []
             sig = signals(t)
             try:
-                obs, _, _ = observe(tuple(y[5:]), t, sig, entries)
+                obs, _ = observe(tuple(y[5:]), t, t + substeps * dt, sig, entries)
             except (DomainError, NonFiniteStateError):
                 pass  # the last entry raises it where the robot reads it
             r, low, fault = move(tuple(y[:5]), u_v, u_omega, entries, math.inf)
@@ -213,16 +213,23 @@ def composed_period(act, hgo, signals, substeps):
 
 def reference_period(act, hgo, signals, substeps):
     """`composed_period` from the fused reference: one
-    `reference_closed_loop_step` per substep, and the minimum by `min` of
-    `h_pair` at each substep's end."""
+    `reference_closed_loop_step` per substep i from t_i = t + i * dt, and
+    the minimum by `min` of `h_pair` at each substep's end t + (i + 1) *
+    dt. Its stage 4, at t_i + dt, reads the signals at that end, which
+    can differ from t_i + dt in the last bit: one time per boundary."""
     def hold(u_v, u_omega):
-        step = reference_closed_loop_step(act, hgo, signals)(u_v, u_omega)
+        end = {}  # the stage-4 time of the current substep -> its end
+        step = reference_closed_loop_step(
+            act, hgo, lambda s: signals(end.get(s, s)))(u_v, u_omega)
 
         def period(y, t, dt):
             low = math.inf
             for i in range(substeps):
-                y = step(y, t + i * dt, dt)
-                g_y, g_z = signals(t + (i + 1) * dt)[:2]
+                t_i, t_end = t + i * dt, t + (i + 1) * dt
+                end.clear()
+                end[t_i + dt] = t_end
+                y = step(y, t_i, dt)
+                g_y, g_z = signals(t_end)[:2]
                 low = min(low, *h_pair(y[4], y[3], g_y, g_z, RATIO))
             return (*y, low)
         return period
