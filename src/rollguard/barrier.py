@@ -118,6 +118,46 @@ class ConstraintRow:
     label: str
 
 
+def row_terms(v: float, omega: float, est: tuple[float, float],
+              est_rate: tuple[float, float], env_rate: float, consts: tuple
+              ) -> tuple[float, float, float, float, float, float]:
+    """(a0, a1, h1, h2, drift1, drift2) of both constraints in one pass,
+    h1's input row a and h2's -a, with `consts` (tau_v, tau_omega,
+    width_ratio, lipschitz_gain). The sign +-1 makes h2's products the
+    negatives of h1's, so they are shared exactly; the sums, whose signed
+    zeros a shared negation would not keep, are taken per constraint."""
+    tau_v, tau_omega, ratio, lip = consts
+    e0, e1 = est
+    vw = v * omega
+    rz = ratio * e1
+    # d h1 / d omega = v and d h1 / d v = omega, times each speed's lag drift
+    drift_omega = v * (-tau_omega * omega)
+    drift_v = omega * (-tau_v * v)
+    rate_term = ratio * est_rate[1]
+    env_term = lip * env_rate
+    return (omega * tau_v, v * tau_omega, vw - rz - e0, -vw - rz + e0,
+            drift_omega + drift_v - est_rate[0] - rate_term - env_term,
+            -drift_omega - drift_v + est_rate[0] - rate_term - env_term)
+
+
+def row_rhs(h_rob: float, drift: float, rate: float, budget_value: float) -> float:
+    """beta of the row a . u >= beta that enforces
+    drift + a . u >= -alpha(h_rob) + alpha.rate * budget, alpha's rate `rate`."""
+    return -(rate * h_rob) + rate * budget_value - drift
+
+
+def row_pair(v: float, omega: float, est: tuple[float, float],
+             est_rate: tuple[float, float], env_value: float, env_rate: float,
+             budget_value: float, consts: tuple, rate: float) -> tuple[tuple, tuple]:
+    """h1's and h2's rows of `constraint_row` as (a0, a1, beta) triples,
+    bit for bit, from one `row_terms` pass; `consts` as there and `rate`
+    the alpha rate."""
+    a0, a1, h1, h2, drift1, drift2 = row_terms(v, omega, est, est_rate, env_rate, consts)
+    margin = consts[3] * env_value
+    return ((a0, a1, row_rhs(h1 - margin, drift1, rate, budget_value)),
+            (-a0, -a1, row_rhs(h2 - margin, drift2, rate, budget_value)))
+
+
 def eval_barrier(which: str, state: RobotState, est: tuple[float, float],
                  geom: GeometryParams, actuator: ActuatorParams,
                  est_rate: tuple[float, float] = (0.0, 0.0),
@@ -131,21 +171,15 @@ def eval_barrier(which: str, state: RobotState, est: tuple[float, float],
     if env_value < 0.0:
         raise DomainError("envelope value must be nonnegative")
     sign = _sign_of(which)
-    ratio = geom.width_ratio
     lip = lipschitz_gain(geom)
-    h = sign * state.v * state.omega - ratio * est[1] - sign * est[0]
-    dh_domega = sign * state.v
-    dh_dv = sign * state.omega
-    drift = (dh_domega * (-actuator.tau_omega * state.omega)
-             + dh_dv * (-actuator.tau_v * state.v)
-             - sign * est_rate[0] - ratio * est_rate[1]
-             - lip * env_rate)
-    return BarrierEval(
-        h=h,
-        h_rob=h - lip * env_value,
-        drift=drift,
-        input_row=(dh_dv * actuator.tau_v, dh_domega * actuator.tau_omega),
-    )
+    a0, a1, h1, h2, drift1, drift2 = row_terms(
+        state.v, state.omega, est, est_rate, env_rate,
+        (actuator.tau_v, actuator.tau_omega, geom.width_ratio, lip))
+    if sign > 0.0:
+        return BarrierEval(h=h1, h_rob=h1 - lip * env_value, drift=drift1,
+                           input_row=(a0, a1))
+    return BarrierEval(h=h2, h_rob=h2 - lip * env_value, drift=drift2,
+                       input_row=(-a0, -a1))
 
 
 @dataclass(frozen=True)
@@ -178,12 +212,13 @@ def constraint_row(which: str, state: RobotState, est: tuple[float, float],
     value at the step's time. Every filter enforces the one robustified
     condition
         drift + a . u >= -alpha(h_rob) + alpha.rate * budget(t),
-    with h_rob and drift from `eval_barrier`; a filter picks which inputs
-    it sets to zero.
+    with h_rob and drift from `eval_barrier` and beta from `row_rhs`; a
+    filter picks which inputs it sets to zero. `row_pair` gives both
+    constraints' rows in one pass.
     """
     be = eval_barrier(which, state, est, geom, actuator, est_rate,
                       env_value, env_rate)
-    beta = -alpha(be.h_rob) + alpha.rate * budget_value - be.drift
+    beta = row_rhs(be.h_rob, be.drift, alpha.rate, budget_value)
     return ConstraintRow(a=be.input_row, beta=beta, label=which)
 
 

@@ -35,14 +35,16 @@ substep, `sysmodel.step_rk4` over the right-hand side
 (stage 4 at the substep's end), followed by `sysmodel.wrap_angle` on
 the heading. Every (h1, h2) pair,
 at the truth, at the estimates and after each substep, is
-`barrier.h_pair`. The control loop builds no frozen dataclass outside
-the safety filter: the robot state is a `sysmodel.RobotState` named
-tuple, each `TraceRecord` is built positionally, and the per-scenario
-lookups (filter kind, goal radius, the budget schedule, the QP solver
-and the track's steps) are read once per run.
+`barrier.h_pair`.
 
-Every filtered variant builds its rows with the one formula
-`barrier.constraint_row` and differs only in the inputs: `backward_diff`
+The control loop builds no frozen dataclass at all: the robot state is
+a `sysmodel.RobotState` named tuple, each `TraceRecord` is built
+positionally, the per-scenario lookups are read once per run, and the
+safety filter `filter_step` hands both rows, as the (a0, a1, beta)
+triples of `barrier.row_pair`, straight to the QP core `qp.solve_rows`,
+with no row, problem or solution object and no multipliers. Every
+filtered variant builds the rows of `barrier.constraint_row` and
+differs only in the inputs: `backward_diff`
 gives it the measurements and their backward-difference rates, the
 others the observer estimates and their rates; only `envelope` passes
 the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS` the
@@ -72,7 +74,7 @@ from typing import NamedTuple
 
 from . import qp
 from .barrier import (check_budget_schedule, check_envelope_budget,
-                      check_envelope_decay, constraint_row, h_pair, lipschitz_gain,
+                      check_envelope_decay, h_pair, lipschitz_gain, row_pair,
                       zmp_lateral)
 from .differentiator import (BackwardDiffWindow, DifferentiatorBank, backward_diff,
                              error_envelope, hgo_rates)
@@ -303,6 +305,52 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     return ExogenousTrack(_track_inputs(scenario), bank, steps)
 
 
+_ROW_LABELS = ("h1", "h2")
+
+
+class FilterLaw(NamedTuple):
+    """What `filter_step` takes once per run, from `filter_law`."""
+
+    consts: tuple | None  # barrier.row_pair's consts; None for filter `none`
+    rate: float           # the alpha rate
+    faces: tuple          # qp.box_faces of the input box
+
+
+def filter_law(scenario: Scenario) -> FilterLaw:
+    geom, act = scenario.geometry(), scenario.actuator()
+    consts = (None if scenario.filter == "none" else
+              (act.tau_v, act.tau_omega, geom.width_ratio, lipschitz_gain(geom)))
+    return FilterLaw(consts, scenario.alpha, qp.box_faces(*scenario.input_box()))
+
+
+def filter_step(law: FilterLaw, v: float, omega: float, u_nom: tuple[float, float],
+                est: tuple[float, float], est_rate: tuple[float, float],
+                env_value: float, env_rate: float, budget_value: float):
+    """(u_star, status, active text) of one filter step, bit for bit
+    `qp.solve(QpProblem(u_nom, (constraint_row("h1", ...),
+    constraint_row("h2", ...)), *box))`, with no rows for `none`, and with
+    the same warnings and errors; the envelope value is nonnegative."""
+    unx, uny = u_nom
+    rows = ()
+    forced = 0.0
+    if law.consts is None:
+        if not math.isfinite(unx + uny):
+            qp.check_terms(u_nom)
+    else:
+        rows = row_pair(v, omega, est, est_rate, env_value, env_rate, budget_value,
+                        law.consts, law.rate)
+        (a0, a1, beta1), (_, _, beta2) = rows
+        # one isfinite of the sum, as in QpProblem
+        if not math.isfinite(unx + uny + a0 + a1 + beta1 + beta2):
+            qp.check_terms((unx, uny, a0, a1, beta1, beta2))
+        # both rows have the same |a|: one degeneracy test covers both
+        if math.hypot(a0, a1) < qp.DEGENERATE_NORM:
+            rows, _, forced = qp.split_rows(rows, _ROW_LABELS)
+    u, status, active, _, _ = qp.solve_rows(unx, uny, rows, law.faces, forced)
+    labels = _ROW_LABELS + qp.FACE_LABELS if rows else qp.FACE_LABELS
+    return u, status, "+".join([labels[j] for j in active])
+
+
 def run(scenario: Scenario, label: str | None = None,
         track: ExogenousTrack | None = None) -> RunResult:
     """Simulate one scenario; deterministic given the seed. `track` is the
@@ -316,7 +364,6 @@ def run(scenario: Scenario, label: str | None = None,
                           "differs in more than filter and budget_floor")
     geom = scenario.geometry()
     act = scenario.actuator()
-    alpha = scenario.alpha_fn()
     budget_at = scenario.budget().value
     box = scenario.input_box()
     goal = (scenario.goal_x, scenario.goal_y)
@@ -328,7 +375,7 @@ def run(scenario: Scenario, label: str | None = None,
     keeps_budget = kind in BUDGET_ROW_FILTERS
     lip = lipschitz_gain(geom)
     ratio = geom.width_ratio
-    solve, problem = qp.solve, qp.QpProblem
+    law = filter_law(scenario)
     steps = track.steps
 
     period, n_steps, sub_dt = scenario.grid()
@@ -358,27 +405,19 @@ def run(scenario: Scenario, label: str | None = None,
 
             budget_value = budget_at(t)
 
-            if kind == "none":
-                rows = ()
+            if kind == "backward_diff":
+                win_y.push(meas[0])
+                win_z.push(meas[1])
+                row_est = meas
+                row_rate = (backward_diff(win_y), backward_diff(win_z))
             else:
-                if kind == "backward_diff":
-                    win_y.push(meas[0])
-                    win_z.push(meas[1])
-                    row_est = meas
-                    row_rate = (backward_diff(win_y), backward_diff(win_z))
-                else:
-                    row_est = (est[0], est[2])
-                    row_rate = est_rate
-                row_env, row_env_rate = ((env_value, env_rate) if keeps_envelope
-                                         else (0.0, 0.0))
-                row_budget = budget_value if keeps_budget else 0.0
-                rows = (constraint_row("h1", state, row_est, row_rate, row_env,
-                                       row_env_rate, row_budget, geom, act, alpha),
-                        constraint_row("h2", state, row_est, row_rate, row_env,
-                                       row_env_rate, row_budget, geom, act, alpha))
-
-            sol = solve(problem(u_nom, rows, *box))
-            u_star = sol.u
+                row_est = (est[0], est[2])
+                row_rate = est_rate
+            u_star, status, active = filter_step(
+                law, v, omega, u_nom, row_est, row_rate,
+                env_value if keeps_envelope else 0.0,
+                env_rate if keeps_envelope else 0.0,
+                budget_value if keeps_budget else 0.0)
 
             # h at the estimates, robustified as in eval_barrier
             margin = lip * env_value
@@ -390,8 +429,7 @@ def run(scenario: Scenario, label: str | None = None,
                 t, state, est, g_true, meas, u_nom, u_star,
                 h_pair(v, omega, g_y0, g_z0, ratio), (h1_est - margin, h2_est - margin),
                 zmp_lateral(v, omega, g_y0, g_z0, geom), env_value, env_rate,
-                budget_value, abs(v * d_om + omega * d_v), sol.status,
-                "+".join(sol.active)))
+                budget_value, abs(v * d_om + omega * d_v), status, active))
 
             # a fault leaves the state at the step's start
             state, min_inter, fault = advance(state, *u_star, subs, min_inter)
@@ -491,18 +529,26 @@ class ComparisonResult:
 
 def compare(scenario: Scenario, variants: list[str]) -> ComparisonResult:
     """Run the base scenario plus variants that differ only in filter
-    settings; the seed and therefore every exogenous signal is shared."""
+    settings; the seed and therefore every exogenous signal is shared.
+    A label seen before is skipped, and labels of one scenario, such as
+    `const_margin:0.9` and `const_margin:0.90`, share one run: each keeps
+    its own summary over the shared records."""
     results = {}
     base_label = scenario.filter
     track = exogenous_track(scenario)
-    base = run(scenario, label=base_label, track=track)
-    results[base_label] = base
-    labels = {base_label: scenario}
-    for spec in variants:
-        vlabel, vscenario = parse_variant(scenario, spec)
+    labels = {}
+    runs = {}  # by the repr of the variant fields, which keeps -0.0 apart from 0.0
+    for vlabel, vscenario in [(base_label, scenario),
+                              *(parse_variant(scenario, spec) for spec in variants)]:
         if vlabel in results:
             continue
-        results[vlabel] = run(vscenario, label=vlabel, track=track)
+        key = tuple(repr(getattr(vscenario, name)) for name in VARIANT_FIELDS)
+        shared = runs.get(key)
+        if shared is None:
+            results[vlabel] = runs[key] = run(vscenario, label=vlabel, track=track)
+        else:
+            results[vlabel] = RunResult(shared.records,
+                                        dataclasses.replace(shared.summary, label=vlabel))
         labels[vlabel] = vscenario
     memo: dict = {}
     for res in results.values():

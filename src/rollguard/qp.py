@@ -4,19 +4,23 @@
     s.t.      a_i . u >= beta_i   (constraint rows, at most two)
               lo <= u <= hi
 
-`solve` applies the degenerate-row policy, lists the rows and the four
-box faces once, and hands that list to the one solver,
-`_kernels.solve_active_set`. With two variables and at most six
+The one core, `solve_rows`, takes the rows as (g0, g1, rhs) tuples and
+the box as its four faces (`box_faces`), and hands them to the one
+solver, `_kernels.solve_active_set`. With two variables and at most six
 inequalities the solver enumerates the candidate active sets exactly, so
 every solve is closed-form and deterministic, and it returns at once when
 u_nom is already feasible. Otherwise it tests a candidate's feasibility
 only when the candidate's objective would win, and it keeps the objective
 as `** 2`, which rounds differently from `d * d` for some doubles, so the
 outputs are the exhaustive enumeration's bit for bit (see `_kernels`).
-The same list gives the multipliers of the active set. Infeasible
-problems never raise: they fall through to a
-best-effort relaxation that maximizes the worst row slack over the box,
-and the caller logs a safety-degradation event.
+Infeasible problems never raise: they fall through to a best-effort
+relaxation that maximizes the worst row slack over the box, and the
+caller logs a safety-degradation event.
+
+`solve(QpProblem)` wraps the core with the degenerate-row policy
+(`split_rows`) and, on an optimal solve, the multipliers of the active
+set and the stationarity residual. `harness.filter_step` calls the core
+directly and computes no multipliers.
 """
 
 from __future__ import annotations
@@ -29,14 +33,21 @@ from . import _kernels
 from .barrier import ConstraintRow
 from .errors import DomainError
 
-_FACE_LABELS = ("u_v_min", "u_v_max", "u_omega_min", "u_omega_max")
-_DEGENERATE_NORM = 1e-12
+FACE_LABELS = ("u_v_min", "u_v_max", "u_omega_min", "u_omega_max")
+DEGENERATE_NORM = 1e-12
 
 
 class DegenerateRowWarning(UserWarning):
     """A constraint row with a near-zero coefficient vector was dropped.
     Routine while the robot is at rest (both row coefficients vanish with
     v = omega = 0); filter with warnings.simplefilter if undesired."""
+
+
+def check_terms(values) -> None:
+    """DomainError unless every value is finite; for a sum of `values`
+    that is not, since finite values whose sum overflows pass."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError("non-finite nominal input or constraint row")
 
 
 @dataclass(frozen=True)
@@ -49,14 +60,13 @@ class QpProblem:
     def __post_init__(self):
         if len(self.rows) > 2:
             raise DomainError("at most two constraint rows are supported")
-        # one isfinite of the sum, and of each term only when it is not: a
-        # finite sum has finite terms, and finite terms that overflow pass
+        # one isfinite of the sum, and of each term only when it is not
         total = self.u_nom[0] + self.u_nom[1]
         for row in self.rows:
             total += row.a[0] + row.a[1] + row.beta
-        if not math.isfinite(total) and not all(map(math.isfinite, (
-                *self.u_nom, *(x for row in self.rows for x in (*row.a, row.beta))))):
-            raise DomainError("non-finite nominal input or constraint row")
+        if not math.isfinite(total):
+            check_terms((*self.u_nom, *(x for row in self.rows
+                                        for x in (*row.a, row.beta))))
         if not (self.lower[0] <= self.upper[0] and self.lower[1] <= self.upper[1]):
             raise DomainError("input box is empty")
 
@@ -72,21 +82,30 @@ class QpSolution:
     multipliers: tuple[float, ...]
 
 
-def _split_rows(rows):
+def box_faces(lower, upper) -> tuple:
+    """The input box as (g0, g1, rhs) rows, in FACE_LABELS order."""
+    return ((1.0, 0.0, lower[0]), (-1.0, 0.0, -upper[0]),
+            (0.0, 1.0, lower[1]), (0.0, -1.0, -upper[1]))
+
+
+def split_rows(rows, labels):
     """Degenerate-row policy: near-zero coefficient rows are vacuous when
-    beta <= 0 (dropped with a warning) and unsatisfiable when beta > 0."""
+    rhs <= 0 (dropped with a warning) and unsatisfiable when rhs > 0.
+    Returns the kept rows, their labels and the largest unsatisfiable rhs."""
     keep = []
+    kept = []
     forced = 0.0
-    for row in rows:
-        if math.hypot(row.a[0], row.a[1]) < _DEGENERATE_NORM:
-            if row.beta > 0.0:
-                forced = max(forced, row.beta)
+    for row, label in zip(rows, labels):
+        if math.hypot(row[0], row[1]) < DEGENERATE_NORM:
+            if row[2] > 0.0:
+                forced = max(forced, row[2])
             else:
-                warnings.warn(f"dropping vacuous degenerate row {row.label!r}",
+                warnings.warn(f"dropping vacuous degenerate row {label!r}",
                               DegenerateRowWarning)
         else:
             keep.append(row)
-    return keep, forced
+            kept.append(label)
+    return tuple(keep), tuple(kept), forced
 
 
 def _multipliers(u, u_nom, active, cons):
@@ -111,49 +130,56 @@ def _multipliers(u, u_nom, active, cons):
                                       ry - (lam_a * a1 + lam_b * b1))
 
 
+def solve_rows(unx: float, uny: float, rows: tuple, faces: tuple,
+               forced: float = 0.0):
+    """The QP of finite rows kept by `split_rows`, with its `forced` rhs:
+    (u, status, active, slack, objective), `active` indexing rows + faces.
+    A problem whose distances overflow the float range raises DomainError."""
+    try:
+        if forced == 0.0:
+            ux, uy, found, active, obj = _kernels.solve_active_set(
+                unx, uny, rows + faces)
+            if found:
+                return (ux, uy), "optimal", active, 0.0, obj
+        return _relax(unx, uny, rows, faces, forced)
+    except OverflowError as exc:
+        raise DomainError(f"the QP overflows the float range: {exc}") from exc
+
+
 def solve(problem: QpProblem) -> QpSolution:
     """Solve the filter QP. When the rows and the box are incompatible, or
     a degenerate row cannot be met, return the best-effort input instead:
     the one that maximizes the minimum row slack over the box. A problem
     whose distances overflow the float range raises DomainError."""
-    try:
-        rows, forced = _split_rows(problem.rows)
-        if forced == 0.0:
-            lo, hi = problem.lower, problem.upper
-            # (g0, g1, rhs) for g . u >= rhs: rows first, then the box faces in
-            # _FACE_LABELS order; the solver's active set indexes this list
-            cons = [(row.a[0], row.a[1], row.beta) for row in rows]
-            cons += [(1.0, 0.0, lo[0]), (-1.0, 0.0, -hi[0]),
-                     (0.0, 1.0, lo[1]), (0.0, -1.0, -hi[1])]
-            ux, uy, found, active_idx, obj = _kernels.solve_active_set(
-                problem.u_nom[0], problem.u_nom[1], cons)
-            if found:
-                labels = [row.label for row in rows] + list(_FACE_LABELS)
-                lam, res = _multipliers((ux, uy), problem.u_nom, active_idx, cons)
-                return QpSolution(
-                    u=(ux, uy), status="optimal",
-                    active=tuple(labels[j] for j in active_idx),
-                    slack_used=0.0, objective=obj, kkt_residual=res,
-                    multipliers=lam)
-        return _relax(problem, rows, forced)
-    except OverflowError as exc:
-        raise DomainError(f"the QP overflows the float range: {exc}") from exc
+    rows, labels, forced = split_rows(
+        [(row.a[0], row.a[1], row.beta) for row in problem.rows],
+        [row.label for row in problem.rows])
+    faces = box_faces(problem.lower, problem.upper)
+    u, status, active, slack, obj = solve_rows(
+        problem.u_nom[0], problem.u_nom[1], rows, faces, forced)
+    lam, res = (((), None) if status != "optimal" else
+                _multipliers(u, problem.u_nom, active, rows + faces))
+    labels += FACE_LABELS
+    return QpSolution(u=u, status=status, active=tuple(labels[j] for j in active),
+                      slack_used=slack, objective=obj, kkt_residual=res,
+                      multipliers=lam)
 
 
-def _relax(problem: QpProblem, rows, forced: float) -> QpSolution:
-    lo, hi = problem.lower, problem.upper
-    unx, uny = problem.u_nom
+def _relax(unx, uny, rows, faces, forced: float):
+    """The box point that maximizes the minimum row slack."""
+    lo = (faces[0][2], faces[2][2])
+    hi = (-faces[1][2], -faces[3][2])
 
     def clamp(val, a, b):
         return min(max(val, a), b)
 
     if not rows:
         u = (clamp(unx, lo[0], hi[0]), clamp(uny, lo[1], hi[1]))
-        return QpSolution(u, "infeasible_relaxed", (), forced,
-                          (u[0] - unx) ** 2 + (u[1] - uny) ** 2, None, ())
+        return (u, "infeasible_relaxed", (), forced,
+                (u[0] - unx) ** 2 + (u[1] - uny) ** 2)
 
     def min_slack(x, y):
-        return min(row.a[0] * x + row.a[1] * y - row.beta for row in rows)
+        return min(g0 * x + g1 * y - rhs for g0, g1, rhs in rows)
 
     candidates = [(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1]),
                   # face projections of u_nom: break ties with the least
@@ -164,9 +190,9 @@ def _relax(problem: QpProblem, rows, forced: float) -> QpSolution:
                   (hi[0], clamp(uny, lo[1], hi[1]))]
     if len(rows) == 2:
         # the max-min can also sit where the two slacks equalize
-        (p, q), (r, s) = rows[0].a, rows[1].a
+        (p, q, beta_p), (r, s, beta_r) = rows
         d0, d1 = p - r, q - s
-        c = rows[0].beta - rows[1].beta
+        c = beta_p - beta_r
         for x in (lo[0], hi[0]):
             if abs(d1) > 1e-14:
                 y = (c - d0 * x) / d1
@@ -189,8 +215,7 @@ def _relax(problem: QpProblem, rows, forced: float) -> QpSolution:
                               (-u[0], -u[1])))
     slack = min_slack(*best)
     worst = max(0.0, -slack, forced)
-    active = tuple(row.label for row in rows
-                   if row.a[0] * best[0] + row.a[1] * best[1] - row.beta
-                   <= slack + 1e-9)
-    return QpSolution(best, "infeasible_relaxed", active, worst,
-                      (best[0] - unx) ** 2 + (best[1] - uny) ** 2, None, ())
+    active = tuple(j for j, (g0, g1, rhs) in enumerate(rows)
+                   if g0 * best[0] + g1 * best[1] - rhs <= slack + 1e-9)
+    return (best, "infeasible_relaxed", active, worst,
+            (best[0] - unx) ** 2 + (best[1] - uny) ** 2)

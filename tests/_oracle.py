@@ -115,13 +115,12 @@ def grid_oracle(problem: qp.QpProblem, n0: int = 401, refinements: int = 6):
 
     Returns (objective, (ux, uy)) or None when no feasible grid point
     exists."""
-    rows, forced = qp._split_rows(problem.rows)
+    rows, _, forced = qp.split_rows([(row.a[0], row.a[1], row.beta) for row in problem.rows],
+                                    [row.label for row in problem.rows])
     if forced > 0.0:
         return None
-    found, obj, ux, uy = grid_min(
-        problem.u_nom[0], problem.u_nom[1],
-        [(row.a[0], row.a[1], row.beta) for row in rows],
-        problem.lower, problem.upper, n0, refinements)
+    found, obj, ux, uy = grid_min(problem.u_nom[0], problem.u_nom[1], list(rows),
+                                  problem.lower, problem.upper, n0, refinements)
     if not found:
         return None
     return obj, (ux, uy)

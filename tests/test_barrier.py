@@ -10,12 +10,13 @@ from rollguard.barrier import (AlphaLinear, CheckReport, DisturbanceBudget,
                                build_constraint_row, check_budget_schedule,
                                check_envelope_budget, check_envelope_decay,
                                constraint_row, eval_barrier, eval_h, h_pair,
-                               lipschitz_gain, verify_cbf_candidate, zmp_lateral)
+                               lipschitz_gain, row_pair, verify_cbf_candidate,
+                               zmp_lateral)
 from rollguard.differentiator import (DiffChannel, DifferentiatorBank,
                                       EnvelopeCoeffs, HgoParams)
 from rollguard.errors import (DomainError, SingularityError,
                               StaleMeasurementError)
-from rollguard.sysmodel import RobotState
+from rollguard.sysmodel import ActuatorParams, RobotState
 
 from _oracle import zmp_lateral_full
 from _rowcheck import row_derivative_gap
@@ -30,6 +31,23 @@ def eval_h_oracle(which, v, omega, g_y, g_z, geom):
     """eval_h's expression before it delegated to h_pair."""
     sign = {"h1": 1.0, "h2": -1.0}[which]
     return sign * v * omega - geom.width_ratio * g_z - sign * g_y
+
+
+def eval_barrier_oracle(which, state, est, geom, actuator, est_rate, env_value, env_rate):
+    """eval_barrier's signed expression before it delegated to row_terms:
+    (h, h_rob, drift, input_row)."""
+    sign = {"h1": 1.0, "h2": -1.0}[which]
+    ratio = geom.width_ratio
+    lip = lipschitz_gain(geom)
+    h = sign * state.v * state.omega - ratio * est[1] - sign * est[0]
+    dh_domega = sign * state.v
+    dh_dv = sign * state.omega
+    drift = (dh_domega * (-actuator.tau_omega * state.omega)
+             + dh_dv * (-actuator.tau_v * state.v)
+             - sign * est_rate[0] - ratio * est_rate[1]
+             - lip * env_rate)
+    return (h, h - lip * env_value, drift,
+            (dh_dv * actuator.tau_v, dh_domega * actuator.tau_omega))
 
 
 def make_bank(value_y=0.0, value_z=-9.81, e0=0.0, coeffs=None, v_inf=0.0):
@@ -195,6 +213,30 @@ class TestEvalBarrier:
                 d_gz = eval_h(which, v, omega, g_y, g_z + 1.0, geom) - h0
                 assert (d_gy, d_gz) == pytest.approx((-sign, -0.75), abs=1e-12)
 
+    def test_bit_equal_to_oracle(self, geom):
+        """Both constraints from one `row_terms` pass give the bits of the
+        signed expression, signed zeros included: small integers and zeros
+        make the sums cancel exactly, where a shared negation would turn
+        h2's +0.0 into -0.0."""
+        special = (0.0, -0.0, 1.0, -1.0, 2.0)
+        cases = [(RobotState(0, 0, 0, omega, v), (e0, e1), (r0, r1), env_rate,
+                  ActuatorParams(1.0, 1.0))
+                 for v, omega, e0, e1, r0, r1, env_rate in itertools.product(special,
+                                                                          repeat=7)]
+        rng = random.Random(18)
+        for _ in range(5_000):
+            scale = 10.0 ** rng.randint(-3, 3)
+            x = [rng.uniform(-scale, scale) for _ in range(7)]
+            cases.append((RobotState(0, 0, 0, x[0], x[1]), (x[2], x[3]), (x[4], x[5]),
+                          x[6], ActuatorParams(rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0))))
+        for st, est, est_rate, env_rate, act in cases:
+            for which in ("h1", "h2"):
+                got = eval_barrier(which, st, est, geom, act, est_rate, 0.5, env_rate)
+                want = eval_barrier_oracle(which, st, est, geom, act, est_rate, 0.5,
+                                           env_rate)
+                assert [x.hex() for x in (got.h, got.h_rob, got.drift, *got.input_row)] \
+                    == [x.hex() for x in (*want[:3], *want[3])], (which, st, est, est_rate)
+
     def test_negative_envelope_rejected(self, geom, actuator):
         with pytest.raises(DomainError):
             eval_barrier("h1", RobotState(0, 0, 0, 0, 0), (0.0, -9.81),
@@ -270,6 +312,28 @@ class TestRows:
                         assert got.beta.hex() == want.hex(), (i, which, inputs)
         # h2 at rest on zero estimates: h_rob and drift are both +0.0
         assert signed_zeros == 1
+
+    def test_row_pair_bit_equal_to_constraint_rows(self, geom, actuator):
+        """`row_pair` gives h1's and h2's `constraint_row`, bit for bit,
+        signed zeros included: at rest, on zero inputs, and at random."""
+        consts = (actuator.tau_v, actuator.tau_omega, geom.width_ratio,
+                  lipschitz_gain(geom))
+        rng = np.random.default_rng(15)
+        cases = [(RobotState(0, 0, 0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0, 0.0)),
+                 (RobotState(0, 0, 0, -0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, -0.0, 0.0))]
+        for _ in range(1000):
+            cases.append((RobotState(*rng.uniform(-3.0, 3.0, 5).tolist()),
+                          tuple(rng.uniform(-10.0, 10.0, 2).tolist()),
+                          tuple(rng.uniform(-10.0, 10.0, 2).tolist()),
+                          (float(rng.uniform(0.0, 5.0)), float(rng.uniform(-50.0, 0.0)),
+                           float(rng.uniform(0.0, 3.0)))))
+        for st, est, est_rate, inputs in cases:
+            alpha = AlphaLinear(float(rng.uniform(0.1, 8.0)))
+            pair = row_pair(st.v, st.omega, est, est_rate, *inputs, consts, alpha.rate)
+            rows = [constraint_row(which, st, est, est_rate, *inputs, geom, actuator, alpha)
+                    for which in ("h1", "h2")]
+            assert [x.hex() for row in pair for x in row] == \
+                [x.hex() for row in rows for x in (*row.a, row.beta)], (st, est, est_rate)
 
     def test_v_inf_must_be_the_banks(self, geom, actuator, alpha):
         st = RobotState(0, 0, 0, 0.5, 1.0)

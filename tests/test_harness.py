@@ -627,6 +627,44 @@ class TestCompare:
         harness.compare(sc, ["envelope", "const_margin:0.9"])
         assert lengths == [51, 51, 51]
 
+    def test_labels_of_one_scenario_share_a_run(self, tmp_path, monkeypatch):
+        """Variants are run once per scenario, keyed by the repr of the
+        fields they set, so 0.9 and 0.90 share a run and -0.0 stays apart
+        from 0.0; a repeated label is skipped. Every label still writes
+        the trace and summary bytes of its lone run, and comparison.json
+        is that of the lone runs."""
+        sc = Scenario(filter="none", horizon=1.0)
+        specs = ["const_margin:0.9", "const_margin:0.90", " const_margin : 0.9",
+                 "none", "envelope", "const_margin:0.0", "const_margin:-0.0"]
+        lone_run = harness.run
+        calls = []
+
+        def run(scenario, label=None, track=None):
+            calls.append(label)
+            return lone_run(scenario, label, track)
+
+        monkeypatch.setattr(harness, "run", run)
+        result = harness.compare(sc, specs)
+        monkeypatch.undo()
+        assert calls == ["none", "const_margin_0.9", "envelope", "const_margin_0.0",
+                         "const_margin_-0.0"]
+        assert list(result.results) == ["none", "const_margin_0.9", "const_margin_0.90",
+                                        "envelope", "const_margin_0.0",
+                                        "const_margin_-0.0"]
+        assert result.results["const_margin_0.90"].summary.label == "const_margin_0.90"
+        lone = {}
+        for spec in specs:
+            label, vscenario = parse_variant(sc, spec)
+            lone.setdefault(label, harness.run(vscenario, label=label))
+        harness.write_comparison(result, tmp_path / "compare")
+        harness.write_comparison(harness.ComparisonResult("none", lone), tmp_path / "lone")
+        names = sorted(p.name for p in (tmp_path / "lone").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "compare").iterdir())
+        assert len(names) == 2 * 6 + 1
+        for name in names:
+            assert (tmp_path / "compare" / name).read_bytes() == \
+                (tmp_path / "lone" / name).read_bytes(), name
+
     def test_outputs_written(self, tmp_path):
         result = harness.compare(Scenario(filter="none", horizon=0.5),
                                  ["envelope", "const_margin:0.9"])
