@@ -7,16 +7,16 @@ by a high-gain observer
     rate_est_dot  = k2 * ell^2 * (p - value_est)
 
 `hgo_rates` is this right-hand side for one channel, pure over floats: the
-estimate rates of every constraint row, and the reference definition of
-the observer half of `sysmodel.observer_period`. Its error has a
-certified envelope
+estimate rates of every constraint row, and under `step_rk4` the source
+of `sysmodel.substep_map`, the observer's RK4 substep as the one affine
+map that the run applies. Its error has a certified envelope
 
     M(t) = transient_gain * exp(-decay_rate * t) * e0_bound
            + noise_gain * v_inf.
 
 `calibrate_envelope` produces coefficients that make the envelope the
 exact worst-case bound on the error norm of the observer the run
-integrates (`sysmodel.observer_period` on the run's grid), at every
+integrates (that map on the run's grid), at every
 substep end, for every admissible noise realization and initial error
 and every true signal whose second derivative stays within the configured
 bound. Both gravity channels share one observer design, one initial error
@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .sysmodel import observer_period
+from .sysmodel import substep_map
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,11 @@ def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
                        dt: float, substeps: int) -> EnvelopeCoeffs:
     """Envelope coefficients for the observer the run integrates:
     `substeps` RK4 substeps of dt from t = 0 (the horizon step included),
-    as `sysmodel.observer_period` takes them. Each substep reads the
-    measurement p = p0 + v at its start, midpoint and end (the next start),
-    so the error e = (value_est - p0, rate_est - p0_dot) obeys
+    each the map `sysmodel.substep_map` that `sysmodel.observer_period`
+    applies. Each substep reads the measurement p = p0 + v at its start,
+    midpoint and end (the next start), so the error e = (value_est - p0,
+    rate_est - p0_dot) obeys, with Phi, G0, Gm and G1 the map's own
+    coefficients (Phi's value column implied),
 
         e_{m+1} = Phi e_m + G0 v_m + Gm v_{m+1/2} + G1 v_{m+1} + d_m.
 
@@ -258,12 +260,16 @@ def calibrate_envelope(params: HgoParams, v_inf: float, curvature_bound: float,
     impulse responses (Dahleh & Diaz-Bobillo, 1995), the worst cases over
     |v| <= v_inf, |p0_ddot| <= curvature_bound and ||e_0|| <= e0_bound, so
     ||e_m|| <= M(m dt) with no safety factor, at substep ends, where the
-    run reads M (the rows, h_rob and the audit). One premise remains: the
-    run's float times lie off the exact grid j dt/2 by under an ulp of
-    the horizon (1.7e-15 s on the flagship grid), which moves a truth
-    sample by up to pdot_bound times that (7.5e-15 at 4.5), outside the
-    sums. With the curvature folded into noise_gain, v_inf = 0 needs a
-    zero curvature bound. `_grid_sums` runs once per (params, dt, substeps).
+    run reads M (the rows, h_rob and the audit). Two premises remain,
+    outside the sums, both at rounding level: the run's float times lie
+    off the exact grid j dt/2 by under an ulp of the horizon (1.7e-15 s on
+    the flagship grid), which moves a truth sample by up to pdot_bound
+    times that (7.5e-15 at 4.5); and the walk applies the map in floats,
+    which rounds a substep's result by under 1e-15 and moves the flagship
+    walk's estimates off the map's exact recursion by up to 2.0e-15 in
+    value and 8.9e-14 in rate. With the curvature folded into noise_gain,
+    v_inf = 0 needs a zero curvature bound. `_grid_sums` runs once per
+    (params, dt, substeps).
     """
     if v_inf < 0.0 or curvature_bound < 0.0:
         raise DomainError("bounds must be nonnegative")
@@ -295,19 +301,11 @@ def _grid_sums(params: HgoParams, dt: float, substeps: int) -> tuple[float, ...]
     curvature sums)."""
     slowest = min(-eig.real for eig in error_dynamics_eigenvalues(params))
     decay, half = 0.9 * slowest, 0.5 * dt
-
-    def unit_substep(o, start, mid, end):
-        # the run's substep of both channels from o at t = 0, measuring
-        # (y, z) = start, mid and end at t = 0, dt/2 and dt
-        reads = {0.0: start, half: mid, dt: end}
-        period = observer_period(params, lambda t: (*reads[t], 0.0, 0.0, 0.0, 0.0), 1, dt)
-        return period(o, 0.0, dt, (*start, 0.0, 0.0, 0.0, 0.0), [])[0]
-
-    f11, f21, f12, f22 = unit_substep((1.0, 0.0, 0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+    # the run's substep map, with Phi's value column implied by the others;
     # at k = 0: Phi^k G0, Gm and G1 as (value, rate) pairs, Phi^k (p), and
     # Q^k = (w Phi)^k (q), whose norm is the weighted transient
-    x0, y0, xm, ym = unit_substep((0.0,) * 4, (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-    x1, y1 = unit_substep((0.0,) * 4, (0.0, 0.0), (0.0, 0.0), (1.0, 0.0))[:2]
+    f12, f22, x0, xm, x1, y0, ym, y1 = substep_map(params, dt)
+    f11, f21 = 1.0 - x0 - xm - x1, -(y0 + ym + y1)
     p11, p12, p21, p22 = q11, q12, q21, q22 = 1.0, 0.0, 0.0, 1.0
     w11, w12, w21, w22 = (math.exp(decay * dt) * f for f in (f11, f12, f21, f22))
     run1 = run2 = top1 = top2 = curv1 = curv2 = last1 = last2 = 0.0

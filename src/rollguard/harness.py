@@ -18,9 +18,9 @@ measurements, which depend on time alone, so `exogenous_track` walks the
 run's time grid once for everything a filter does not change: both
 observers, advanced through each period by `sysmodel.observer_period` on
 the run's one sampler, `sysmodel.exogenous_signals`, with each grid
-time evaluated once (a substep's end by its stage 4); per substep the
-flat tuple of the floats a run reads (its start time, the disturbances
-at its three stage times and the gravity truth at its end); and per
+time evaluated once; per substep the flat tuple of the floats a run
+reads (its start time, the disturbances at its midpoint and end, and
+the gravity truth at its end); and per
 control step the truth, the measurements, the estimates, their
 `hgo_rates` rates, the error envelope M(t) (`error_envelope`, for the
 audit of each channel's error) and `bank.envelope` (the rows, `h_rob`
@@ -29,11 +29,12 @@ equal channel envelopes), with the envelope audit. `run` then steps the robot al
 `sysmodel.robot_period` call per control step on the step's entries,
 which also returns the running minimum of the true constraint after
 every substep. `compare` walks one track before its first variant and
-hands it to every variant. The two halves' reference definition is, per
-substep, `sysmodel.step_rk4` over the right-hand side
-`sysmodel.eval_dynamics` plus two `differentiator.hgo_rates` calls
-(stage 4 at the substep's end), followed by `sysmodel.wrap_angle` on
-the heading. Every (h1, h2) pair,
+hands it to every variant. Per substep, the robot half's reference
+definition is `sysmodel.step_rk4` over `sysmodel.eval_dynamics` (stage
+4 at the substep's end), followed by `sysmodel.wrap_angle` on the
+heading; the observer half's is each channel's RK4 substep as one affine
+map, `sysmodel.substep_map`, which the envelope calibration sums. Every
+(h1, h2) pair,
 at the truth, at the estimates and after each substep, is
 `barrier.h_pair`.
 
@@ -43,8 +44,8 @@ positionally, the per-scenario lookups are read once per run, and the
 safety filter `filter_step` hands both rows, as the (a0, a1, beta)
 triples of `barrier.row_pair`, straight to the QP core `qp.solve_rows`,
 with no row, problem or solution object and no multipliers. Every
-filtered variant builds the rows of `barrier.constraint_row` and
-differs only in the inputs: `backward_diff`
+filtered variant builds its rows with `barrier.row_pair` and differs
+only in the inputs: `backward_diff`
 gives it the measurements and their backward-difference rates, the
 others the observer estimates and their rates; only `envelope` passes
 the envelope, and only the filters in `scenario.BUDGET_ROW_FILTERS` the
@@ -228,7 +229,7 @@ class TrackStep(NamedTuple):
     t: float
     g_true: tuple[float, float]
     g_meas: tuple[float, float]
-    dist: tuple[float, float]                # (d_omega, d_v)
+    dist: tuple[float, float]                # (d_omega, d_v), the robot's first stage
     est: tuple[float, float, float, float]   # observer state, as TraceRecord.est
     est_rate: tuple[float, float]            # hgo_rates value rates per channel
     env: tuple[float, float]                 # bank.envelope(t)
@@ -258,9 +259,9 @@ def exogenous_track(scenario: Scenario) -> ExogenousTrack:
     `TrackStep`, whose `substeps` holds the flat entries that
     `sysmodel.observer_period` appends while it advances both observers
     through the period to (k + 1) * period: per substep its start time,
-    the disturbances at its three RK4 stage times and the gravity truth at
-    its end, which the intersample audit reads. Each grid time is read
-    once, a substep's end by its stage 4; the last end is the next step's.
+    the disturbances at its midpoint and end and the gravity truth at its
+    end, which the intersample audit reads. Each grid time is read once;
+    the last end is the next step's.
 
     The walk stops at the first signal DomainError or non-finite observer
     state and leaves a `sysmodel._Raises` in the failing substep's entry,
@@ -396,8 +397,9 @@ def run(scenario: Scenario, label: str | None = None,
 
     for k in range(n_steps):
         try:
-            (t, g_true, meas, (d_om, d_v), est, est_rate, (env_value, env_rate),
+            (t, g_true, meas, dist, est, est_rate, (env_value, env_rate),
              violations, subs) = steps[k]
+            d_om, d_v = dist
             g_y0, g_z0 = g_true
             v, omega = state.v, state.omega
 
@@ -432,7 +434,7 @@ def run(scenario: Scenario, label: str | None = None,
                 budget_value, abs(v * d_om + omega * d_v), status, active))
 
             # a fault leaves the state at the step's start
-            state, min_inter, fault = advance(state, *u_star, subs, min_inter)
+            state, min_inter, fault = advance(state, *u_star, dist, subs, min_inter)
             if fault is not None:
                 raise fault
             done = k + 1

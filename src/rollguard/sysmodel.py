@@ -11,23 +11,24 @@ State ordering used throughout: (x, y, theta, omega, v)
 
 The augmented 9-state (robot plus two high-gain observers) advances in
 two halves that share one set of stage signals, one control period per
-call, each classical RK4 written out on named floats with its state in
-locals: `observer_period` over the four observer states, which also
-appends per substep the flat tuple of the floats the robot reads (the
-substep's start time, the disturbances at its three stage times and the
-gravity truth at its end, read once by stage 4), and `robot_period`
-over the five robot states
-under the held input, which checks each stage's dynamics inputs with one
-finiteness test of their sum and returns the running intersample minimum
-of the true constraint with the state. The observers read only the
-measurements, which depend on time alone, so one observer trajectory
+call, with the state in locals. The observers are linear, so
+`observer_period` advances each channel by one affine map per substep,
+`substep_map`, the one definition of the observer's classical RK4
+substep: it is taken from `step_rk4` over `differentiator.hgo_rates` on
+unit inputs, and the envelope calibration sums it. `observer_period`
+also appends per substep the flat tuple of the floats the robot reads
+(the substep's start time, the disturbances at its midpoint and end, and
+the gravity truth at its end, each time read once). `robot_period`
+advances the five robot states under the held input, classical RK4
+written out on named floats, checks each stage's dynamics inputs with
+one finiteness test of their sum and returns the running intersample
+minimum of the true constraint with the state. Its reference definition
+is, per substep, `step_rk4` over `eval_dynamics`, stage 4 on the signals
+at the substep's end (which can differ from t_i + dt in the last bit),
+followed by `wrap_angle` on the heading; it repeats their float
+operations in order and is bit-equal to them. The observers read only
+the measurements, which depend on time alone, so one observer trajectory
 serves every filter of a scenario (`harness.exogenous_track`).
-Their composition's reference definition is, per substep, `step_rk4`
-over the right-hand side made of `eval_dynamics` here and two
-`differentiator.hgo_rates` calls, stage 4 on the signals at the
-substep's end (which can differ from t_i + dt in the last bit), followed
-by `wrap_angle` on the heading; the two halves repeat its float
-operations in order and are bit-equal to it.
 
 Everything that depends on time alone (true gravity components, noise and
 disturbance) comes from the one sampler built by `exogenous_signals`,
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NonFiniteStateError
@@ -334,26 +336,56 @@ class _Raises:
     __add__ = __radd__ = __mul__ = __rmul__ = _raise
 
 
+@lru_cache(maxsize=64)
+def substep_map(hgo, dt: float) -> tuple[float, ...]:
+    """One observer channel's classical RK4 substep of dt as the affine
+    map it is, (f12, f22, x0, xm, x1, y0, ym, y1), in innovation form
+
+        value' = v + (f12 r + x0 (p0 - v) + xm (pm - v) + x1 (p1 - v))
+        rate'  = f22 r + y0 (p0 - v) + ym (pm - v) + y1 (p1 - v)
+
+    on the state (v, r) and the measurements p0, pm and p1 at the
+    substep's start, midpoint and end. A state at a constant measurement
+    stays put, so the transition matrix's value column is implied: f11 =
+    1 - x0 - xm - x1, f21 = -(y0 + ym + y1). The innovations are about
+    0.01 where the measurements are about 9.8, and the value moves by
+    their sum added last, as in RK4. Each pair is `step_rk4` over
+    `differentiator.hgo_rates` from t = 0 on a unit rate or a unit
+    measurement at one of the three times.
+    """
+    from .differentiator import hgo_rates  # differentiator imports this module
+
+    def unit(rate: float, p0: float, pm: float, p1: float) -> tuple[float, ...]:
+        def rhs(t, y):
+            return hgo_rates(y[0], y[1], hgo, p0 if t == 0.0 else pm if t < dt else p1)
+        return step_rk4((0.0, rate), 0.0, dt, rhs)
+
+    f12, f22 = unit(1.0, 0.0, 0.0, 0.0)
+    x0, y0 = unit(0.0, 1.0, 0.0, 0.0)
+    xm, ym = unit(0.0, 0.0, 1.0, 0.0)
+    x1, y1 = unit(0.0, 0.0, 0.0, 1.0)
+    return f12, f22, x0, xm, x1, y0, ym, y1
+
+
 def observer_period(hgo, signals, substeps: int, dt: float):
     """Both high-gain observers through one control period, built once per
     run.
 
     Returns `period(o, t, t_next, sig, entries) -> (o, sig)`: `substeps`
-    classical RK4 steps of dt of o = (est_gy, rate_gy, est_gz, rate_gz)
+    classical RK4 substeps of dt of o = (est_gy, rate_gy, est_gz, rate_gz)
     from time t to the next control step's t_next, one observer (`hgo`)
     per gravity channel, driven by its noisy measurement g + n from
     `signals`, the run's `exogenous_signals`; `sig` is its value at t.
     Substep i runs from t_i = t + i * dt to t + (i + 1) * dt, or t_next
-    for the last; stage 4 reads the signals there, once, and they start
-    the next substep. `period` returns the state and the signals at
-    t_next, and appends per substep the flat tuple `robot_period` reads:
-    t_i, (d_omega, d_v) at t_i, t_i + dt/2 and the end, and the gravity
-    truth (g_y0, g_z0) at the end.
+    for the last. It reads the signals at its midpoint, then at its end,
+    once, which start the next substep, and applies `substep_map(hgo, dt)`
+    to each channel on its measurements at the three times; the map is
+    its reference definition. `period` returns the state and the signals
+    at t_next, and appends per substep the flat tuple `robot_period`
+    reads: t_i, (d_omega, d_v) at t_i + dt/2 and at the end, and the
+    gravity truth (g_y0, g_z0) at the end.
 
-    Its reference definition is, per substep, `step_rk4` over two
-    `differentiator.hgo_rates` calls on the measurements, stage 4 on those
-    at the end; `period` repeats their float operations in order and is
-    bit-equal. At the first signals error, or a non-finite state after a
+    At the first signals error, or a non-finite state after a
     substep (`NonFiniteStateError`, as `step_rk4` raises it), it appends
     the substep's entry with a `_Raises` of the error in every slot from
     the first the robot reads after it (the stage-2 or stage-4
@@ -363,68 +395,45 @@ def observer_period(hgo, signals, substeps: int, dt: float):
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    k1l = hgo.k1 * hgo.ell
-    k2l2 = hgo.k2 * hgo.ell * hgo.ell
+    f12, f22, x0, xm, x1, y0, ym, y1 = substep_map(hgo, dt)
     half = 0.5 * dt
-    sixth = dt / 6.0
     isfinite = math.isfinite
     last = substeps - 1
 
     def period(o, t: float, t_next: float, sig, entries: list):
         ey, ry, ez, rz = o
-        g_y, g_z, ny, nz, dw1, dv1 = sig
+        g_y, g_z, ny, nz, _, _ = sig
         my, mz = g_y + ny, g_z + nz
         t_i = t
         try:
             for i in range(substeps):
                 dw2 = dw4 = None  # the stage signals read so far, for a failing entry
-                iy, iz = my - ey, mz - ez
-                a5, a6 = ry + k1l * iy, k2l2 * iy
-                a7, a8 = rz + k1l * iz, k2l2 * iz
-
-                # stages 2 and 3 share one measurement
                 g_y, g_z, ny, nz, dw2, dv2 = signals(t_i + half)
-                my, mz = g_y + ny, g_z + nz
-                ey2, ry2 = ey + half * a5, ry + half * a6
-                ez2, rz2 = ez + half * a7, rz + half * a8
-                iy, iz = my - ey2, mz - ez2
-                b5, b6 = ry2 + k1l * iy, k2l2 * iy
-                b7, b8 = rz2 + k1l * iz, k2l2 * iz
-
-                ey3, ry3 = ey + half * b5, ry + half * b6
-                ez3, rz3 = ez + half * b7, rz + half * b8
-                iy, iz = my - ey3, mz - ez3
-                c5, c6 = ry3 + k1l * iy, k2l2 * iy
-                c7, c8 = rz3 + k1l * iz, k2l2 * iz
-
-                # stage 4 at the substep's end, which starts the next one
+                hy, hz = g_y + ny, g_z + nz
+                # the substep's end, read once, starts the next one
                 t_end = t_next if i == last else t + (i + 1) * dt
                 sig = signals(t_end)
                 g_y, g_z, ny, nz, dw4, dv4 = sig
-                my, mz = g_y + ny, g_z + nz
-                ey4, ry4 = ey + dt * c5, ry + dt * c6
-                ez4, rz4 = ez + dt * c7, rz + dt * c8
-                iy, iz = my - ey4, mz - ez4
-                d5, d6 = ry4 + k1l * iy, k2l2 * iy
-                d7, d8 = rz4 + k1l * iz, k2l2 * iz
-
-                ey = ey + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-                ry = ry + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-                ez = ez + sixth * (a7 + 2.0 * (b7 + c7) + d7)
-                rz = rz + sixth * (a8 + 2.0 * (b8 + c8) + d8)
+                py, pz = g_y + ny, g_z + nz
+                iy0, iym, iy1 = my - ey, hy - ey, py - ey
+                iz0, izm, iz1 = mz - ez, hz - ez, pz - ez
+                ey, ry = (ey + (f12 * ry + x0 * iy0 + xm * iym + x1 * iy1),
+                          f22 * ry + y0 * iy0 + ym * iym + y1 * iy1)
+                ez, rz = (ez + (f12 * rz + x0 * iz0 + xm * izm + x1 * iz1),
+                          f22 * rz + y0 * iz0 + ym * izm + y1 * iz1)
                 if not (isfinite(ey) and isfinite(ry) and isfinite(ez) and isfinite(rz)):
                     raise NonFiniteStateError(f"non-finite state after step at t={t_i}")
 
-                entries.append((t_i, dw1, dv1, dw2, dv2, dw4, dv4, g_y, g_z))
-                t_i, dw1, dv1 = t_end, dw4, dv4
+                entries.append((t_i, dw2, dv2, dw4, dv4, g_y, g_z))
+                t_i, my, mz = t_end, py, pz
         except (DomainError, NonFiniteStateError) as exc:
             bad = _Raises(exc)
             if dw2 is None:
-                entries.append((t_i, dw1, dv1) + (bad,) * 6)
+                entries.append((t_i,) + (bad,) * 6)
             elif dw4 is None:
-                entries.append((t_i, dw1, dv1, dw2, dv2) + (bad,) * 4)
+                entries.append((t_i, dw2, dv2) + (bad,) * 4)
             else:
-                entries.append((t_i, dw1, dv1, dw2, dv2, dw4, dv4, bad, bad))
+                entries.append((t_i, dw2, dv2, dw4, dv4, bad, bad))
             raise
         return (ey, ry, ez, rz), sig
     return period
@@ -434,10 +443,12 @@ def robot_period(act: ActuatorParams, ratio: float, dt: float):
     """The five robot states through one control period, built once per
     run.
 
-    Returns `period(r, u_v, u_omega, entries, low) -> (r, low, fault)`: per
-    flat entry of `observer_period`, one classical RK4 step of dt of
-    r = (x, y, theta, omega, v) from the entry's t_i under the held input,
-    on the entry's disturbances (stage 3 shares stage 2's), then the
+    Returns `period(r, u_v, u_omega, dist, entries, low) -> (r, low,
+    fault)`: per flat entry of `observer_period`, one classical RK4 step of
+    dt of r = (x, y, theta, omega, v) from the entry's t_i under the held
+    input, on the entry's disturbances (stage 3 shares stage 2's) and, at
+    stage 1, on the stage-4 pair of the entry before it, or `dist`, the
+    pair at the period's start, for the first; then the
     heading wrapped to (-pi, pi], and `low`, the running intersample
     minimum, lowered by min()'s rule (NaN and ties included) with both
     values of `barrier.h_pair` at the new state and the entry's end
@@ -458,8 +469,8 @@ def robot_period(act: ActuatorParams, ratio: float, dt: float):
     overflows from finite terms passes. An entry's `_Raises` raises where
     its stage's sum, or `h_pair` at its end, first reads it, which is
     where the reference reads those signals. With `observer_period` on the
-    same entries it is one RK4 step per substep of the augmented closed
-    loop: the robot does not feed the observers, and the observers do not
+    same entries it advances the augmented closed loop by one substep per
+    entry: the robot does not feed the observers, and the observers do not
     feed the robot within a step.
     """
     from .barrier import h_pair  # barrier imports this module
@@ -474,7 +485,7 @@ def robot_period(act: ActuatorParams, ratio: float, dt: float):
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    def period(r, u_v: float, u_omega: float, entries: list, low: float):
+    def period(r, u_v: float, u_omega: float, dist, entries: list, low: float):
         try:
             if not (isfinite(u_v) and isfinite(u_omega)):
                 raise DomainError("non-finite dynamics input")
@@ -482,7 +493,8 @@ def robot_period(act: ActuatorParams, ratio: float, dt: float):
             in_omega = tau_omega * u_omega
             in_v = tau_v * u_v
             x, p, th, w, v = r
-            for t_i, dw, dv, dw2, dv2, dw4, dv4, g_y, g_z in entries:
+            dw, dv = dist
+            for t_i, dw2, dv2, dw4, dv4, g_y, g_z in entries:
                 # stage 1 at (t_i, r)
                 if not isfinite(x + p + th + w + v + dw + dv) and \
                         not _all_finite(x, p, th, w, v, dw, dv):
@@ -536,6 +548,8 @@ def robot_period(act: ActuatorParams, ratio: float, dt: float):
                     low = h1
                 if h2 < low:
                     low = h2
+                # stage 4's pair starts the next substep
+                dw, dv = dw4, dv4
         except (DomainError, NonFiniteStateError) as exc:
             return r, low, exc
         return RobotState(x, p, th, w, v), low, None

@@ -11,15 +11,20 @@ heading. `signals` gives the gravity truth, noise and disturbance as
 own.
 
 `reference_robot_step(act)` returns `hold(u_v, u_omega) -> step(r, t, dt,
-s1, s2, s4)` and `reference_observer_step(hgo)` returns `step(o, t, dt,
-s1, s2, s4)`: one substep of each half on the signals at its three stage
-times, derived from `reference_closed_loop_step` with the other half held
-at zero with zero inputs, which keeps it at exactly zero, and the signals
-it does not read zeroed.
+s1, s2, s4)`: one robot substep on the signals at its three stage times,
+derived from `reference_closed_loop_step` with both observers held at
+zero on zero measurements, which keeps them at exactly zero. The observer
+half is linear, so its reference is its RK4 substep as an affine map:
+`reference_observer_step(hgo)` returns `step(o, t, dt, s1, s2, s4)`, the
+map of `sysmodel.substep_map` written out per channel. That map is
+checked against `step_rk4` over `hgo_rates` within a derived rounding
+bound (`tests/test_sysmodel.py::TestSubstepMap`).
 
 The shipped engine, `sysmodel.observer_period` and
 `sysmodel.robot_period`, advances each half through one control period
-per call and passes the robot its stage signals as flat entries.
+per call and passes the robot its stage-2 and stage-4 signals as flat
+entries; a substep's stage 1 reads the stage 4 of the one before it, or
+the period's start signals.
 `reference_observer_period` and `reference_robot_period` have their
 signatures and build them one reference substep at a time: the observer
 on the walk's time grid, filling each entry (and a failing one) in read
@@ -29,11 +34,13 @@ tests compare the shipped periods with these and with the fused
 reference, and the harness tests run `harness.run` with them in place of
 the shipped ones."""
 
+import math
+
 from rollguard.barrier import h_pair
 from rollguard.differentiator import HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
-from rollguard.sysmodel import (ActuatorParams, ControlInput, RobotState, _Raises,
-                                eval_dynamics, step_rk4, wrap_angle)
+from rollguard.sysmodel import (ControlInput, RobotState, _Raises, eval_dynamics,
+                                step_rk4, substep_map, wrap_angle)
 
 
 def reference_rhs(act, hgo, signals):
@@ -64,27 +71,18 @@ def reference_closed_loop_step(act, hgo, signals):
     return hold
 
 
-def _stage_signals(t, dt, s1, s2, s4, keep):
-    """`signals` for one reference step from t: the values given for its
-    stage times, passed through `keep` when the step reads them; a
-    `_Raises` given for a stage raises its error there."""
+def _stage_signals(t, dt, s1, s2, s4):
+    """`signals` for one reference robot step from t: the disturbances
+    given for its stage times, with zero gravity and noise; a `_Raises`
+    given for a stage raises its error there."""
     at = {t: s1, t + 0.5 * dt: s2, t + dt: s4}
 
     def signals(tt):
         values = at[tt]
         if type(values) is _Raises:
             raise values.kind(values.message)
-        g_y0, g_z0, ny, nz, d_omega, d_v = values
-        return keep(g_y0, g_z0, ny, nz, d_omega, d_v)
+        return (0.0, 0.0, 0.0, 0.0, *values[4:])
     return signals
-
-
-def _disturbance_only(g_y0, g_z0, ny, nz, d_omega, d_v):
-    return (0.0, 0.0, 0.0, 0.0, d_omega, d_v)
-
-
-def _measurement_only(g_y0, g_z0, ny, nz, d_omega, d_v):
-    return (g_y0, g_z0, ny, nz, 0.0, 0.0)
 
 
 def reference_robot_step(act):
@@ -92,7 +90,7 @@ def reference_robot_step(act):
     with both observers at zero and zero measurements."""
     def hold(u_v, u_omega):
         def step(r, t, dt, s1, s2, s4):
-            signals = _stage_signals(t, dt, s1, s2, s4, _disturbance_only)
+            signals = _stage_signals(t, dt, s1, s2, s4)
             y = reference_closed_loop_step(act, HgoParams(), signals)(u_v, u_omega)(
                 (*r, 0.0, 0.0, 0.0, 0.0), t, dt)
             return y[:5]
@@ -101,15 +99,21 @@ def reference_robot_step(act):
 
 
 def reference_observer_step(hgo):
-    """One observer substep from the reference: the observer part of its
-    result, with the robot at rest, zero input and zero disturbance."""
-    act = ActuatorParams(1.0, 1.0)
-
+    """One observer substep: per channel, the affine map of
+    `sysmodel.substep_map` written out on the measurements g + n at the
+    substep's start, midpoint and end, then the finiteness check of
+    `step_rk4`."""
     def step(o, t, dt, s1, s2, s4):
-        signals = _stage_signals(t, dt, s1, s2, s4, _measurement_only)
-        y = reference_closed_loop_step(act, hgo, signals)(0.0, 0.0)(
-            (0.0, 0.0, 0.0, 0.0, 0.0, *o), t, dt)
-        return y[5:]
+        f12, f22, x0, xm, x1, y0, ym, y1 = substep_map(hgo, dt)
+        out = []
+        for c in (0, 1):
+            value, rate = o[2 * c], o[2 * c + 1]
+            i0, im, i1 = (s[c] + s[c + 2] - value for s in (s1, s2, s4))
+            out += [value + (f12 * rate + x0 * i0 + xm * im + x1 * i1),
+                    f22 * rate + y0 * i0 + ym * im + y1 * i1]
+        if not all(map(math.isfinite, out)):
+            raise NonFiniteStateError(f"non-finite state after step at t={t}")
+        return tuple(out)
     return step
 
 
@@ -122,7 +126,7 @@ def reference_observer_period(hgo, signals, substeps, dt):
     def period(o, t, t_next, sig, entries):
         for i in range(substeps):
             t_i = t + i * dt
-            read = [t_i, *sig[4:]]
+            read = [t_i]
             try:
                 s2 = signals(t_i + 0.5 * dt)
                 read += s2[4:]
@@ -130,7 +134,7 @@ def reference_observer_period(hgo, signals, substeps, dt):
                 read += s4[4:]
                 o = step(o, t_i, dt, sig, s2, s4)
             except (DomainError, NonFiniteStateError) as exc:
-                entries.append(tuple(read) + (_Raises(exc),) * (9 - len(read)))
+                entries.append(tuple(read) + (_Raises(exc),) * (7 - len(read)))
                 raise
             sig = s4
             entries.append((*read, *sig[:2]))
@@ -151,13 +155,16 @@ def reference_robot_period(act, ratio, dt):
     entry."""
     hold = reference_robot_step(act)
 
-    def period(r, u_v, u_omega, entries, low):
+    def period(r, u_v, u_omega, dist, entries, low):
         step = hold(u_v, u_omega)
         y = r
+        s1 = _stage(*dist)
         try:
-            for t_i, dw1, dv1, dw2, dv2, dw4, dv4, g_y, g_z in entries:
-                y = step(y, t_i, dt, _stage(dw1, dv1), _stage(dw2, dv2), _stage(dw4, dv4))
+            for t_i, dw2, dv2, dw4, dv4, g_y, g_z in entries:
+                s4 = _stage(dw4, dv4)
+                y = step(y, t_i, dt, s1, _stage(dw2, dv2), s4)
                 low = min(low, *h_pair(y[4], y[3], g_y, g_z, ratio))
+                s1 = s4
         except (DomainError, NonFiniteStateError) as exc:
             return r, low, exc
         return RobotState(*y), low, None

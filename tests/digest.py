@@ -1,6 +1,6 @@
 """One SHA-256 over the output bytes of the determinism set.
 
-    python tests/digest.py
+    python tests/digest.py [--out DIR]
 
 The set is every filter at seeds 1 and 7 with v_inf 0.01, every filter at
 seeds 0-19 with v_inf 0.05, every filter's tau_v = 1e160 overflow abort,
@@ -13,10 +13,18 @@ one `harness.compare`, whose variants equal their lone runs
 walked once. A change that keeps the outputs byte-identical
 prints the same digest before and after. pytest does not collect this
 file (its name does not start with `test_`).
+
+`--out DIR` also writes every hashed item under DIR, at its key: a run's
+trace and summary at `<filter>@<v_inf>/<seed>/trace` and `.../summary`,
+each comparison output file at `compare/<config>/<seed>/<file>`, and each
+CLI call's exit code and stdout at `<call>/stdout`. It changes neither
+the set nor the digest, so the sets of two commits can be compared with
+`diff -r`.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -60,32 +68,46 @@ def _cli(argv) -> bytes:
     return f"exit {code}\n{out.getvalue()}".encode()
 
 
-def digest() -> str:
-    h = hashlib.sha256()
-
-    def add(key: str, data: bytes) -> None:
-        h.update(f"{key}\0{len(data)}\0".encode())
-        h.update(data)
-
+def items():
+    """(key, data, file) of every hashed item, in the hash order; file is
+    where `--out` writes it, relative to DIR."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for key, res in _runs():
             harness.write_trace(res.records, tmp / "trace.csv")
             harness.write_summary(res.summary, tmp / "summary.json")
-            add(f"{key}/trace", (tmp / "trace.csv").read_bytes())
-            add(f"{key}/summary", (tmp / "summary.json").read_bytes())
+            yield f"{key}/trace", (tmp / "trace.csv").read_bytes(), f"{key}/trace"
+            yield f"{key}/summary", (tmp / "summary.json").read_bytes(), f"{key}/summary"
         for cfg in CONFIGS:
             for seed in ("1", "7"):
                 out = tmp / f"compare_{cfg.stem}_{seed}"
-                add(f"compare/{cfg.name}/{seed}",
-                    _cli(["compare", "--config", str(cfg), "--seed", seed,
-                          "--variants", ",".join(FILTERS), "--out", str(out)]))
+                key = f"compare/{cfg.name}/{seed}"
+                yield key, _cli(["compare", "--config", str(cfg), "--seed", seed,
+                                 "--variants", ",".join(FILTERS), "--out", str(out)]), \
+                    f"{key}/stdout"
                 for path in sorted(out.iterdir()):
-                    add(f"compare/{cfg.name}/{seed}/{path.name}", path.read_bytes())
-            add(f"verify/{cfg.name}", _cli(["verify", "--config", str(cfg)]))
+                    yield f"{key}/{path.name}", path.read_bytes(), f"{key}/{path.name}"
+            key = f"verify/{cfg.name}"
+            yield key, _cli(["verify", "--config", str(cfg)]), f"{key}/stdout"
+
+
+def digest(out=None) -> str:
+    """The hex digest of the set; with `out`, every item is also written
+    under that directory."""
+    h = hashlib.sha256()
+    for key, data, name in items():
+        h.update(f"{key}\0{len(data)}\0".encode())
+        h.update(data)
+        if out is not None:
+            path = Path(out) / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
     return h.hexdigest()
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the determinism digest.")
+    parser.add_argument("--out", help="also write every hashed item under this directory")
+    args = parser.parse_args()
     warnings.simplefilter("ignore", qp.DegenerateRowWarning)
-    print(digest())
+    print(digest(args.out))

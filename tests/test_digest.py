@@ -12,7 +12,8 @@ pin, in the same commit, and lists the old and the new digest in
 CHANGES.md with the before/after summaries. No other change touches it.
 A mismatch names the two digests only, not the file that moved: pinning
 a hash per file would put about 300 values in this file, and writing the
-set's files out at both commits and comparing them finds it.
+set's files out at both commits (`python tests/digest.py --out DIR`) and
+comparing them finds it.
 """
 
 import platform
@@ -23,8 +24,9 @@ import pytest
 
 import digest
 from rollguard import qp
+from rollguard.scenario import Scenario
 
-PINNED = "e77eb34e429c47aefaf96128dec4f468c8e9a676a6a90b87ab5b81a811532838"
+PINNED = "4a3bcf4cd118f9c285f3c26d888d2c88b22f37e709aae309af829780b888b741"
 FINGERPRINT = ("3.11.7 (main, May  9 2026, 07:35:25) [GCC 12.2.0]", ("glibc", "2.36"))
 
 
@@ -35,3 +37,21 @@ def test_digest_matches_the_pin():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", qp.DegenerateRowWarning)
         assert digest.digest() == PINNED
+
+
+def test_out_writes_every_hashed_item(tmp_path, monkeypatch):
+    """`digest(out)` returns the digest that `digest()` returns and writes
+    the bytes of every hashed item at its file under `out`, one file per
+    item; on a set cut to one short point and one config."""
+    monkeypatch.setattr(digest, "_points", lambda: iter([("/short", Scenario(horizon=0.2))]))
+    monkeypatch.setattr(digest, "CONFIGS", digest.CONFIGS[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", qp.DegenerateRowWarning)
+        items = list(digest.items())
+        plain = digest.digest()
+        written = digest.digest(out=tmp_path)
+    assert written == plain
+    files = {path.relative_to(tmp_path).as_posix(): path.read_bytes()
+             for path in tmp_path.rglob("*") if path.is_file()}
+    assert files == {name: data for _, data, name in items}
+    assert len(files) == len(items) == 5 * 2 + 2 * (1 + 11) + 1

@@ -342,7 +342,7 @@ def _grid_times(sc):
 
 def _fails_at(monkeypatch, t_bad, blow_up_after=None):
     """The run's sampler, out of the upright regime at t_bad alone, with
-    measurements of 1e306 after `blow_up_after` when it is given."""
+    infinite measurements after `blow_up_after` when it is given."""
     make_sampler = harness.exogenous_signals
 
     def sampler(terrain, noise, dist):
@@ -353,7 +353,7 @@ def _fails_at(monkeypatch, t_bad, blow_up_after=None):
                 raise DomainError("terrain roll 2.0 rad leaves the upright regime")
             g_y0, g_z0, n_y, n_z, d_omega, d_v = signals(t)
             if blow_up_after is not None and t > blow_up_after:
-                n_y = n_z = 1e306
+                n_y = n_z = math.inf
             return (g_y0, g_z0, n_y, n_z, d_omega, d_v)
         return failing
     monkeypatch.setattr(harness, "exogenous_signals", sampler)
@@ -377,14 +377,14 @@ def _inject_failure(monkeypatch, sc, where):
     k, i = 7, 2
     if where in ("stage_2", "stage_4"):
         t_bad = grid[4 * k + i][{"stage_2": 2, "stage_4": 3}[where]]
-        first = {"stage_2": 3, "stage_4": 5}[where]
+        first = {"stage_2": 1, "stage_4": 3}[where]
     elif where == "step_time":
         # a step whose time both other spellings of the end miss in the last bit
         k = next(j for j in range(1, 49) if (j + 1) * 0.02 not in (
             (j * 0.02 + 3 * 0.005) + 0.005, j * 0.02 + 4 * 0.005))
-        i, first, t_bad = 3, 5, (k + 1) * 0.02
+        i, first, t_bad = 3, 3, (k + 1) * 0.02
     else:
-        first, t_bad = 7, grid[4 * k + i + 1][2]
+        first, t_bad = 5, grid[4 * k + i + 1][2]
         blow_up_after = k * 0.02 + i * 0.005
     _fails_at(monkeypatch, t_bad, blow_up_after)
     if blow_up_after is None:
@@ -396,8 +396,8 @@ def _inject_failure(monkeypatch, sc, where):
 def test_run_bit_equal_with_reference_step(tmp_path, monkeypatch, case):
     """harness.run with the shipped robot and observer periods writes the
     same trace and summary bytes as with both built one reference substep
-    at a time (step_rk4 over eval_dynamics plus two hgo_rates calls, then
-    wrap_angle): the five filters, an overflow abort, a roll that leaves
+    at a time (the robot by step_rk4 over eval_dynamics, then wrap_angle,
+    the observers by the substep map written out): the five filters, an overflow abort, a roll that leaves
     the upright regime inside a control period, where the minimum of the
     substeps finished before the abort must stay in the summary, and a
     failure in each slot of a flat track entry, where the run aborts at
@@ -474,7 +474,7 @@ class TestTrack:
         """The walk stops at the first failure in the order of one fused
         RK4 step per substep and leaves it where a run reads it: in place
         of a step whose signals fail, else in the failing substep's flat
-        entry (t_i, the disturbance pair at stages 1, 2 and 4, the end
+        entry (t_i, the disturbance pair at stages 2 and 4, the end
         gravity pair), with the floats read before the failure and the
         failure in every slot from the first that the robot reads after
         it: stage 2's or stage 4's disturbances, or the end gravity,
@@ -489,7 +489,7 @@ class TestTrack:
         assert len(steps) == k + 1
         assert len(steps[k].substeps) == i + 1
         last = steps[k].substeps[i]
-        assert [type(x) for x in last] == [float] * first + [_Raises] * (9 - first), last
+        assert [type(x) for x in last] == [float] * first + [_Raises] * (7 - first), last
         with pytest.raises((DomainError, harness.NonFiniteStateError), match=reason):
             last[first] + 0.0
         s = harness.run(sc).summary

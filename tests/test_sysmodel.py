@@ -4,16 +4,18 @@ import random
 import numpy as np
 import pytest
 
+from rollguard import differentiator, sysmodel
 from rollguard.barrier import h_pair
-from rollguard.differentiator import hgo_rates
+from rollguard.differentiator import HgoParams, hgo_rates
 from rollguard.errors import DomainError, NonFiniteStateError
 from rollguard.scenario import Scenario
 from rollguard.sysmodel import (ActuatorParams, ControlInput, DisturbanceModel, NoiseModel,
                                 RobotState, TerrainProfile, _Raises, eval_dynamics,
                                 exogenous_signals, gravity_at, observer_period,
-                                robot_period, step_rk4, wrap_angle)
+                                robot_period, step_rk4, substep_map, wrap_angle)
 
-from _stepref import reference_closed_loop_step, reference_rhs, reference_robot_period
+from _stepref import (reference_closed_loop_step, reference_observer_step, reference_rhs,
+                      reference_robot_period)
 
 
 def state(x=0.0, y=0.0, theta=0.0, omega=0.0, v=0.0):
@@ -203,7 +205,7 @@ def composed_period(act, hgo, signals, substeps):
                 obs, _ = observe(tuple(y[5:]), t, t + substeps * dt, sig, entries)
             except (DomainError, NonFiniteStateError):
                 pass  # the last entry raises it where the robot reads it
-            r, low, fault = move(tuple(y[:5]), u_v, u_omega, entries, math.inf)
+            r, low, fault = move(tuple(y[:5]), u_v, u_omega, sig[4:], entries, math.inf)
             if fault is not None:
                 raise fault
             return (*r, *obs, low)
@@ -212,11 +214,16 @@ def composed_period(act, hgo, signals, substeps):
 
 
 def reference_period(act, hgo, signals, substeps):
-    """`composed_period` from the fused reference: one
-    `reference_closed_loop_step` per substep i from t_i = t + i * dt, and
-    the minimum by `min` of `h_pair` at each substep's end t + (i + 1) *
-    dt. Its stage 4, at t_i + dt, reads the signals at that end, which
-    can differ from t_i + dt in the last bit: one time per boundary."""
+    """`composed_period` from the references, per substep i from t_i = t +
+    i * dt: the robot by one `reference_closed_loop_step` with both
+    observers started at zero (the robot does not read them), the
+    observers by `reference_observer_step`, the substep map, on the
+    signals at t_i, t_i + dt/2 and the substep's end t + (i + 1) * dt, and
+    the minimum by `min` of `h_pair` at that end. The robot's stage 4, at
+    t_i + dt, reads the signals at the end, which can differ from t_i + dt
+    in the last bit: one time per boundary."""
+    observe = reference_observer_step(hgo)
+
     def hold(u_v, u_omega):
         end = {}  # the stage-4 time of the current substep -> its end
         step = reference_closed_loop_step(
@@ -228,7 +235,9 @@ def reference_period(act, hgo, signals, substeps):
                 t_i, t_end = t + i * dt, t + (i + 1) * dt
                 end.clear()
                 end[t_i + dt] = t_end
-                y = step(y, t_i, dt)
+                r = step((*y[:5], 0.0, 0.0, 0.0, 0.0), t_i, dt)[:5]
+                y = (*r, *observe(y[5:], t_i, dt, signals(t_i), signals(t_i + 0.5 * dt),
+                                  signals(t_end)))
                 g_y, g_z = signals(t_end)[:2]
                 low = min(low, *h_pair(y[4], y[3], g_y, g_z, RATIO))
             return (*y, low)
@@ -305,11 +314,12 @@ class TestClosedLoopRhs:
 
 
 class TestClosedLoopStep:
-    """The two unrolled halves a run integrates, `observer_period` and
+    """The two halves a run integrates, `observer_period` and
     `robot_period` composed over one control period, against their
-    reference definition, per substep step_rk4 over eval_dynamics plus two
-    hgo_rates calls, then wrap_angle, bit for bit: the same results, the
-    same intersample minimum and the same errors."""
+    reference definitions, per substep step_rk4 over eval_dynamics, then
+    wrap_angle, for the robot and the substep map written out for the
+    observers, bit for bit: the same results, the same intersample
+    minimum and the same errors."""
 
     Y = (0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.0, -9.0, 0.0)
     NON_FINITE = "non-finite dynamics input"
@@ -469,19 +479,126 @@ class TestClosedLoopStep:
         sc = Scenario()
         t, dt = 0.3, 0.5
         signals = exogenous_signals(sc.terrain(), sc.noise_model(), sc.disturbance())
-        entry = [t, *signals(t)[4:], *signals(t + 0.5 * dt)[4:], *signals(t + dt)[4:],
-                 *signals(t + dt)[:2]]
-        first = 1 + 2 * raising
+        entry = [t, *signals(t + 0.5 * dt)[4:], *signals(t + dt)[4:], *signals(t + dt)[:2]]
+        first = 2 * raising - 1
         entry[first:] = [_Raises(DomainError("terrain roll 2.0 rad leaves the upright "
-                                             "regime"))] * (9 - first)
+                                             "regime"))] * (7 - first)
         r = list(self.Y[:5])
         for i, value in overrides.items():
             r[i] = value
         got, ref = [_fault(make(sc.actuator(), RATIO, dt)(tuple(r), 0.5, -0.2,
-                                                          [tuple(entry)], math.inf))
+                                                          signals(t)[4:], [tuple(entry)],
+                                                          math.inf))
                     for make in (robot_period, reference_robot_period)]
         assert got == ref
         assert got[0] is DomainError and want in got[1]
+
+
+class TestSubstepMap:
+    """`substep_map`, the one definition of an observer substep: the walk
+    applies it and the calibration sums it."""
+
+    DT = Scenario().grid()[2]
+
+    @staticmethod
+    def _gamma(n):
+        # Higham's gamma_n: n roundings of relative size u = 2^-53 at most
+        u = 2.0 ** -53
+        return n * u / (1.0 - n * u)
+
+    def test_matches_rk4_within_the_rounding_bound(self):
+        """The shipped walk, one `observer_period` substep, against the
+        reference, `step_rk4` over `hgo_rates`, on random designs from the
+        tests' ranges at the default substep, random states and measurement
+        triples at t = 0, dt/2 and dt, near the value (run-like
+        innovations) and far from it.
+
+        The bound. Both sides round the same exact affine map. Each +, -, *
+        and the one division dt/6 is exact times (1 + delta), |delta| <= u,
+        so a result reached through at most n roundings on any path is off
+        the exact one by at most gamma_n = n u / (1 - n u) times the same
+        program on absolute values (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., section 3.1, Lemma 3.1). RK4 over
+        hgo_rates takes at most 21 roundings on a path: 3 per stage
+        evaluation, 2 per stage state, then 2 to sum the stages, 1 for
+        dt/6, 1 for its product and 1 for the last addition. So |rk4 -
+        exact| <= gamma_21 R|.|, with R|.| `step_rk4` over the absolute
+        right-hand side (r + k1 ell (p + e), k2 ell^2 (p + e)) on |v|, |r|
+        and |p|. Each coefficient c_j is such a result on a unit rate or
+        measurement, off its exact value by at most gamma_21 times its own
+        absolute program c|.|_j. Applying the map takes at most 6
+        roundings (an innovation, a product, three sums and the value's
+        last addition), so |walk - exact| <= gamma_6 (|v| + sum |c_j| |z_j|)
+        + gamma_21 sum c|.|_j |z_j| over z = (r, p0 - v, pm - v, p1 - v).
+        The sum of both bounds, times 1 + 1e-12 for the rounding of the
+        bound itself, must hold on every output. It comes to a few 1e-14
+        on the value and 1e-13 to 1e-11 on the rate, and the differences
+        reach at most about 7 % of it."""
+        rng = np.random.default_rng(808)
+        dt = self.DT
+        g21, g6 = self._gamma(21), self._gamma(6)
+        worst = 0.0
+        for _ in range(20):
+            hgo = HgoParams(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.2, 3.0)),
+                            float(rng.uniform(5.0, 90.0)))
+            k1l, k2l2 = hgo.k1 * hgo.ell, hgo.k2 * hgo.ell * hgo.ell
+
+            def rk4(value, rate, meas, rates):
+                pick = lambda t: meas[0] if t == 0.0 else meas[1] if t < dt else meas[2]
+                return step_rk4((value, rate), 0.0, dt,
+                                lambda t, y: rates(y[0], y[1], pick(t)))
+            plain = lambda e, r, p: hgo_rates(e, r, hgo, p)
+            absolute = lambda e, r, p: (r + k1l * (p + e), k2l2 * (p + e))
+            f12, f22, x0, xm, x1, y0, ym, y1 = substep_map(hgo, dt)
+            columns = ((f12, f22), (x0, y0), (xm, ym), (x1, y1))
+            columns_abs = [rk4(0.0, 1.0, (0.0, 0.0, 0.0), absolute)] + [
+                rk4(0.0, 0.0, unit, absolute)
+                for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+            for _ in range(25):
+                chans = []
+                for _ in range(2):
+                    value = float(rng.uniform(-10.0, 10.0))
+                    spread = 0.05 if rng.random() < 0.5 else 10.0
+                    chans.append((value, float(rng.normal(0.0, 5.0)),
+                                  tuple((value + rng.uniform(-spread, spread, 3)).tolist())))
+                reads = {0.0: 0, 0.5 * dt: 1, dt: 2}
+                signals = lambda t: (chans[0][2][reads[t]], chans[1][2][reads[t]],
+                                     0.0, 0.0, 0.0, 0.0)
+                o = (chans[0][0], chans[0][1], chans[1][0], chans[1][1])
+                got, _ = observer_period(hgo, signals, 1, dt)(o, 0.0, dt, signals(0.0), [])
+                for c, (value, rate, meas) in enumerate(chans):
+                    want = rk4(value, rate, meas, plain)
+                    full_abs = rk4(abs(value), abs(rate), tuple(map(abs, meas)), absolute)
+                    z = (abs(rate), *(abs(p - value) for p in meas))
+                    for row in (0, 1):
+                        applied = sum(abs(col[row]) * zj for col, zj in zip(columns, z))
+                        coeffs = sum(col[row] * zj for col, zj in zip(columns_abs, z))
+                        bound = (g21 * full_abs[row] + g6 * ((row == 0) * abs(value) + applied)
+                                 + g21 * coeffs) * (1.0 + 1e-12)
+                        gap = abs(got[2 * c + row] - want[row])
+                        assert gap <= bound, (hgo, value, rate, meas, row, gap, bound)
+                        worst = max(worst, gap / bound)
+        assert 0.0 < worst < 1.0
+
+    def test_calibration_and_walk_read_one_map(self, monkeypatch):
+        """`differentiator._grid_sums` and `observer_period` read their
+        coefficients from `substep_map`, and the two reads are the very
+        same cached object: the calibration sums, coefficient for
+        coefficient, the map the walk applies."""
+        real = sysmodel.substep_map
+        seen = []
+
+        def recording(hgo, dt):
+            seen.append((hgo, dt, real(hgo, dt)))
+            return seen[-1][2]
+        monkeypatch.setattr(sysmodel, "substep_map", recording)
+        monkeypatch.setattr(differentiator, "substep_map", recording)
+        hgo, dt = HgoParams(2.5, 0.7, 40.0), self.DT
+        differentiator._grid_sums.__wrapped__(hgo, dt, 10)
+        sysmodel.observer_period(hgo, lambda t: (0.0,) * 6, 4, dt)
+        assert len(seen) == 2 and seen[0][:2] == seen[1][:2] == (hgo, dt)
+        assert seen[0][2] is seen[1][2] is real(hgo, dt)
+        assert len(seen[0][2]) == 8 and all(type(c) is float for c in seen[0][2])
 
 
 def _fault(result):
@@ -507,12 +624,12 @@ class TestRobotStepFiniteness:
 
     def _entries(self):
         """Four substeps' entries on SIG at every stage and end."""
-        return [[self.T + j * self.DT, *self.SIG[4:] * 3, *self.SIG[:2]] for j in range(4)]
+        return [[self.T + j * self.DT, *self.SIG[4:] * 2, *self.SIG[:2]] for j in range(4)]
 
-    def _both(self, r, u=(0.5, -0.2), entries=None):
+    def _both(self, r, u=(0.5, -0.2), entries=None, dist=SIG[4:]):
         act = ActuatorParams(5.0, 5.0)
         entries = [tuple(e) for e in (entries or self._entries())]
-        return [_fault(make(act, RATIO, self.DT)(r, *u, entries, math.inf))
+        return [_fault(make(act, RATIO, self.DT)(r, *u, tuple(dist), entries, math.inf))
                 for make in (robot_period, reference_robot_period)]
 
     @pytest.mark.parametrize("r", [
@@ -538,12 +655,17 @@ class TestRobotStepFiniteness:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_disturbance(self, stage, channel, bad):
         """The value in the stage's slot of each of the four entries in
-        turn; the substeps before it finish, and both report the error."""
-        for j in range(4):
-            entries = self._entries()
-            entries[j][1 + 2 * stage + channel - 4] = bad
+        turn, or for stage 1 in the period's start pair (a later
+        substep's stage 1 is the stage 4 of the entry before it); the
+        substeps before it finish, and both report the error."""
+        for j in range(4 if stage else 1):
+            entries, dist = self._entries(), list(self.SIG[4:])
+            if stage:
+                entries[j][2 * stage + channel - 5] = bad
+            else:
+                dist[channel - 4] = bad
             for r in (self.R, self.HUGE):
-                got, want = self._both(r, entries=entries)
+                got, want = self._both(r, entries=entries, dist=dist)
                 assert got == want == self.NON_FINITE, j
 
     @pytest.mark.parametrize("where", range(2), ids=["u_v", "u_omega"])
